@@ -9,9 +9,13 @@ Sampling note: the density can blow up inside bands that narrow like the
 square of the boundary depth (the closed-form gallery probes do exactly
 this), which no fixed sampling mesh can see.  The sup estimator therefore
 combines disk covers along the refined curve (hyperbolic mesh <= 0.1) with a
-deterministic local zoom around the running maximum, whose depth budget grows
-with the truncation level.  Verdicts are taken on the accumulated sups, which
-are non-decreasing in the level by construction.
+deterministic local zoom around each level's grid maximum, whose depth budget
+grows with the truncation level.  The verdict depends on the zoom: without it
+square_exp reads as bounded instead of diverging.  A level's zoom depends only
+on that level's grid maximum, so the zooms of all levels run in one lockstep
+batch: every slab scan, golden-section step and floor bisection evaluates the
+points of all levels in one call.  Verdicts are taken on the accumulated sups,
+which are non-decreasing in the level by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurvilinearAngle, DEFAULT_LEVEL
+from .curves import CurvilinearAngle, PLATEAU_RATIO
 from .functions import (
     FunctionHandle,
     lehto_virtanen_array,
@@ -43,7 +47,6 @@ from .geometry import (
 )
 
 COVER_MESH = 0.1          # hyperbolic sub-sampling mesh inside disk covers
-PLATEAU_RATIO = 1.05      # last three sups within 5%  => bounded
 GROWTH_FACTOR = 2.0       # each of the last three steps >= x2 => diverging
 CONVERGE_TOL = 1e-3       # limit candidates / family convergence
 FAILURE_FRACTION = 0.01   # more nan evaluations than this => inconclusive
@@ -126,8 +129,21 @@ class NormalityReport:
         }
 
 
-class _ZoomContext:
-    """Deterministic sup refinement in axial coordinates.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _linspace_rows(lo, hi, n):
+    """np.linspace(lo[i], hi[i], n) for every row i, rounded as the scalar
+    call rounds it (an array np.linspace changes all rows once one row has a
+    zero step)."""
+    step = (hi - lo) / (n - 1)
+    grid = np.arange(n) * step[:, None] + lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
+class _LockstepZoom:
+    """Deterministic sup refinement in axial coordinates, every level at once.
 
     The density of the gallery probes peaks inside bands whose hyperbolic
     width shrinks like the squared boundary depth; grids cannot see them.
@@ -135,117 +151,127 @@ class _ZoomContext:
     followed by golden-section refinement of the log-density, which converges
     onto cusp-narrow peaks.  Everything is clipped to the region and to the
     level's depth floor, so reported sups remain honest sampled values.
+
+    Each method works on rows (one slab or one search each) tagged with
+    `lev`, an index into the zoomed levels, and advances all rows together;
+    a row's arithmetic depends only on its own level.
     """
 
-    def __init__(self, f, region, level):
+    def __init__(self, f, region, levels):
         self.f = f
         self.theta = region.curve.endpoint_angle
         self.r_h = radius_convert(region.deflection, "ph_to_h") \
             if region.deflection > 0 else 0.0
-        self.depth_floor = 2.0 ** (-level)
-        cs, ct = region.curve.strip_refine(min(level + 2, 60))
-        self.cs, self.ct = cs, ct
-        self.slack = 0.0  # zoom stays strictly inside the sampled region
+        self.depth_floor = np.array([2.0 ** (-k) for k in levels])
+        self.samples = [region.curve.strip_refine(min(k + 2, 60)) for k in levels]
 
-    def _member(self, s, t):
-        d = strip_distance(np.asarray(s)[:, None], np.asarray(t)[:, None],
-                           self.cs[None, :], self.ct[None, :])
-        return np.min(d, axis=1) <= self.r_h + 1e-12
-
-    def log_value(self, s, t):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def log_value(self, lev, s, t):
         out = np.full(s.shape, -np.inf)
-        ok = strip_depth(s, t) >= self.depth_floor
-        ok &= self._member(s, t)
+        ok = strip_depth(s, t) >= self.depth_floor[lev]
+        for i in np.unique(lev[ok]):
+            rows = np.flatnonzero(ok & (lev == i))
+            cs, ct = self.samples[i]
+            d = strip_distance(s[rows, None], t[rows, None], cs[None, :], ct[None, :])
+            ok[rows] = np.min(d, axis=1) <= self.r_h + 1e-12
         if np.any(ok):
             z = strip_to_disk(s[ok], t[ok], self.theta)
             good = np.abs(z) < 1.0 - 1e-15
-            vals = np.full(int(np.sum(ok)), -np.inf)
+            vals = np.full(len(z), -np.inf)
             if np.any(good):
                 lv = log_lehto_virtanen_array(self.f, z[good])
                 vals[good] = np.where(np.isnan(lv), -np.inf, lv)
             out[ok] = vals
         return out
 
-    def golden_t(self, s, t_lo, t_hi, iters=70):
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = float(t_lo), float(t_hi)
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-        fc = self.log_value(s, c)[0]
-        fd = self.log_value(s, d)[0]
+    def golden_t(self, lev, s, t_lo, t_hi, iters=70):
+        a, b = t_lo, t_hi
+        c = b - GOLDEN * (b - a)
+        d = a + GOLDEN * (b - a)
+        fc = self.log_value(lev, s, c)
+        fd = self.log_value(lev, s, d)
         for _ in range(iters):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = self.log_value(s, c)[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = self.log_value(s, d)[0]
-        t_best = c if fc >= fd else d
-        return t_best, max(fc, fd)
+            left = fc >= fd  # keep [a, d]; otherwise keep [c, b]
+            a = np.where(left, a, c)
+            b = np.where(left, d, b)
+            x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+            fx = self.log_value(lev, s, x)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        left = fc >= fd
+        return np.where(left, c, d), np.where(left, fc, fd)
 
-    def sweep_slab(self, s, t_lo, t_hi, n_grid=97):
-        """Coarse offset scan at fixed axial position + golden refinement."""
-        grid = np.linspace(t_lo, t_hi, n_grid)
-        vals = self.log_value(np.full(n_grid, s), grid)
-        if not np.any(np.isfinite(vals)):
-            return None
-        step = grid[1] - grid[0]
-        best = None
-        for j in np.argsort(vals)[-3:]:
-            if not math.isfinite(vals[j]):
-                continue
-            t_b, v_b = self.golden_t(s, grid[j] - step, grid[j] + step)
-            cand = (v_b, t_b) if v_b > vals[j] else (vals[j], grid[j])
-            if best is None or cand[0] > best[0]:
-                best = cand
-        return best
+    def sweep_slab(self, lev, s, t_lo, t_hi, n_grid=97):
+        """Coarse offset scan of each slab + golden refinement of its top
+        three offsets; returns (found, log value, t) per slab."""
+        grid = _linspace_rows(t_lo, t_hi, n_grid)
+        vals = self.log_value(np.repeat(lev, n_grid), np.repeat(s, n_grid),
+                              grid.ravel()).reshape(grid.shape)
+        step = grid[:, 1] - grid[:, 0]
+        top = np.argsort(vals, axis=1)[:, -3:]
+        top_t = np.take_along_axis(grid, top, axis=1)
+        top_v = np.take_along_axis(vals, top, axis=1)
+        cand_v = np.full(top_v.shape, -np.inf)
+        cand_t = top_t.copy()
+        row, col = np.nonzero(np.isfinite(top_v))
+        if len(row):
+            g_t, g_v = self.golden_t(lev[row], s[row], top_t[row, col] - step[row],
+                                     top_t[row, col] + step[row])
+            better = g_v > top_v[row, col]
+            cand_v[row, col] = np.where(better, g_v, top_v[row, col])
+            cand_t[row, col] = np.where(better, g_t, top_t[row, col])
+        # in ascending-value order, a later candidate wins only if strictly larger
+        best_v = np.full(len(s), -np.inf)
+        best_t = np.zeros(len(s))
+        for j in range(top.shape[1]):
+            take = cand_v[:, j] > best_v
+            best_v = np.where(take, cand_v[:, j], best_v)
+            best_t = np.where(take, cand_t[:, j], best_t)
+        return np.isfinite(top_v).any(axis=1), best_v, best_t
 
-    def floor_position(self, t):
-        """Axial position where depth hits the floor at offset t."""
-        lo, hi = 0.0, 120.0
+    def floor_position(self, lev, t):
+        """Axial position where depth hits the level's floor at offset t."""
+        lo, hi = np.zeros(len(t)), np.full(len(t), 120.0)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if strip_depth(mid, t) > self.depth_floor:
-                lo = mid
-            else:
-                hi = mid
+            deeper = strip_depth(mid, t) > self.depth_floor[lev]
+            lo, hi = np.where(deeper, mid, lo), np.where(deeper, hi, mid)
         return lo
 
 
-def _zoom_max(f, region, level, z0, v0):
-    """Refine the level's grid sup by structured search; returns a value
-    attained at an admissible sampled point (never an extrapolation)."""
-    from .geometry import disk_to_strip
-
-    ctx = _ZoomContext(f, region, level)
-    s_arr, t_arr = disk_to_strip(np.array([complex(z0)]), ctx.theta)
-    s0, t0 = float(s_arr[0]), float(t_arr[0])
-    t_span = float(np.max(np.abs(ctx.ct))) + ctx.r_h + 0.1
-    best_log = -np.inf
-    cands = []
-    a = ctx.sweep_slab(s0, -t_span, t_span)
-    if a:
-        cands.append(a + (s0,))
-    s_floor = ctx.floor_position(a[1] if a else t0)
-    b = ctx.sweep_slab(s_floor, -t_span, t_span)
-    if b:
-        cands.append(b + (s_floor,))
-    if cands:
-        (v_b, t_b, s_b) = max(cands)
-        # polish along the axial direction toward the floor, then re-refine
-        s_grid = np.linspace(max(0.0, s_b - 2.0), ctx.floor_position(t_b), 33)
-        vals = ctx.log_value(s_grid, np.full(len(s_grid), t_b))
-        j = int(np.argmax(vals))
-        if math.isfinite(vals[j]):
-            c = ctx.sweep_slab(s_grid[j], t_b - 0.2, t_b + 0.2)
-            if c and c[0] > v_b:
-                v_b = c[0]
-        best_log = v_b
-    return max(float(v0), math.exp(best_log) if best_log < 700 else math.inf)
+def _zoom_max(f, region, levels, z0, v0):
+    """Refine each level's grid sup (value v0 at z0) by structured search;
+    returns values attained at admissible sampled points (never an
+    extrapolation).  The three phases run in lockstep over all levels."""
+    zm = _LockstepZoom(f, region, levels)
+    lev = np.arange(len(levels))
+    s0, t0 = disk_to_strip(z0, zm.theta)
+    t_span = np.array([np.max(np.abs(ct)) for _, ct in zm.samples]) + zm.r_h + 0.1
+    found_a, v_a, t_a = zm.sweep_slab(lev, s0, -t_span, t_span)
+    s_floor = zm.floor_position(lev, np.where(found_a, t_a, t0))
+    found_b, v_b, t_b = zm.sweep_slab(lev, s_floor, -t_span, t_span)
+    # the larger (value, t, s) of the two slabs, as tuples compare
+    pick_b = found_b & (~found_a | (v_b > v_a) | ((v_b == v_a) & (
+        (t_b > t_a) | ((t_b == t_a) & (s_floor > s0)))))
+    found = found_a | found_b
+    v = np.where(pick_b, v_b, v_a)[found]
+    t = np.where(pick_b, t_b, t_a)[found]
+    s = np.where(pick_b, s_floor, s0)[found]
+    # polish along the axial direction toward the floor, then re-refine
+    lev_c = lev[found]
+    start = np.where(s - 2.0 > 0.0, s - 2.0, 0.0)
+    s_grid = _linspace_rows(start, zm.floor_position(lev_c, t), 33)
+    vals = zm.log_value(np.repeat(lev_c, 33), s_grid.ravel(),
+                        np.repeat(t, 33)).reshape(s_grid.shape)
+    j = np.argmax(vals, axis=1)
+    ok = np.isfinite(vals[np.arange(len(j)), j])
+    if np.any(ok):
+        found_c, v_c, _ = zm.sweep_slab(lev_c[ok], s_grid[ok, j[ok]],
+                                        t[ok] - 0.2, t[ok] + 0.2)
+        v[ok] = np.where(found_c & (v_c > v[ok]), v_c, v[ok])
+    best_log = np.full(len(levels), -np.inf)
+    best_log[found] = v
+    return [max(float(v), math.exp(b) if b < 700 else math.inf)
+            for v, b in zip(v0, best_log)]
 
 
 def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
@@ -255,9 +281,10 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
 
     Level k covers the curve out to refine(k) with pseudo-hyperbolic disks of
     the region's radius (sub-sampled at hyperbolic mesh <= `mesh`), keeps the
-    samples with 1 - |z| >= 2^{-k}, and refines the running maximum locally
-    with a zoom budget of k quartering steps.  Sups accumulate, so they are
-    non-decreasing in k; the verdict follows the plateau/growth rules.
+    samples with 1 - |z| >= 2^{-k}, and refines the level's sample maximum
+    with the cusp zoom (one lockstep batch for all levels).  Sups accumulate,
+    so they are non-decreasing in k; the verdict follows the plateau/growth
+    rules.
     """
     if max_level < 4:
         raise ValueError("max_level must be >= 4")
@@ -286,17 +313,20 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     depth = 1.0 - np.abs(pool)
 
     levels = list(range(1, max_level + 1))
-    sups: list[float] = []
-    running = 0.0
+    peak_levels, peaks = [], []  # each sampled level and its grid argmax
     for k in levels:
         mask = (intro <= k) & (depth >= 2.0 ** (-k))
         if np.any(mask):
-            masked = np.where(mask, vals, -np.inf)
-            j = int(np.argmax(masked))
-            level_sup = float(vals[j])
-            if zoom:
-                level_sup = max(level_sup, _zoom_max(f, region, k, pool[j], vals[j]))
-            running = max(running, level_sup)
+            peak_levels.append(k)
+            peaks.append(int(np.argmax(np.where(mask, vals, -np.inf))))
+    level_sups = [float(v) for v in vals[peaks]]
+    if zoom and peaks:
+        level_sups = _zoom_max(f, region, peak_levels, pool[peaks], vals[peaks])
+    level_sup = dict(zip(peak_levels, level_sups))
+    sups: list[float] = []
+    running = 0.0
+    for k in levels:
+        running = max(running, level_sup.get(k, 0.0))
         sups.append(running)
 
     verdict = sup_trend_verdict(sups)
@@ -613,8 +643,6 @@ def radial_angle_membership(r_ph: float, theta: float = 0.0):
     """Vectorized exact membership predicate for the deflection region of the
     radius curve: pseudo-hyperbolic distance to the radius at most r_ph.
     Cross-checked against the sampled angle_contains in the tests."""
-    from .geometry import disk_to_strip
-
     t_max = radius_convert(r_ph, "ph_to_h")
 
     def contains(z):

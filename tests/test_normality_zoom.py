@@ -1,0 +1,136 @@
+"""Pinned per-level normality sups: the cusp zoom must reproduce them exactly.
+
+The values were recorded with float.hex from the one-level-at-a-time zoom
+(one golden-section search per slab candidate, one point per evaluation) that
+the batched zoom replaced.  The batched search does the same arithmetic on
+the same points, so every sup must agree to the last bit and every verdict
+must be unchanged.  The cases are the four normality_sup calls of the
+selftest battery and the gallery towers on the other canonical regions.
+"""
+
+import pytest
+
+from poincare_boundary_lab import analysis as an
+from poincare_boundary_lab import curves as cv
+from poincare_boundary_lab import functions as fn
+from poincare_boundary_lab import geometry as ge
+
+# (function, curve kind:theta[:param], deflection, max_level, verdict, sups)
+PINNED = [
+    ("identity", "radius:0", 0.5, 10, "bounded", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0",
+    ]),
+    ("automorphism", "radius:0", 0.5, 10, "bounded", [
+        "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1",
+        "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1",
+        "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1", "0x1.ffe4a8c58bf62p-1",
+        "0x1.ffe4a8c58bf62p-1",
+    ]),
+    ("pole_series", "radius:0", 0.5, 14, "bounded", [
+        "0x1.80c174e9695e1p+3", "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5",
+        "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5",
+        "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5",
+        "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5",
+        "0x1.f9573ba9dc562p+5", "0x1.f9573ba9dc562p+5",
+    ]),
+    ("square_exp", "radius:0", 0.5, 14, "diverging", [
+        "0x1.3d9cf0dedad70p+0", "0x1.5e06f6ef2fcb0p+2", "0x1.0a4038f5e2e24p+5",
+        "0x1.3b5eb33817c87p+7", "0x1.531526ab0acc3p+9", "0x1.5ea63e2126bf1p+11",
+        "0x1.645989d79d537p+13", "0x1.6732138face7dp+15", "0x1.689f8f98a3e12p+17",
+        "0x1.6954c0af9e520p+19", "0x1.69af54f64e2efp+21", "0x1.69dc9e0996cccp+23",
+        "0x1.69f3424f38a9dp+25", "0x1.69fe946144cbfp+27",
+    ]),
+    ("gavrilov_g", "hypercycle:0:0.5", 0.5, 10, "bounded", [
+        "0x1.49bf773f3f307p-2", "0x1.807d367f9c529p+5", "0x1.0b37686b26e12p+13",
+        "0x1.0b37686b26e12p+13", "0x1.0b37686b26e12p+13", "0x1.0b37686b26e12p+13",
+        "0x1.0b37686b26e12p+13", "0x1.0b37686b26e12p+13", "0x1.0b37686b26e12p+13",
+        "0x1.0b37686b26e12p+13",
+    ]),
+    ("saginjan_h", "hypercycle:0:0.5", 0.5, 10, "bounded", [
+        "0x1.b50dc2146fd77p-2", "0x1.b50dc2146fd79p-2", "0x1.b50dc2146fd79p-2",
+        "0x1.b50dc2146fd79p-2", "0x1.b50dc2146fd7ap-2", "0x1.b50dc2146fd7ap-2",
+        "0x1.b50dc2146fd7ap-2", "0x1.b50dc2146fd7ap-2", "0x1.b50dc2146fd7ap-2",
+        "0x1.b50dc2146fd7ap-2",
+    ]),
+    ("square_exp", "hypercycle:0:0.5", 0.5, 10, "diverging", [
+        "0x1.3e33d73b65f70p+0", "0x1.617f139da06e7p+2", "0x1.0a7b88ae1f547p+5",
+        "0x1.3b9113f9724bbp+7", "0x1.52fe52ac7ce3fp+9", "0x1.5ea66175564f6p+11",
+        "0x1.645b0a2440fa9p+13", "0x1.6732d4137c444p+15", "0x1.689e73deb92fap+17",
+        "0x1.695432c10d56bp+19",
+    ]),
+    ("gavrilov_g", "chord:0:0.5", 0.5, 10, "bounded", [
+        "0x1.53e507b132478p-2", "0x1.81f0a6152f8b2p+5", "0x1.4de32f5150e75p+13",
+        "0x1.494f799bdccc3p+21", "0x1.4ec27d08697b7p+36", "0x1.4ec27d08697b7p+36",
+        "0x1.4ec27d08697b7p+36", "0x1.4ec27d08697b7p+36", "0x1.4ec27d08697b7p+36",
+        "0x1.4ec27d08697b7p+36",
+    ]),
+    ("saginjan_h", "chord:0:0.5", 0.5, 10, "bounded", [
+        "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2",
+        "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2",
+        "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2",
+        "0x1.b50dc2146fd78p-2",
+    ]),
+    ("square_exp", "chord:0:0.5", 0.5, 10, "diverging", [
+        "0x1.3e88c9a51182ap+0", "0x1.5f53ad00b6a20p+2", "0x1.0a707c9635becp+5",
+        "0x1.3b8d7606800bep+7", "0x1.5318a1d494122p+9", "0x1.5e9cfc619b981p+11",
+        "0x1.645b692337c96p+13", "0x1.673303aa127e1p+15", "0x1.689e8bafe63a1p+17",
+        "0x1.69543eab1d8d3p+19",
+    ]),
+    ("gavrilov_g", "horocycle:0", 0.5, 10, "bounded", [
+        "0x1.543dc18b6a855p-2", "0x1.446791d6b414fp+3", "0x1.5db212869be27p+3",
+        "0x1.5db212869be27p+3", "0x1.5db212869be27p+3", "0x1.5db212869be27p+3",
+        "0x1.5f969ea4bc995p+3", "0x1.5f969ea4bc995p+3", "0x1.5f969ea4bc995p+3",
+        "0x1.5f969ea4bc995p+3",
+    ]),
+    ("saginjan_h", "horocycle:0", 0.5, 10, "bounded", [
+        "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2",
+        "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2", "0x1.b50dc2146fd78p-2",
+        "0x1.b50dc2146fdb1p-2", "0x1.b50dc2146fdccp-2", "0x1.b50dc2146fe5fp-2",
+        "0x1.b50dc2146fe5fp-2",
+    ]),
+    ("square_exp", "horocycle:0", 0.5, 10, "bounded", [
+        "0x1.3d9cf0dedad70p+0", "0x1.5979bc12f004ap+2", "0x1.0fe2d97fd4a5dp+3",
+        "0x1.100887a666646p+3", "0x1.100887a66664bp+3", "0x1.100887a66664bp+3",
+        "0x1.100887a66664bp+3", "0x1.100887a66664bp+3", "0x1.100887a66664bp+3",
+        "0x1.100887a66664bp+3",
+    ]),
+]
+
+
+def _function(name):
+    if name == "identity":
+        return fn.identity_function()
+    if name == "automorphism":
+        return fn.automorphism_function(ge.mobius_translation(0.3))
+    if name == "pole_series":
+        return fn.pole_sequence_function(fn.PoleSchedule.default(0.0, 20), 20)
+    return fn.gallery(name)
+
+
+def _region(spec, deflection):
+    kind, theta, *param = spec.split(":")
+    curve = cv.canonical_curve(kind, float(theta),
+                               float(param[0]) if param else None)
+    return cv.CurvilinearAngle(curve, deflection)
+
+
+@pytest.mark.parametrize(
+    "name, curve, deflection, level, verdict, sups", PINNED,
+    ids=[f"{c[0]}-{c[1]}-L{c[3]}" for c in PINNED])
+def test_zoomed_sups_match_pinned_values(name, curve, deflection, level,
+                                         verdict, sups):
+    rep = an.normality_sup(_function(name), _region(curve, deflection), level)
+    assert [s.hex() for s in rep.sups] == sups
+    assert rep.verdict == verdict
+
+
+def test_square_exp_verdict_needs_the_zoom():
+    """Without the zoom the grid misses the cusp-narrow peaks and square_exp
+    reads as bounded; the zoom carries the diverging verdict."""
+    region = _region("radius:0", 0.5)
+    f = fn.gallery("square_exp")
+    assert an.normality_sup(f, region, 14, zoom=False).verdict == "bounded"
+    assert an.normality_sup(f, region, 14).verdict == "diverging"
