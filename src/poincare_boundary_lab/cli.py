@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,6 @@ from . import stolz as st
 
 OUTPUT_DIR_ENV = "PBLAB_OUTPUT_DIR"
 
-# named tolerances: default value and which direction counts as tightening
-TOLERANCES = {
-    "algebraic": (1e-12, "down"),
-    "composed": (1e-9, "down"),
-    "plateau_ratio": (1.05, "down"),
-    "growth_factor": (2.0, "up"),
-    "converge": (1e-3, "down"),
-    "margin_rel": (1e-9, "down"),
-}
-
 
 @dataclass
 class RunConfig:
@@ -50,10 +40,6 @@ class RunConfig:
     max_level: int = 12
     output_dir: str = "pblab-reports"
     format: str = "json"
-    tolerances: dict = field(default_factory=dict)
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, TOLERANCES[name][0])
 
 
 class CliError(ValueError):
@@ -74,17 +60,6 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _apply_tolerance(cfg: RunConfig, name: str, value: float):
-    if name not in TOLERANCES:
-        raise CliError(f"unknown tolerance {name!r}; choices: {sorted(TOLERANCES)}")
-    default, direction = TOLERANCES[name]
-    tighter = value <= default if direction == "down" else value >= default
-    if not tighter:
-        raise CliError(
-            f"tolerance {name!r} may only tighten its default {default!r}")
-    cfg.tolerances[name] = value
-
-
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
@@ -100,8 +75,6 @@ def build_config(args) -> RunConfig:
                 cfg.output_dir = val
             elif key == "format":
                 cfg.format = val
-            elif key.startswith("tolerance."):
-                _apply_tolerance(cfg, key.split(".", 1)[1], float(val))
             else:
                 raise CliError(f"unknown config key {key!r}")
     if args.seed is not None:
@@ -112,14 +85,19 @@ def build_config(args) -> RunConfig:
         cfg.output_dir = args.output_dir
     if args.format is not None:
         cfg.format = args.format
-    for item in args.set_tolerance or []:
-        if "=" not in item:
-            raise CliError(f"bad --set-tolerance {item!r}; expected NAME=VALUE")
-        name, val = item.split("=", 1)
-        _apply_tolerance(cfg, name.strip(), float(val))
     if cfg.format not in ("json", "csv"):
         raise CliError(f"unknown format {cfg.format!r}")
+    if cfg.max_level < 1:
+        raise CliError(f"max_level must be >= 1, got {cfg.max_level}")
     return cfg
+
+
+def _level(value, default: int) -> int:
+    """A subcommand's level flag, or `default` when it is absent."""
+    level = default if value is None else value
+    if level < 1:
+        raise CliError(f"level must be >= 1, got {level}")
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +266,7 @@ def cmd_metric(args, cfg):
 def cmd_curve_dist(args, cfg):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    level = args.level or cfg.max_level
+    level = _level(args.level, cfg.max_level)
     fwd = cv.directed_curve_distance(c1, c2, level)
     bwd = cv.directed_curve_distance(c2, c1, level)
     rep = {"curve1": c1.label, "curve2": c2.label, "level": level,
@@ -299,7 +277,7 @@ def cmd_curve_dist(args, cfg):
 def cmd_frechet(args, cfg):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    level = args.level or cfg.max_level
+    level = _level(args.level, cfg.max_level)
     value = cv.curve_frechet(c1, c2, level)
     return 0, {"curve1": c1.label, "curve2": c2.label, "level": level,
                "value": value}, f"{value:.6g}"
@@ -308,7 +286,7 @@ def cmd_frechet(args, cfg):
 def cmd_equiv(args, cfg):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    verdict = cv.are_equivalent(c1, c2, args.max_level or cfg.max_level)
+    verdict = cv.are_equivalent(c1, c2, _level(args.max_level, cfg.max_level))
     rep = {"curve1": c1.label, "curve2": c2.label}
     rep.update(verdict.to_dict())
     code = {"equivalent": 0, "not_equivalent": 4}.get(verdict.verdict, 3)
@@ -345,7 +323,7 @@ def cmd_normality(args, cfg):
     f = parse_function(args.function)
     curve = parse_curve(args.curve)
     region = cv.CurvilinearAngle(curve, args.deflection)
-    rep = an.normality_sup(f, region, args.max_level or max(cfg.max_level, 4))
+    rep = an.normality_sup(f, region, _level(args.max_level, max(cfg.max_level, 4)))
     rep.seed = cfg.seed
     code = 0 if rep.verdict in ("bounded", "diverging") else 3
     d = rep.to_dict()
@@ -397,18 +375,25 @@ def cmd_pseq(args, cfg):
 
 def _parse_region(spec: str):
     parts = spec.split(":")
-    if parts[0] != "radius-angle":
+    if parts[0] != "radius-angle" or len(parts) < 2:
         raise CliError("region spec must be radius-angle:R[:theta]")
     r = float(parts[1])
     theta = float(parts[2]) if len(parts) > 2 else 0.0
     return an.radial_angle_membership(r, theta), theta, r
 
 
+def _parse_range(spec: str, what: str) -> range:
+    """lo:hi, both ends included; an empty range is an error."""
+    lo, hi = (int(x) for x in spec.split(":"))
+    if lo > hi:
+        raise CliError(f"empty {what} range {spec!r}; expected lo:hi with lo <= hi")
+    return range(lo, hi + 1)
+
+
 def cmd_cluster(args, cfg):
     f = parse_function(args.function)
     member, theta, r = _parse_region(args.region)
-    lo, hi = (int(x) for x in args.shells.split(":"))
-    rep = an.cluster_estimate(f, member, theta, range(lo, hi + 1),
+    rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
                               seed=cfg.seed, record_values=not args.no_values)
     d = rep.to_dict()
     d["function"] = f.label
@@ -420,8 +405,7 @@ def cmd_cluster(args, cfg):
 
 def cmd_family(args, cfg):
     f = parse_function(args.function)
-    lo, hi = (int(x) for x in args.depths.split(":"))
-    ws = [1.0 - 2.0 ** (-k) for k in range(lo, hi + 1)]
+    ws = [1.0 - 2.0 ** (-k) for k in _parse_range(args.depths, "depth")]
     target = parse_complex(args.target)
     rep = an.renormalized_family_check(f, ws, args.r1, target)
     rep.seed = cfg.seed
@@ -466,7 +450,7 @@ def cmd_decay(args, cfg):
     f = parse_function(args.function)
     curve = parse_curve(args.curve)
     profile = parse_profile(args.profile)
-    rep = st.decay_margin(f, curve, profile, args.level or cfg.max_level)
+    rep = st.decay_margin(f, curve, profile, _level(args.level, cfg.max_level))
     d = rep.to_dict()
     d["function"] = f.label
     d["curve"] = curve.label
@@ -488,13 +472,9 @@ def cmd_gallery(args, cfg):
 
 def cmd_selftest(args, cfg):
     res = sft.run_all(cfg.seed)
-    res["tolerances"] = {k: cfg.tolerance(k) for k in TOLERANCES}
     lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['criterion']}"
              for c in res["criteria"]]
     return (0 if res["all_passed"] else 4), res, "\n".join(lines)
-
-
-HANDLERS = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.add_argument("--format", choices=["json", "csv"], default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--set-tolerance", action="append", metavar="NAME=VALUE",
-                   help="tighten a named tolerance (repeatable)")
     p.add_argument("--no-report", action="store_true",
                    help="skip writing the report file")
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -516,34 +494,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True, choices=["ph", "h", "s"])
     sp.add_argument("--z", required=True)
     sp.add_argument("--w", required=True)
-    HANDLERS["metric"] = cmd_metric
+    sp.set_defaults(handler=cmd_metric)
 
-    for name, help_text in [("curve-dist", "directed curve distance"),
-                            ("frechet", "discrete Frechet distance")]:
+    for name, help_text, handler in [
+            ("curve-dist", "directed curve distance", cmd_curve_dist),
+            ("frechet", "discrete Frechet distance", cmd_frechet)]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--curve1", required=True)
         sp.add_argument("--curve2", required=True)
         sp.add_argument("--level", type=int, default=None)
-    HANDLERS["curve-dist"] = cmd_curve_dist
-    HANDLERS["frechet"] = cmd_frechet
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("equiv", help="curve equivalence verdict")
     sp.add_argument("--curve1", required=True)
     sp.add_argument("--curve2", required=True)
     sp.add_argument("--max-level", type=int, default=None, dest="max_level_local")
-    HANDLERS["equiv"] = lambda a, c: cmd_equiv(_alias(a), c)
+    sp.set_defaults(handler=cmd_equiv)
 
     sp = sub.add_parser("lemma4", help="zigzag pair construction and growth")
     sp.add_argument("--r", type=float, default=0.5)
     sp.add_argument("--n-zigzags", type=int, default=5)
-    HANDLERS["lemma4"] = cmd_lemma4
+    sp.set_defaults(handler=cmd_lemma4)
 
     sp = sub.add_parser("normality", help="normality sup over a deflection region")
     sp.add_argument("--function", required=True)
     sp.add_argument("--curve", required=True)
     sp.add_argument("--deflection", type=float, required=True)
     sp.add_argument("--max-level", type=int, default=None, dest="max_level_local")
-    HANDLERS["normality"] = lambda a, c: cmd_normality(_alias(a), c)
+    sp.set_defaults(handler=cmd_normality)
 
     sp = sub.add_parser("pseq", help="blow-up sequence indicators")
     sp.add_argument("--function", required=True)
@@ -552,49 +530,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sequence", default="poles:8")
     sp.add_argument("--alpha", default=None)
     sp.add_argument("--delta", type=float, default=0.5)
-    HANDLERS["pseq"] = cmd_pseq
+    sp.set_defaults(handler=cmd_pseq)
 
     sp = sub.add_parser("cluster", help="cluster-set estimate on boundary shells")
     sp.add_argument("--function", required=True)
     sp.add_argument("--region", required=True, help="radius-angle:R[:theta]")
     sp.add_argument("--shells", default="2:14", help="lo:hi shell levels")
     sp.add_argument("--no-values", action="store_true")
-    HANDLERS["cluster"] = cmd_cluster
+    sp.set_defaults(handler=cmd_cluster)
 
     sp = sub.add_parser("family", help="renormalized family convergence")
     sp.add_argument("--function", required=True)
     sp.add_argument("--r1", type=float, default=0.5)
     sp.add_argument("--target", required=True)
     sp.add_argument("--depths", default="1:16", help="lo:hi dyadic depths of w_n")
-    HANDLERS["family"] = cmd_family
+    sp.set_defaults(handler=cmd_family)
 
     sp = sub.add_parser("stolz-map", help="sector-to-disk conformal map")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--z", default=None)
     sp.add_argument("--grid", type=int, default=1000)
-    HANDLERS["stolz-map"] = cmd_stolz_map
+    sp.set_defaults(handler=cmd_stolz_map)
 
     sp = sub.add_parser("lemma6", help="boundary-distance distortion bounds")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--samples", type=int, default=10000)
-    HANDLERS["lemma6"] = cmd_lemma6
+    sp.set_defaults(handler=cmd_lemma6)
 
     sp = sub.add_parser("decay", help="decay-bound margin table")
     sp.add_argument("--function", required=True)
     sp.add_argument("--curve", required=True)
     sp.add_argument("--profile", required=True, help="log[:shift[:e]] | pow:s[:e] | super:n")
     sp.add_argument("--level", type=int, default=None)
-    HANDLERS["decay"] = cmd_decay
+    sp.set_defaults(handler=cmd_decay)
 
     sp = sub.add_parser("gallery", help="evaluate a gallery function")
     sp.add_argument("--name", required=True)
     sp.add_argument("--at", action="append", help="point re,im (repeatable)")
-    HANDLERS["gallery"] = cmd_gallery
+    sp.set_defaults(handler=cmd_gallery)
 
-    sub.add_parser("selftest", help="run the full acceptance battery")
-    HANDLERS["selftest"] = cmd_selftest
+    sp = sub.add_parser("selftest", help="run the full acceptance battery")
+    sp.set_defaults(handler=cmd_selftest)
 
     # let values like -0.5,0 pass as option arguments rather than flags
     matcher = re.compile(r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)?(e-?\d+)?$|^-\.\d+.*$")
@@ -605,28 +583,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _alias(args):
-    # merge the per-subcommand --max-level into the shared attribute name
-    if getattr(args, "max_level_local", None) is not None:
-        args.max_level = args.max_level_local
-    elif not hasattr(args, "max_level") or args.max_level is None:
-        args.max_level = None
-    return args
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        handler = HANDLERS[args.subcommand]
-        code, report, text = handler(args, cfg)
+        # equiv and normality take their own --max-level, echoed as max_level too
+        if getattr(args, "max_level_local", None) is not None:
+            args.max_level = args.max_level_local
+        code, report, text = args.handler(args, cfg)
         report = {"subcommand": args.subcommand, "seed": cfg.seed,
                   "arguments": {k: v for k, v in sorted(vars(args).items())
-                                if k not in ("config",) and v is not None},
+                                if k not in ("config", "handler") and v is not None},
                   **report}
-        if "seed" not in report:
-            report["seed"] = cfg.seed
         if not args.no_report:
             path = write_report(cfg, args.subcommand, report)
             print(text)
@@ -634,10 +603,7 @@ def main(argv=None) -> int:
         else:
             print(text)
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (cv.CurveEndpointMismatch, ge.DiskDomainError, ValueError) as exc:
+    except ValueError as exc:  # CliError and the domain errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except fn.EvaluationError as exc:

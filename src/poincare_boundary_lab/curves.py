@@ -24,9 +24,7 @@ import numpy as np
 from .geometry import (
     ALGEBRAIC_TOL,
     as_complex,
-    axis_point,
     hyperbolic_distance_array,
-    hyperbolic_from_pseudo_array,
     mobius_translation,
     pseudo_hyperbolic_distance_array,
     radius_convert,
@@ -241,10 +239,6 @@ class CurvilinearAngle:
     def __post_init__(self):
         if not 0.0 <= self.deflection < 1.0:
             raise ValueError("deflection must be a pseudo-hyperbolic radius in [0, 1)")
-
-    @property
-    def hyperbolic_deflection(self) -> float:
-        return radius_convert(self.deflection, "ph_to_h")
 
     @classmethod
     def from_hyperbolic(cls, curve, r_hyp: float) -> "CurvilinearAngle":

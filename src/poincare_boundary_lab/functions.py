@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    DiskDomainError,
     ExtendedComplex,
     MobiusAutomorphism,
     as_complex,
-    gudermann,
     radius_convert,
     strip_depth,
     strip_to_disk,
@@ -67,11 +65,6 @@ class FunctionHandle:
         v = self.eval_array(z)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(v))
-
-    def log_abs_deriv_array(self, z):
-        d = self.deriv_array(z)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(d))
 
     def log_sph_array(self, z):
         """log f#; -inf where f# vanishes, nan where evaluation fails."""
@@ -134,13 +127,10 @@ class FunctionHandle:
 
 
 class CallableFunction(FunctionHandle):
-    def __init__(self, label, fn, dfn=None, log_abs=None, log_abs_deriv=None):
+    def __init__(self, label, fn, dfn=None):
         self.label = label
         self._fn = fn
         self._dfn = dfn
-        self._log_abs = log_abs
-        self._log_abs_deriv = log_abs_deriv
-        self.has_log = log_abs is not None and log_abs_deriv is not None
 
     def eval_array(self, z):
         return self._fn(np.asarray(z, dtype=complex))
@@ -150,20 +140,6 @@ class CallableFunction(FunctionHandle):
         if self._dfn is not None:
             return self._dfn(z)
         return _central_diff(self._fn, z)
-
-    def log_abs_array(self, z):
-        if self._log_abs is None:
-            v = self.eval_array(z)
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(v))
-        return self._log_abs(np.asarray(z, dtype=complex))
-
-    def log_abs_deriv_array(self, z):
-        if self._log_abs_deriv is None:
-            d = self.deriv_array(z)
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(d))
-        return self._log_abs_deriv(np.asarray(z, dtype=complex))
 
 
 def identity_function() -> FunctionHandle:
@@ -497,10 +473,6 @@ class LogScaleFunction(FunctionHandle):
 
     def log_abs_array(self, z):
         return self._log_abs(np.asarray(z, dtype=complex))
-
-    def log_abs_deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self._log_abs(z) + self._log_deriv_factor(z)
 
     def log_sph_array(self, z):
         z = np.asarray(z, dtype=complex)

@@ -169,11 +169,6 @@ def hyperbolic_distance_array(z, w):
     return np.log1p(d) - np.log1p(-d)
 
 
-def hyperbolic_from_pseudo_array(d):
-    d = np.asarray(d, dtype=float)
-    return np.log1p(d) - np.log1p(-d)
-
-
 def spherical_distance_array(a, b):
     """Chordal distance for complex arrays; inf entries mean the point at infinity."""
     a = np.asarray(a, dtype=complex)
@@ -228,14 +223,6 @@ class MobiusAutomorphism:
 def mobius_translation(w) -> MobiusAutomorphism:
     """The automorphism phi_w(z) = (z + w) / (1 + z conj(w)) (no rotation)."""
     return MobiusAutomorphism(w, 0.0)
-
-
-def mobius_apply(m: MobiusAutomorphism, z) -> complex:
-    return m.apply(z)
-
-
-def mobius_inverse(m: MobiusAutomorphism) -> MobiusAutomorphism:
-    return m.inverse()
 
 
 def pseudo_disk_euclidean(w, r: float) -> tuple[complex, float]:

@@ -1,8 +1,11 @@
 """The acceptance battery: one function per criterion, shared by the CLI
 `selftest` subcommand and the pytest acceptance module.
 
-Each criterion returns (passed, details) with JSON-serializable details and
-pinned tolerances; run_all aggregates them deterministically for a seed.
+Each criterion returns (passed, details) with JSON-serializable details.
+run_all aggregates them deterministically for a seed and echoes, under
+`tolerances`, the threshold constants the lab's verdicts read; they are fixed
+module constants, not options.  run_criterion runs one criterion and adds
+its wall time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def criterion_metric_suite(seed: int):
     """Metric axioms, Mobius invariance, radius-conversion round trip."""
     rng = np.random.default_rng(seed)
     n = 10_000
-    tol = 1e-12
+    tol = ge.ALGEBRAIC_TOL
     z, w, u = (_sample_disk(rng, n) for _ in range(3))
 
     details = {}
@@ -192,10 +195,6 @@ def criterion_normality(seed: int):
     }
 
 
-def _sphere_dist(a: ge.ExtendedComplex, b) -> float:
-    return ge.spherical_distance(a, b)
-
-
 def criterion_cluster_family(seed: int):
     """Cluster limits agree with renormalized-family limits; the two-value
     cluster set of the damped pole series is reproduced."""
@@ -213,12 +212,12 @@ def criterion_cluster_family(seed: int):
                                      seed=seed + int(10 * r), record_values=False)
             fam = an.renormalized_family_check(f, ws, r1, target)
             agree = (cl.limit_candidate is not None
-                     and _sphere_dist(cl.limit_candidate, target) < 1e-3
+                     and ge.spherical_distance(cl.limit_candidate, target) < 1e-3
                      and fam.verdict == "converges")
             details[f"{label}:r={r}"] = {
                 "cluster_verdict": cl.verdict,
                 "cluster_candidate_distance": None if cl.limit_candidate is None
-                else _sphere_dist(cl.limit_candidate, target),
+                else ge.spherical_distance(cl.limit_candidate, target),
                 "family_verdict": fam.verdict,
                 "family_final_sup": fam.sup_ds[-1],
                 "agree": agree,
@@ -281,8 +280,9 @@ def criterion_stolz(seed: int):
             "roundtrip": rt,
             "image_in_disk": inside,
         }
-        ok &= abs(w_end + 1.0) <= 1e-9 and abs(near1 - 1.0) <= 1e-9
-        ok &= closed <= 1e-9 and rt <= 1e-9 and inside
+        tol = ge.COMPOSED_TOL
+        ok &= abs(w_end + 1.0) <= tol and abs(near1 - 1.0) <= tol
+        ok &= closed <= tol and rt <= tol and inside
     holdouts = {}
     for a in (math.pi / 4, math.pi / 3):
         for b in (math.pi / 6, math.pi / 4):
@@ -340,27 +340,35 @@ CRITERIA = [
 ]
 
 
+def _record(key: str, description: str, fun, seed: int) -> dict:
+    passed, details = fun(seed)
+    return {"criterion": key, "description": description, "passed": passed,
+            "details": details}
+
+
 def run_criterion(cid: str, seed: int = DEFAULT_SEED) -> dict:
-    for key, name, fun in CRITERIA:
-        if key == cid:
+    """One criterion's record, with its wall time in `elapsed_s`."""
+    for entry in CRITERIA:
+        if entry[0] == cid:
             t0 = time.perf_counter()
-            passed, details = fun(seed)
-            return {"criterion": key, "description": name, "passed": passed,
-                    "details": details, "elapsed_s": round(time.perf_counter() - t0, 3)}
+            rec = _record(*entry, seed)
+            rec["elapsed_s"] = round(time.perf_counter() - t0, 3)
+            return rec
     raise KeyError(f"unknown criterion {cid!r}")
 
 
-def run_all(seed: int = DEFAULT_SEED, include_elapsed: bool = False) -> dict:
-    """Run the whole battery.  Elapsed times are excluded by default so the
-    report is byte-identical across runs with the same seed."""
-    out = {"seed": seed, "criteria": []}
-    for key, name, fun in CRITERIA:
-        t0 = time.perf_counter()
-        passed, details = fun(seed)
-        rec = {"criterion": key, "description": name, "passed": passed,
-               "details": details}
-        if include_elapsed:
-            rec["elapsed_s"] = round(time.perf_counter() - t0, 3)
-        out["criteria"].append(rec)
-    out["all_passed"] = all(c["passed"] for c in out["criteria"])
-    return out
+def run_all(seed: int = DEFAULT_SEED) -> dict:
+    """Run the whole battery.  The report carries no elapsed times, so it is
+    byte-identical across runs with the same seed, and echoes the thresholds
+    the verdict functions read."""
+    criteria = [_record(*entry, seed) for entry in CRITERIA]
+    return {"seed": seed, "criteria": criteria,
+            "all_passed": all(c["passed"] for c in criteria),
+            "tolerances": {
+                "algebraic": ge.ALGEBRAIC_TOL,
+                "composed": ge.COMPOSED_TOL,
+                "plateau_ratio": cv.PLATEAU_RATIO,
+                "growth_factor": an.GROWTH_FACTOR,
+                "converge": an.CONVERGE_TOL,
+                "margin_rel": st.MARGIN_REL_TOL,
+            }}

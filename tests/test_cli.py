@@ -4,8 +4,12 @@ import os
 
 import pytest
 
+from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import cli
 from poincare_boundary_lab import curves as cv
+from poincare_boundary_lab import geometry as ge
+from poincare_boundary_lab import selftest as sft
+from poincare_boundary_lab import stolz as st
 
 
 def run(argv, tmp_path, monkeypatch=None):
@@ -68,10 +72,55 @@ class TestExitCodes:
                     "--profile", "super:1", "--level", "10"], tmp_path)
         assert code == 0
 
-    def test_loosening_tolerance_is_2(self, tmp_path):
-        code = run(["--set-tolerance", "algebraic=1e-6", "metric",
-                    "--kind", "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path)
-        assert code == 2
+    def test_set_tolerance_flag_is_rejected(self, tmp_path):
+        # thresholds are fixed module constants; no override is accepted
+        with pytest.raises(SystemExit) as exc:
+            run(["--set-tolerance", "algebraic=1e-13", "metric",
+                 "--kind", "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path)
+        assert exc.value.code == 2
+
+    def test_tolerance_config_key_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance.plateau_ratio=1.0\n")
+        assert run(["--config", str(cfg), "metric", "--kind", "ph",
+                    "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--function", "identity", "--region", "radius-angle"],
+        ["cluster", "--function", "identity", "--region", "radius-angle:0.4",
+         "--shells", "8:2"],
+        ["family", "--function", "identity", "--target", "1,0",
+         "--depths", "5:1"],
+    ], ids=["region-without-radius", "empty-shells", "empty-depths"])
+    def test_bad_range_or_region_is_2(self, tmp_path, capsys, argv):
+        assert run(argv, tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["frechet", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.5",
+         "--level", "0"],
+        ["curve-dist", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.5",
+         "--level", "0"],
+        ["decay", "--function", "square_exp", "--curve", "radius:0",
+         "--profile", "super:1", "--level", "0"],
+        ["equiv", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.5",
+         "--max-level", "0"],
+        ["normality", "--function", "identity", "--curve", "radius:0",
+         "--deflection", "0.3", "--max-level", "0"],
+        ["--max-level", "0", "frechet", "--curve1", "radius:0",
+         "--curve2", "hypercycle:0:0.5"],
+    ], ids=["frechet", "curve-dist", "decay", "equiv", "normality", "global"])
+    def test_level_below_one_is_2(self, tmp_path, capsys, argv):
+        assert run(argv, tmp_path) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_config_level_below_one_is_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_level=0\n")
+        assert run(["--config", str(cfg), "frechet", "--curve1", "radius:0",
+                    "--curve2", "hypercycle:0:0.5"], tmp_path) == 2
 
 
 class TestReports:
@@ -102,6 +151,29 @@ class TestReports:
         with open(os.path.join(tmp_path, files[1]), "rb") as f:
             b = f.read()
         assert a == b
+
+    def test_equiv_arguments_echo(self, tmp_path):
+        code = run(["equiv", "--curve1", "radius:0", "--curve2",
+                    "chord:0:0.5236", "--max-level", "12"], tmp_path)
+        assert code == 0
+        payload = json.loads(latest_report(tmp_path, "equiv"))
+        assert payload["arguments"] == {
+            "curve1": "radius:0", "curve2": "chord:0:0.5236",
+            "max_level": 12, "max_level_local": 12, "no_report": False,
+            "output_dir": str(tmp_path), "subcommand": "equiv"}
+
+    def test_selftest_echoes_the_thresholds_in_force(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sft, "CRITERIA", [])  # the echo, not the battery
+        assert run(["selftest"], tmp_path) == 0
+        payload = json.loads(latest_report(tmp_path, "selftest"))
+        assert payload["tolerances"] == {
+            "algebraic": ge.ALGEBRAIC_TOL,
+            "composed": ge.COMPOSED_TOL,
+            "plateau_ratio": cv.PLATEAU_RATIO,
+            "growth_factor": an.GROWTH_FACTOR,
+            "converge": an.CONVERGE_TOL,
+            "margin_rel": st.MARGIN_REL_TOL,
+        }
 
     def test_no_report_flag(self, tmp_path):
         run(["--no-report", "metric", "--kind", "ph", "--z", "0,0",
