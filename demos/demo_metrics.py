@@ -29,7 +29,7 @@ m = ge.MobiusAutomorphism(0.55 - 0.2j, 1.1)
 z = 0.8 * np.sqrt(rng.uniform(0, 1, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
 w = 0.8 * np.sqrt(rng.uniform(0, 1, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
 before = ge.pseudo_hyperbolic_distance_array(z, w)
-after = ge.pseudo_hyperbolic_distance_array(m.apply_array(z), m.apply_array(w))
+after = ge.pseudo_hyperbolic_distance_array(m.apply(z), m.apply(w))
 for b, a in zip(before, after):
     print(f"  {b:.12f} -> {a:.12f}")
 

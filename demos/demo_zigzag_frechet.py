@@ -21,8 +21,8 @@ print(f"{'zigzags':>8} {'anchors reach s':>16} {'samples':>8} "
       f"{'max |offset|':>13} {'discrete Frechet':>17}")
 for n in range(0, 9):
     g1, g2, mk = cv.build_zigzag_pair(r, n)
-    s_last = mk["z_anchors_s"][-1] if n else 1.0
-    level = int(math.ceil((s_last + 2.0) / math.log(2.0))) + 1
+    s_last = mk["z_anchors_s"][-1]
+    level = cv.zigzag_truncation_level(mk)
     s, t = g2.strip_refine(level)
     df = cv.curve_frechet(g1, g2, level)
     off = math.tanh(float(np.max(np.abs(t))) / 2.0)

@@ -95,10 +95,6 @@ def _disk_template(r_ph: float, mesh: float) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
-def _hyperbolic_ball_template(r_h: float, mesh: float) -> np.ndarray:
-    return _disk_template(radius_convert(r_h, "h_to_ph"), mesh)
-
-
 # ---------------------------------------------------------------------------
 # normality sup
 
@@ -299,7 +295,7 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
         prev_count = len(ws)
         if len(new_ws):
             pts = np.concatenate([
-                mobius_translation(w).apply_array(template) for w in new_ws])
+                mobius_translation(w).apply(template) for w in new_ws])
             pts = pts[np.abs(pts) < 1.0 - 1e-15]
             pts_all.append(pts)
             intro_all.append(np.full(len(pts), k))
@@ -388,8 +384,8 @@ def pseq_indicator_local_sup(f: FunctionHandle, sequence, radii) -> IndicatorRep
         raise ValueError("radii must be positive and decreasing")
     sups = []
     for zn, rn in zip(z, radii):
-        template = _hyperbolic_ball_template(rn, rn / 10.0)
-        pts = mobius_translation(zn).apply_array(template)
+        template = _disk_template(radius_convert(rn, "h_to_ph"), rn / 10.0)
+        pts = mobius_translation(zn).apply(template)
         pts = pts[np.abs(pts) < 1.0 - 1e-15]
         vals = lehto_virtanen_array(f, pts)
         sups.append(float(np.nanmax(vals)))
@@ -623,7 +619,7 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
     sups = []
     failures = 0
     for w in ws:
-        img = mobius_translation(w).apply_array(grid)
+        img = mobius_translation(w).apply(grid)
         vals = f.eval_array(img)
         ds = spherical_distance_array(vals, np.full(len(img), cc))
         bad = np.isnan(ds)

@@ -294,18 +294,17 @@ def cmd_equiv(args, cfg):
 
 
 def cmd_lemma4(args, cfg):
-    g1, g2, mk = cv.build_zigzag_pair(args.r, args.n_zigzags)
     values = []
     for n in range(1, args.n_zigzags + 1):
-        a, b, m = cv.build_zigzag_pair(args.r, n)
-        level = int(math.ceil((m["z_anchors_s"][-1] + 2.0) / math.log(2.0))) + 1
-        values.append(cv.curve_frechet(a, b, level))
-    if args.n_zigzags:
-        s2, t2 = g2.strip_refine(
-            int(math.ceil((mk["z_anchors_s"][-1] + 2.0) / math.log(2.0))) + 1)
+        g1, g2, mk = cv.build_zigzag_pair(args.r, n)
+        level = cv.zigzag_truncation_level(mk)
+        values.append(cv.curve_frechet(g1, g2, level))
+    if values:
+        s2, t2 = g2.strip_refine(level)
         band = ge.radius_convert(args.r / 2.0, "ph_to_h")
         contained = bool(np.all(np.abs(t2) <= band + 1e-12))
     else:
+        _, g2, mk = cv.build_zigzag_pair(args.r, args.n_zigzags)
         contained = True
     increasing = all(a < b for a, b in zip(values, values[1:]))
     mk_enc = {k: [_enc(v) for v in val] if isinstance(val, list) else _enc(val)
@@ -384,7 +383,10 @@ def _parse_region(spec: str):
 
 def _parse_range(spec: str, what: str) -> range:
     """lo:hi, both ends included; an empty range is an error."""
-    lo, hi = (int(x) for x in spec.split(":"))
+    try:
+        lo, hi = (int(x) for x in spec.split(":"))
+    except ValueError:
+        raise CliError(f"bad {what} range {spec!r}; expected lo:hi") from None
     if lo > hi:
         raise CliError(f"empty {what} range {spec!r}; expected lo:hi with lo <= hi")
     return range(lo, hi + 1)
@@ -603,7 +605,7 @@ def main(argv=None) -> int:
         else:
             print(text)
         return code
-    except ValueError as exc:  # CliError and the domain errors included
+    except (ValueError, OSError) as exc:  # CliError, domain errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except fn.EvaluationError as exc:

@@ -79,18 +79,12 @@ class BoundaryCurve:
         return self._strip_levels[level]
 
     @property
-    def samples(self) -> np.ndarray:
-        return self.refine(DEFAULT_LEVEL)
-
-    @property
     def endpoint(self) -> complex:
         return complex(np.exp(1j * self.endpoint_angle))
 
     def max_gap(self, level: int) -> float:
         """Max adjacent-sample pseudo-hyperbolic gap (the sampling slack)."""
-        s, t = self.strip_refine(level)
-        d = strip_distance(s[:-1], t[:-1], s[1:], t[1:])
-        return float(np.tanh(np.max(d) / 2.0)) if len(s) > 1 else 0.0
+        return float(np.tanh(self.max_gap_hyperbolic(level) / 2.0))
 
     def max_gap_hyperbolic(self, level: int) -> float:
         s, t = self.strip_refine(level)
@@ -382,12 +376,11 @@ def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
     boundary = rng.uniform(0.0, 1.0, samples) < 0.3
     rad[boundary] = rho_ph
     u = rad * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, samples))
-    for i in range(samples):
-        w = cs[idx[i]]
-        z = mobius_translation(w).apply(u[i])
+    for k in np.unique(idx):
+        z = mobius_translation(cs[k]).apply(u[idx == k])
         sz, tz = disk_to_strip(z, c1.endpoint_angle)
-        d = np.min(strip_distance(sz, tz, s2, t2))
-        if d > r2 + slack:
+        d = np.min(strip_distance(sz[:, None], tz[:, None], s2, t2), axis=1)
+        if np.any(d > r2 + slack):
             return False
     return True
 
@@ -559,6 +552,12 @@ def zigzag_anchor_positions(n_zigzags: int) -> tuple[list[float], list[float]]:
     return zs, ws[:n_zigzags]
 
 
+def zigzag_truncation_level(markers: dict) -> int:
+    """Truncation level for a zigzag pair: the first level with 2^-level below
+    e^{-(s + 2)}, s the last forward anchor, plus one."""
+    return int(math.ceil((markers["z_anchors_s"][-1] + 2.0) / math.log(2.0))) + 1
+
+
 def build_zigzag_pair(r: float, n_zigzags: int):
     """Construct the radius gamma1 and a simple curve gamma2 inside the
     deflection band Delta_{r/2} gamma1 that revisits anchor points of gamma1
@@ -679,5 +678,11 @@ def curve_to_exchange(curve: BoundaryCurve, level: int = DEFAULT_LEVEL) -> dict:
 
 
 def curve_from_exchange(payload: dict) -> BoundaryCurve:
-    samples = [complex(re, im) for re, im in payload["samples"]]
-    return SampleBackedCurve(float(payload["endpoint_angle"]), samples)
+    try:
+        samples = [complex(re, im) for re, im in payload["samples"]]
+        theta = float(payload["endpoint_angle"])
+    except KeyError as exc:
+        raise ValueError(f"curve exchange payload lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed curve exchange payload: {exc}") from None
+    return SampleBackedCurve(theta, samples)

@@ -53,8 +53,6 @@ class FunctionHandle:
     pole_residues: np.ndarray | None = None
     has_log = False
 
-    # -- plumbing (numpy complex arrays) ------------------------------------
-
     def eval_array(self, z):
         raise NotImplementedError
 
@@ -96,8 +94,6 @@ class FunctionHandle:
                 out[at_pole] = 1.0 / np.abs(res)
         return out
 
-    # -- scalar spec surface -------------------------------------------------
-
     def eval(self, z) -> ExtendedComplex:
         zv = as_complex(z)
         if self.has_log:
@@ -109,15 +105,6 @@ class FunctionHandle:
         v = complex(self.eval_array(np.array([zv]))[0])
         if np.isnan(v.real) or np.isnan(v.imag):
             raise EvaluationError(f"{self.label} failed to evaluate at {zv!r}")
-        if np.isinf(v.real) or np.isinf(v.imag):
-            return ExtendedComplex.infinity()
-        return ExtendedComplex.finite(v)
-
-    def deriv(self, z) -> ExtendedComplex:
-        zv = as_complex(z)
-        v = complex(self.deriv_array(np.array([zv]))[0])
-        if np.isnan(v.real) or np.isnan(v.imag):
-            raise EvaluationError(f"{self.label} derivative failed at {zv!r}")
         if np.isinf(v.real) or np.isinf(v.imag):
             return ExtendedComplex.infinity()
         return ExtendedComplex.finite(v)
@@ -161,11 +148,11 @@ def automorphism_function(m: MobiusAutomorphism) -> FunctionHandle:
     def dfn(z):
         return scale / (1.0 + z * np.conj(w)) ** 2
 
-    return CallableFunction(f"automorphism:{w}", m.apply_array, dfn)
+    return CallableFunction(f"automorphism:{w}", m.apply, dfn)
 
 
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
-    """1/f, for the reciprocal route of the spherical derivative."""
+    """1/f; since (1/f)# = f#, an independent cross-check of sph_array."""
 
     def fn(z):
         v = f.eval_array(z)
@@ -193,28 +180,11 @@ def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
 
 
 # ---------------------------------------------------------------------------
-# spherical derivative (spec surface)
-
-
-def spherical_derivative(f: FunctionHandle, z) -> float:
-    """f#(z) = |f'| / (1 + |f|^2); near poles computed through 1/f."""
-    zv = as_complex(z)
-    s = float(f.sph_array(np.array([zv]))[0])
-    if math.isfinite(s):
-        return s
-    s = float(reciprocal_function(f).sph_array(np.array([zv]))[0])
-    if math.isfinite(s):
-        return s
-    raise EvaluationError(f"spherical derivative of {f.label} failed at {zv!r}")
-
-
-def lehto_virtanen_value(f: FunctionHandle, z) -> float:
-    """(1 - |z|^2) f#(z), the normality density."""
-    zv = as_complex(z)
-    return (1.0 - abs(zv) ** 2) * spherical_derivative(f, zv)
+# normality density
 
 
 def lehto_virtanen_array(f: FunctionHandle, z) -> np.ndarray:
+    """(1 - |z|^2) f#(z), the normality density."""
     z = np.asarray(z, dtype=complex)
     return (1.0 - np.abs(z) ** 2) * f.sph_array(z)
 

@@ -20,8 +20,8 @@ from typing import Literal
 
 import numpy as np
 
-# |z| >= 1 - this margin is rejected when constructing DiskPoint: closer to the
-# circle the term 1 - |z|^2 loses all significant digits.
+# |z| >= 1 - this margin is rejected by as_complex: closer to the circle the
+# term 1 - |z|^2 loses all significant digits.
 DISK_BOUNDARY_MARGIN = 1e-15
 
 ALGEBRAIC_TOL = 1e-12   # tolerance for algebraic identities on O(1) inputs
@@ -32,26 +32,9 @@ class DiskDomainError(ValueError):
     """Raised when a point is outside the admissible part of the open disk."""
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk."""
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if abs(v) >= 1.0 - DISK_BOUNDARY_MARGIN:
-            raise DiskDomainError(f"|z| = {abs(v)!r} is not inside the unit disk")
-        object.__setattr__(self, "value", v)
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
 def as_complex(z) -> complex:
-    """Coerce a DiskPoint or numeric to a validated complex disk point."""
-    if isinstance(z, DiskPoint):
-        return z.value
+    """Coerce a number to a complex point of the open disk, rejecting
+    |z| >= 1 - DISK_BOUNDARY_MARGIN."""
     v = complex(z)
     if abs(v) >= 1.0 - DISK_BOUNDARY_MARGIN:
         raise DiskDomainError(f"|z| = {abs(v)!r} is not inside the unit disk")
@@ -155,7 +138,10 @@ def spherical_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants (plumbing; no domain validation)
+# vectorized variants, without domain validation.  The scalar forms above
+# stay separate: routed through these numpy kernels they change the last
+# digits of some `pblab metric` values and of the selftest's
+# cluster_candidate_distance.
 
 
 def pseudo_hyperbolic_distance_array(z, w):
@@ -201,12 +187,7 @@ class MobiusAutomorphism:
         object.__setattr__(self, "center", as_complex(self.center))
         object.__setattr__(self, "tau", float(self.tau))
 
-    def apply(self, z) -> complex:
-        zv = as_complex(z)
-        w = self.center
-        return cmath.exp(1j * self.tau) * (zv + w) / (1.0 + zv * w.conjugate())
-
-    def apply_array(self, z):
+    def apply(self, z):
         z = np.asarray(z, dtype=complex)
         w = self.center
         return np.exp(1j * self.tau) * (z + w) / (1.0 + z * np.conj(w))
@@ -215,9 +196,6 @@ class MobiusAutomorphism:
         # closed form: the inverse is again of the same shape
         w = self.center
         return MobiusAutomorphism(-cmath.exp(1j * self.tau) * w, -self.tau)
-
-    def __call__(self, z) -> complex:
-        return self.apply(z)
 
 
 def mobius_translation(w) -> MobiusAutomorphism:
@@ -256,7 +234,7 @@ def disk_image_check(w, r: float, samples: int, seed: int = 0) -> bool:
     rho = r * np.sqrt(rng.uniform(0.0, 1.0, samples))
     ang = rng.uniform(0.0, 2.0 * np.pi, samples)
     u = rho * np.exp(1j * ang)
-    fwd = m.apply_array(u)
+    fwd = m.apply(u)
     if not np.all(pseudo_hyperbolic_distance_array(fwd, wv) <= r + ALGEBRAIC_TOL):
         return False
 
@@ -266,38 +244,8 @@ def disk_image_check(w, r: float, samples: int, seed: int = 0) -> bool:
     z = ec + rho2 * np.exp(1j * ang2)
     if not np.all(pseudo_hyperbolic_distance_array(z, wv) <= r + ALGEBRAIC_TOL):
         return False
-    back = minv.apply_array(z)
+    back = minv.apply(z)
     return bool(np.all(np.abs(back) <= r + ALGEBRAIC_TOL))
-
-
-@dataclass(frozen=True)
-class HyperbolicDisk:
-    """A metric disk, in either the pseudo-hyperbolic or hyperbolic radius."""
-
-    center: DiskPoint
-    radius: float
-    metric_kind: Literal["pseudo_hyperbolic", "hyperbolic"] = "pseudo_hyperbolic"
-
-    def __post_init__(self):
-        if self.metric_kind == "pseudo_hyperbolic":
-            if not 0.0 <= self.radius < 1.0:
-                raise ValueError("pseudo-hyperbolic radius must be in [0, 1)")
-        elif self.metric_kind == "hyperbolic":
-            if self.radius < 0.0:
-                raise ValueError("hyperbolic radius must be >= 0")
-        else:
-            raise ValueError(f"bad metric kind {self.metric_kind!r}")
-
-    def to_kind(self, kind) -> "HyperbolicDisk":
-        if kind == self.metric_kind:
-            return self
-        if kind == "hyperbolic":
-            return HyperbolicDisk(self.center, radius_convert(self.radius, "ph_to_h"), kind)
-        return HyperbolicDisk(self.center, radius_convert(self.radius, "h_to_ph"), kind)
-
-    def contains(self, z) -> bool:
-        d = self.to_kind("pseudo_hyperbolic")
-        return pseudo_hyperbolic_distance(z, self.center) <= d.radius + ALGEBRAIC_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def criterion_metric_suite(seed: int):
         m = ge.MobiusAutomorphism(cents[i], taus[i])
         zz, ww = z[i:i + 2500], w[i:i + 2500]
         d0 = ge.pseudo_hyperbolic_distance_array(zz, ww)
-        d1 = ge.pseudo_hyperbolic_distance_array(m.apply_array(zz), m.apply_array(ww))
+        d1 = ge.pseudo_hyperbolic_distance_array(m.apply(zz), m.apply(ww))
         inv_err = max(inv_err, float(np.max(np.abs(d0 - d1))))
     details["mobius_invariance"] = inv_err
     ok &= inv_err <= tol
@@ -147,8 +147,7 @@ def criterion_zigzag(seed: int):
     simple = True
     for n in range(1, 9):
         g1, g2, mk = cv.build_zigzag_pair(r, n)
-        s_last = mk["z_anchors_s"][-1]
-        level = int(math.ceil((s_last + 2.0) / math.log(2.0))) + 1
+        level = cv.zigzag_truncation_level(mk)
         s2, t2 = g2.strip_refine(level)
         band_t = ge.radius_convert(r / 2.0, "ph_to_h")
         contained &= bool(np.all(np.abs(t2) <= band_t + 1e-12) and np.all(s2 >= -1e-12))

@@ -55,14 +55,7 @@ class StolzAngle:
         object.__setattr__(self, "rho",
                            rho_of_alpha(self.alpha) if self.rho is None else float(self.rho))
 
-    def contains(self, z) -> bool:
-        zv = complex(z) * complex(np.exp(-1j * self.theta))
-        w = 1.0 - zv
-        if abs(w) >= self.rho or abs(w) == 0.0:
-            return False
-        return abs(np.angle(w)) < self.alpha and abs(zv) < 1.0
-
-    def contains_array(self, z):
+    def contains(self, z):
         zv = np.asarray(z, dtype=complex) * complex(np.exp(-1j * self.theta))
         w = 1.0 - zv
         return ((np.abs(w) < self.rho) & (np.abs(w) > 0)
@@ -121,7 +114,7 @@ class StolzMap:
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if check_domain and not np.all(angle.contains_array(arr)):
+        if check_domain and not np.all(angle.contains(arr)):
             raise StolzMapDomainError("point outside the Stolz angle")
         out = self.forward_steps(arr)
         return complex(out[0]) if scalar else out

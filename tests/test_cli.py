@@ -86,16 +86,43 @@ class TestExitCodes:
                     "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["cluster", "--function", "identity", "--region", "radius-angle"],
-        ["cluster", "--function", "identity", "--region", "radius-angle:0.4",
-         "--shells", "8:2"],
-        ["family", "--function", "identity", "--target", "1,0",
-         "--depths", "5:1"],
-    ], ids=["region-without-radius", "empty-shells", "empty-depths"])
-    def test_bad_range_or_region_is_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["cluster", "--function", "identity", "--region", "radius-angle"],
+         "region spec must be radius-angle:R[:theta]"),
+        (["cluster", "--function", "identity", "--region", "radius-angle:0.4",
+          "--shells", "8:2"], "empty shell range '8:2'"),
+        (["family", "--function", "identity", "--target", "1,0",
+          "--depths", "5:1"], "empty depth range '5:1'"),
+        (["cluster", "--function", "identity", "--region", "radius-angle:0.4",
+          "--shells", "2"], "bad shell range '2'; expected lo:hi"),
+        (["family", "--function", "identity", "--target", "1,0",
+          "--depths", "a:b"], "bad depth range 'a:b'; expected lo:hi"),
+    ], ids=["region-without-radius", "empty-shells", "empty-depths",
+            "shells-without-colon", "depths-not-integers"])
+    def test_bad_range_or_region_is_2(self, tmp_path, capsys, argv, message):
         assert run(argv, tmp_path) == 2
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        None, {"samples": []}, {"endpoint_angle": 0.0},
+        {"endpoint_angle": 0.0, "samples": [[0.1, 0.0, 0.2]]},
+    ], ids=["missing-curve-file", "payload-without-angle",
+            "payload-without-samples", "malformed-sample-pair"])
+    def test_missing_or_malformed_curve_file_is_2(self, tmp_path, capsys, payload):
+        curve = tmp_path / "curve.json"
+        if payload is not None:
+            curve.write_text(json.dumps(payload))
+        assert run(["frechet", "--curve1", "radius:0", "--curve2", f"@{curve}"],
+                   tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("frechet")]
+
+    def test_missing_config_file_is_2(self, tmp_path, capsys):
+        assert run(["--config", str(tmp_path / "absent.cfg"), "metric", "--kind",
+                    "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv", [
         ["frechet", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.5",

@@ -78,10 +78,6 @@ class TestDiscreteFrechet:
             cv.discrete_frechet(z1, z2), abs=1e-9)
 
 
-def zigzag_level(markers):
-    return int(math.ceil((markers["z_anchors_s"][-1] + 2.0) / math.log(2.0))) + 1
-
-
 class TestZigzagPair:
     # Frechet values by prefix observed from the coupled-traversal oracle at
     # build time; the lower bound (4n+1)/2 from monotone-coupling order
@@ -105,7 +101,7 @@ class TestZigzagPair:
     def test_containment_in_band(self):
         for n in (1, 4, 8):
             g1, g2, mk = cv.build_zigzag_pair(0.5, n)
-            s, t = g2.strip_refine(zigzag_level(mk))
+            s, t = g2.strip_refine(cv.zigzag_truncation_level(mk))
             band = ge.radius_convert(mk["deflection_band"], "ph_to_h")
             assert np.all(np.abs(t) <= band + 1e-12)
             assert np.all(s >= -1e-12)
@@ -125,14 +121,14 @@ class TestZigzagPair:
                 np.array([complex(a, b) for a, b in g2.vertices]))
         # dense sampling of a mid-size instance stays simple too
         _, g2, mk = cv.build_zigzag_pair(0.5, 3)
-        s, t = g2.strip_refine(zigzag_level(mk))
+        s, t = g2.strip_refine(cv.zigzag_truncation_level(mk))
         assert cv.polyline_is_simple(np.array([complex(a, b) for a, b in zip(s, t)]))
 
     def test_frechet_growth_matches_oracle(self):
         values = {}
         for n in range(1, 9):
             g1, g2, mk = cv.build_zigzag_pair(0.5, n)
-            values[n] = cv.curve_frechet(g1, g2, zigzag_level(mk))
+            values[n] = cv.curve_frechet(g1, g2, cv.zigzag_truncation_level(mk))
         for n, expect in self.ORACLE.items():
             assert values[n] == pytest.approx(expect, abs=0.3)
         seq = [values[n] for n in range(1, 9)]
@@ -144,14 +140,14 @@ class TestZigzagPair:
         for n in (3, 5, 8):
             g1, g2, mk = cv.build_zigzag_pair(0.5, n)
             lower = (mk["z_anchors_s"][-1] - mk["w_anchors_s"][-1]) / 2.0
-            assert cv.curve_frechet(g1, g2, zigzag_level(mk)) >= lower - 1e-9
+            assert cv.curve_frechet(g1, g2, cv.zigzag_truncation_level(mk)) >= lower - 1e-9
 
     def test_monotone_under_prefix_extension(self):
         # appending zigzags only increases the distance on this family
         vals = []
         for n in range(0, 7):
             g1, g2, mk = cv.build_zigzag_pair(0.4, n)
-            level = zigzag_level(mk) if n else 8
+            level = cv.zigzag_truncation_level(mk) if n else 8
             vals.append(cv.curve_frechet(g1, g2, level))
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 

@@ -40,7 +40,7 @@ class TestStolzAngle:
             ang = st.StolzAngle(0.0, alpha)
             z = ang.sample(2000, seed=1)
             assert np.all(np.abs(z) < 1.0)
-            assert np.all(ang.contains_array(z))
+            assert np.all(ang.contains(z))
 
     def test_membership(self):
         ang = st.StolzAngle(0.0, math.pi / 4)
