@@ -16,6 +16,7 @@ distance grows without bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ import numpy as np
 
 from .geometry import (
     ALGEBRAIC_TOL,
+    DISK_BOUNDARY_MARGIN,
+    DiskDomainError,
     as_complex,
     hyperbolic_distance_array,
     mobius_translation,
@@ -109,8 +112,8 @@ class ParametricCurve(BoundaryCurve):
         d = abs((a - b) / (1.0 - a * np.conj(b)))
         return math.log1p(d) - math.log1p(-d)
 
-    def _step(self, u: float) -> float:
-        z = self._point(u)
+    def _step(self, u: float, z: complex) -> float:
+        """Parameter of the next sample after the sample z = point(u)."""
         hi = u
         lo = u * 0.5
         while self._dh(z, self._point(lo)) < HYP_MESH:
@@ -132,7 +135,7 @@ class ParametricCurve(BoundaryCurve):
         target = _depth_target(level)
         us, pts = list(self._u), list(self._pts)
         while 1.0 - abs(pts[-1]) > target:
-            u = self._step(us[-1])
+            u = self._step(us[-1], pts[-1])
             us.append(u)
             pts.append(complex(self._point(u)))
         self._u, self._pts = us, pts
@@ -202,7 +205,8 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
             raise ValueError("chord angle must be in (-pi/2, pi/2)")
         alpha = float(parameter)
         rot = complex(np.exp(1j * theta))
-        fn = lambda u: rot * (1.0 - u * complex(np.exp(-1j * alpha)))
+        lean = complex(np.exp(-1j * alpha))
+        fn = lambda u: rot * (1.0 - u * lean)
         c = ParametricCurve(theta, fn, math.cos(alpha), f"chord:{theta:g}:{alpha:g}")
         return c
     if kind == "hypercycle":
@@ -212,7 +216,7 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
     if kind == "horocycle":
         side = 1.0 if parameter is None or parameter >= 0 else -1.0
         rot = complex(np.exp(1j * theta))
-        fn = lambda phi: rot * (1.0 + complex(np.exp(1j * side * phi))) / 2.0
+        fn = lambda phi: rot * (1.0 + cmath.exp(1j * side * phi)) / 2.0
         c = ParametricCurve(theta, fn, math.pi, f"horocycle:{theta:g}")
         return c
     raise ValueError(f"unknown curve kind {kind!r}")
@@ -390,28 +394,36 @@ def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
 
 
 def _frechet_dp(dist: np.ndarray) -> float:
-    """Coupled-traversal DP (Eiter-Mannila) over a ready distance matrix."""
+    """Coupled-traversal DP (Eiter-Mannila) over a ready distance matrix.
+
+    The recurrence D[i, j] = max(dist[i, j], min(D[i-1, j], D[i, j-1],
+    D[i-1, j-1])) runs one anti-diagonal i + j = k at a time: every cell of a
+    diagonal depends only on the two diagonals before it.  Three rotating
+    buffers indexed by i + 1 hold those two and the new one, with +inf at
+    index 0 and at every index a diagonal does not reach, which stands in for
+    the missing neighbours on the matrix border.  The cells of dist on a
+    diagonal are a strided basic slice of the raveled matrix.  Only max and
+    min of the same doubles are taken, so the value is bit-identical to the
+    cell-by-cell loop for any NaN-free matrix.
+    """
     n, m = dist.shape
-    prev = dist[0].copy()
-    np.maximum.accumulate(prev, out=prev)
-    prev = prev.tolist()
-    for i in range(1, n):
-        di = dist[i].tolist()
-        cur = [0.0] * m
-        c = max(prev[0], di[0])
-        cur[0] = c
-        for j in range(1, m):
-            mn = prev[j]
-            pjm = prev[j - 1]
-            if pjm < mn:
-                mn = pjm
-            if c < mn:
-                mn = c
-            v = di[j]
-            c = v if v > mn else mn
-            cur[j] = c
-        prev = cur
-    return float(prev[-1])
+    if n == 1 or m == 1:
+        return float(np.max(dist))   # a single row or column: its running max
+    flat = np.ascontiguousarray(dist, dtype=float).ravel()
+    older = np.full(n + 1, np.inf)   # diagonal k - 2
+    prev = np.full(n + 1, np.inf)    # diagonal k - 1
+    cur = np.full(n + 1, np.inf)
+    prev[1] = flat[0]
+    mins = np.empty(n)
+    for k in range(1, n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1)
+        w = hi - lo + 1
+        mn = mins[:w]
+        np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=mn)
+        np.minimum(mn, older[lo:hi + 1], out=mn)
+        np.maximum(flat[lo * m + k - lo::m - 1][:w], mn, out=cur[lo + 1:hi + 2])
+        older, prev, cur = prev, cur, older
+    return float(prev[n])
 
 
 def discrete_frechet(p_samples, q_samples) -> float:
@@ -657,13 +669,21 @@ def build_zigzag_pair(r: float, n_zigzags: int):
 
 class SampleBackedCurve(BoundaryCurve):
     """Curve defined by a fixed sample list (the CLI exchange format);
-    refine ignores the level beyond truncating at the level's depth."""
+    refine ignores the level beyond truncating at the level's depth.  Every
+    sample must satisfy as_complex's |z| < 1 - DISK_BOUNDARY_MARGIN."""
 
     def __init__(self, endpoint_angle, samples, label="imported"):
         super().__init__(endpoint_angle, label)
         self._fixed = np.asarray(samples, dtype=complex)
         if len(self._fixed) == 0:
             raise ValueError("curve needs at least one sample")
+        radii = np.abs(self._fixed)
+        outside = ~(radii < 1.0 - DISK_BOUNDARY_MARGIN)   # NaN counts as outside
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise DiskDomainError(
+                f"curve sample {k} has |z| = {float(radii[k])!r}, "
+                f"not inside the unit disk")
 
     def _build_strip(self, level):
         return disk_to_strip(self._fixed, self.endpoint_angle)

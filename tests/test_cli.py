@@ -118,6 +118,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not [p for p in os.listdir(tmp_path) if p.startswith("frechet")]
 
+    @pytest.mark.parametrize("sample,code", [
+        ([1.5, 0.0], 2), ([0.0, -1.0], 2), ([0.5, 0.0], 0),
+    ], ids=["outside-disk", "on-circle", "inside-disk"])
+    def test_curve_file_samples_must_lie_in_disk(self, tmp_path, capsys, sample, code):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"endpoint_angle": 0.0, "samples": [sample]}))
+        assert run(["frechet", "--curve1", "radius:0", "--curve2", f"@{curve}",
+                    "--level", "6"], tmp_path) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: curve sample 0 has |z| = 1")
+            assert not [p for p in os.listdir(tmp_path) if p.startswith("frechet")]
+        else:
+            assert "error" not in err
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert run(["--config", str(tmp_path / "absent.cfg"), "metric", "--kind",
                     "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2

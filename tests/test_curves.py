@@ -84,6 +84,28 @@ class TestCanonicalCurves:
         assert 0 < gap <= cv.HYP_MESH + 1e-9
 
 
+class TestParametricSampling:
+    # float.hex of sum(s), sum(t) and len(s) of strip_refine(18), recorded
+    # before the point functions moved from numpy to cmath scalars
+    PINNED = {
+        ("horocycle", 0.0, 1): ("0x1.f884602048246p+13", "0x1.1b84654e604fap+14", 2890),
+        ("horocycle", 0.0, -1): ("0x1.f884602048246p+13", "-0x1.1b84654e604fap+14", 2890),
+        ("horocycle", 2.5, 1): ("0x1.f884602049ba3p+13", "0x1.1b84654e61f1dp+14", 2890),
+        ("horocycle", 2.5, -1): ("0x1.f884602049b69p+13", "-0x1.1b84654e61c16p+14", 2890),
+        ("chord", 0.0, 0.5): ("0x1.8dac61c6816edp+8", "0x1.0cdcb95d6f0dfp+5", 60),
+        ("chord", 0.0, -0.4): ("0x1.8264896ab1982p+8", "-0x1.9a67ce668ff7cp+4", 58),
+        ("chord", 0.0, 0.3): ("0x1.72f0492125a87p+8", "0x1.268d6bceeb793p+4", 56),
+        ("chord", 2.5, 0.5): ("0x1.8dac61c682bd5p+8", "0x1.0cdcb95d6da6bp+5", 60),
+        ("chord", 2.5, -0.4): ("0x1.8264896ab1f95p+8", "-0x1.9a67ce668f889p+4", 58),
+        ("chord", 2.5, 0.3): ("0x1.72f0492126006p+8", "0x1.268d6bceed5a0p+4", 56),
+    }
+
+    @pytest.mark.parametrize("spec", list(PINNED), ids=lambda k: "%s:%g:%g" % k)
+    def test_strip_refine_pinned(self, spec):
+        s, t = cv.canonical_curve(*spec).strip_refine(18)
+        assert (float(sum(s)).hex(), float(sum(t)).hex(), len(s)) == self.PINNED[spec]
+
+
 class TestCurvilinearAngle:
     def test_deflection_zero_is_curve(self, radius):
         region = cv.CurvilinearAngle(radius, 0.0)
@@ -205,6 +227,13 @@ class TestExchangeFormat:
         back = cv.curve_from_exchange(payload)
         assert back.endpoint_angle == chord.endpoint_angle
         assert np.allclose(back.refine(6), chord.refine(6))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, 1.0 - 1e-16, -0.6 - 0.8j, complex("nan")])
+    def test_samples_outside_disk_rejected(self, bad):
+        z = complex(bad)
+        payload = {"endpoint_angle": 0.0, "samples": [[0.5, 0.0], [z.real, z.imag]]}
+        with pytest.raises(ge.DiskDomainError, match="sample 1 "):
+            cv.curve_from_exchange(payload)
 
     def test_payload_shape(self, radius):
         payload = cv.curve_to_exchange(radius, 5)

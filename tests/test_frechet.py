@@ -33,19 +33,87 @@ def brute_force_frechet(p, q):
     return best[0]
 
 
+def cell_loop_frechet(dist: np.ndarray) -> float:
+    """Reference: the cell-by-cell Eiter-Mannila loop that `_frechet_dp`
+    replaced, kept verbatim; the wavefront must match it bit for bit."""
+    n, m = dist.shape
+    prev = dist[0].copy()
+    np.maximum.accumulate(prev, out=prev)
+    prev = prev.tolist()
+    for i in range(1, n):
+        di = dist[i].tolist()
+        cur = [0.0] * m
+        c = max(prev[0], di[0])
+        cur[0] = c
+        for j in range(1, m):
+            mn = prev[j]
+            pjm = prev[j - 1]
+            if pjm < mn:
+                mn = pjm
+            if c < mn:
+                mn = c
+            v = di[j]
+            c = v if v > mn else mn
+            cur[j] = c
+        prev = cur
+    return float(prev[-1])
+
+
+SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 13), (13, 5), (17, 17),
+          (40, 310), (310, 40)]
+SHAPE_IDS = [f"{n}x{m}" for n, m in SHAPES]
+
+
+class TestFrechetWavefront:
+    """`_frechet_dp` against the cell loop, compared as float.hex."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_random_matrices_bit_identical(self, shape):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            dist = rng.exponential(2.0, shape)
+            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_ties_bit_identical(self, shape):
+        rng = np.random.default_rng(43)
+        for decimals in (0, 1):
+            dist = np.round(rng.uniform(0.0, 4.0, shape), decimals)
+            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_infinite_cells_bit_identical(self, shape):
+        rng = np.random.default_rng(47)
+        for frac in (0.1, 0.5, 0.9):
+            dist = rng.uniform(0.0, 3.0, shape)
+            dist[rng.uniform(size=shape) < frac] = np.inf
+            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+        # a coupling must pass both corners and cross every row and column
+        for cell in ((0, 0), (-1, -1), (shape[0] // 2, slice(None)),
+                     (slice(None), shape[1] // 2)):
+            dist = rng.uniform(0.0, 3.0, shape)
+            dist[cell] = np.inf
+            assert cv._frechet_dp(dist) == cell_loop_frechet(dist) == np.inf
+
+    def test_non_contiguous_input(self):
+        dist = np.random.default_rng(53).exponential(1.0, (30, 70))
+        for view in (dist.T, dist[::2, ::3], np.asfortranarray(dist)):
+            assert cv._frechet_dp(view).hex() == cell_loop_frechet(view).hex()
+
+
 class TestDiscreteFrechet:
     def test_identical_lists_zero(self):
         p = np.array([0.0, 0.1 + 0.05j, 0.3, 0.5 + 0.1j])
         assert cv.discrete_frechet(p, p) == 0.0
 
     def test_matches_brute_force_oracle(self):
+        # both take the max over the same matrix cells, so they agree exactly;
+        # every shape up to 6x6, single-sample curves included
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            n, m = rng.integers(2, 7, 2)
+        for n, m in itertools.product(range(1, 7), repeat=2):
             p = 0.8 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / 2
             q = 0.8 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) / 2
-            assert cv.discrete_frechet(p, q) == pytest.approx(
-                brute_force_frechet(p, q), abs=1e-12)
+            assert cv.discrete_frechet(p, q) == brute_force_frechet(p, q)
 
     def test_resampled_polyline_within_gap(self):
         # same curve sampled at two meshes: distance bounded by the coarser gap
@@ -83,6 +151,14 @@ class TestZigzagPair:
     # build time; the lower bound (4n+1)/2 from monotone-coupling order
     # forcing is exactly attained for n >= 2.
     ORACLE = {1: 1.75, 2: 4.5, 3: 6.5, 4: 8.5, 5: 10.5, 6: 12.5, 7: 14.5, 8: 16.5}
+    # float.hex of lemma4's frechet_by_prefix for n = 1..12, recorded from the
+    # cell-by-cell DP; r = 0.4 and r = 0.5 give the same values
+    PINNED_PREFIX = [
+        "0x1.c000000000000p+0", "0x1.2000000000000p+2", "0x1.a000000000000p+2",
+        "0x1.1000000000000p+3", "0x1.5000000000000p+3", "0x1.9000000000000p+3",
+        "0x1.d000000000000p+3", "0x1.0800000000000p+4", "0x1.2800000000000p+4",
+        "0x1.4800000000000p+4", "0x1.6800000000000p+4", "0x1.8800000000000p+4",
+    ]
 
     def test_zero_zigzags_is_radius_prefix(self):
         g1, g2, mk = cv.build_zigzag_pair(0.5, 0)
@@ -134,6 +210,15 @@ class TestZigzagPair:
         seq = [values[n] for n in range(1, 9)]
         assert all(a < b for a, b in zip(seq, seq[1:]))
         assert values[5] > 10.0
+
+    @pytest.mark.parametrize("r", [0.4, 0.5])
+    def test_frechet_by_prefix_pinned(self, r):
+        values = []
+        for n in range(1, 13):
+            g1, g2, mk = cv.build_zigzag_pair(r, n)
+            level = cv.zigzag_truncation_level(mk)
+            values.append(cv.curve_frechet(g1, g2, level).hex())
+        assert values == self.PINNED_PREFIX
 
     def test_lower_bound_from_anchor_projection(self):
         # the coupling bound (s(z_{n+1}) - s(w_n)) / 2 must hold exactly
