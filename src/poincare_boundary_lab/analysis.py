@@ -47,6 +47,7 @@ from .geometry import (
 )
 
 COVER_MESH = 0.1          # hyperbolic sub-sampling mesh inside disk covers
+FAMILY_MESH = 0.02        # Euclidean grid step on the compact of a family check
 GROWTH_FACTOR = 2.0       # each of the last three steps >= x2 => diverging
 CONVERGE_TOL = 1e-3       # limit candidates / family convergence
 FAILURE_FRACTION = 0.01   # more nan evaluations than this => inconclusive
@@ -271,12 +272,11 @@ def _zoom_max(f, region, levels, z0, v0):
 
 
 def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
-                  max_level: int, mesh: float = COVER_MESH,
-                  zoom: bool = True) -> NormalityReport:
+                  max_level: int, zoom: bool = True) -> NormalityReport:
     """Truncation-indexed sups of (1 - |z|^2) f#(z) over the deflection region.
 
     Level k covers the curve out to refine(k) with pseudo-hyperbolic disks of
-    the region's radius (sub-sampled at hyperbolic mesh <= `mesh`), keeps the
+    the region's radius (sub-sampled at hyperbolic mesh <= COVER_MESH), keeps the
     samples with 1 - |z| >= 2^{-k}, and refines the level's sample maximum
     with the cusp zoom (one lockstep batch for all levels).  Sups accumulate,
     so they are non-decreasing in k; the verdict follows the plateau/growth
@@ -284,7 +284,7 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     """
     if max_level < 4:
         raise ValueError("max_level must be >= 4")
-    template = _disk_template(region.deflection, mesh) if region.deflection > 0 \
+    template = _disk_template(region.deflection, COVER_MESH) if region.deflection > 0 \
         else np.zeros(1, dtype=complex)
     pts_all: list[np.ndarray] = []
     intro_all: list[np.ndarray] = []
@@ -603,7 +603,7 @@ class FamilyReport:
 
 
 def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
-                              c, mesh: float = 0.02) -> FamilyReport:
+                              c) -> FamilyReport:
     """Per n, sup over a grid of the compact |z| <= r1 of the spherical
     distance d_S(f(phi_{w_n}(z)), c): local-topology convergence of the
     renormalized family to the constant c, rendered at desk scale."""
@@ -611,7 +611,7 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
         raise ValueError("compact radius r1 must be in (0, 1)")
     cv = c if isinstance(c, ExtendedComplex) else ExtendedComplex.from_value(c)
     cc = np.inf if cv.is_infinity else cv.value
-    side = np.arange(-r1, r1 + mesh / 2, mesh)
+    side = np.arange(-r1, r1 + FAMILY_MESH / 2, FAMILY_MESH)
     gx, gy = np.meshgrid(side, side)
     grid = (gx + 1j * gy).ravel()
     grid = grid[np.abs(grid) <= r1]

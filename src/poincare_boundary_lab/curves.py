@@ -238,10 +238,6 @@ class CurvilinearAngle:
         if not 0.0 <= self.deflection < 1.0:
             raise ValueError("deflection must be a pseudo-hyperbolic radius in [0, 1)")
 
-    @classmethod
-    def from_hyperbolic(cls, curve, r_hyp: float) -> "CurvilinearAngle":
-        return cls(curve, radius_convert(r_hyp, "h_to_ph"))
-
 
 def angle_contains(angle: CurvilinearAngle, z, level: int = DEFAULT_LEVEL) -> bool:
     """Sampled membership test: min d_ph(z, samples) <= deflection + slack."""
@@ -252,11 +248,6 @@ def angle_contains(angle: CurvilinearAngle, z, level: int = DEFAULT_LEVEL) -> bo
     d = pseudo_hyperbolic_distance_array(zv, samples)
     slack = angle.curve.max_gap(level)
     return bool(np.min(d) <= angle.deflection + slack + ALGEBRAIC_TOL)
-
-
-def angle_min_distance(angle: CurvilinearAngle, z, level: int = DEFAULT_LEVEL) -> float:
-    zv = as_complex(z)
-    return float(np.min(pseudo_hyperbolic_distance_array(zv, angle.curve.refine(level))))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +443,6 @@ def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level)
     return discrete_frechet_strip(s1, t1, s2, t2)
-
-
-def directed_hausdorff(p_samples, q_samples) -> float:
-    """max over p of min over q of the hyperbolic distance (complex samples)."""
-    p = np.atleast_1d(np.asarray(p_samples, dtype=complex))
-    q = np.atleast_1d(np.asarray(q_samples, dtype=complex))
-    d = hyperbolic_distance_array(p[:, None], q[None, :])
-    return float(np.max(np.min(d, axis=1)))
 
 
 # ---------------------------------------------------------------------------

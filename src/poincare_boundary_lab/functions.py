@@ -264,25 +264,6 @@ class PoleSchedule:
             raise ValueError(f"pole schedule violates: {bad}")
         return checks
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "pole_points": [[z.real, z.imag] for z in self.pole_points],
-            "radii": [float(e) for e in self.radii],
-            "deflections": [float(r) for r in self.deflections],
-            "pole_strip": [[float(s), float(t)] for s, t in self.pole_strip],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PoleSchedule":
-        return cls(
-            float(payload["theta"]),
-            np.array([complex(re, im) for re, im in payload["pole_points"]]),
-            np.asarray(payload["radii"], dtype=float),
-            np.asarray(payload["deflections"], dtype=float),
-            np.asarray(payload["pole_strip"], dtype=float),
-        )
-
     @classmethod
     def default(cls, theta: float = 0.0, count: int = 20) -> "PoleSchedule":
         """theta-rotated default: r_m = 1 - 2^{-m}, eps_k = 4^{-k}, pole k at
@@ -319,18 +300,10 @@ class RationalPoleFunction(FunctionHandle):
             raise ValueError("truncation must be >= 1")
         K = min(truncation, len(schedule.pole_points))
         self.label = f"pole-series:K={K}"
-        self.schedule = schedule
-        self.truncation = K
         self.pole_points = schedule.pole_points[:K]
         self.coeffs = (schedule.radii[:K] ** 2).astype(float)
         self.pole_residues = self.coeffs.astype(complex)
-        self._tail_poles = schedule.pole_points[K:]
-        self._tail_coeffs = (schedule.radii[K:] ** 2).astype(float)
         self._endpoint = complex(np.exp(1j * schedule.theta))
-        # geometric remainder of sum eps_k^2 beyond the stored schedule
-        q = 1.0 / 16.0
-        n_total = len(schedule.radii)
-        self._beyond_sum = (0.25 ** (n_total + 1)) ** 2 / (1.0 - q)
 
     def eval_array(self, z):
         z = np.asarray(z, dtype=complex)
@@ -350,17 +323,6 @@ class RationalPoleFunction(FunctionHandle):
         out = terms.sum(axis=-1)
         hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
         return np.where(hit, np.inf + 0j, out)
-
-    def truncation_bound(self, z) -> np.ndarray:
-        """Upper bound for the dropped tail sum_{k>K} eps_k^2 / |z - z_k|."""
-        z = np.asarray(z, dtype=complex)
-        if len(self._tail_poles):
-            u = np.abs(z[..., None] - self._tail_poles)
-            stored = (self._tail_coeffs / np.maximum(u, 1e-300)).sum(axis=-1)
-        else:
-            stored = np.zeros(z.shape)
-        gap = np.maximum(np.abs(z - self._endpoint) / 2.0, 1e-300)
-        return stored + self._beyond_sum / gap
 
 
 class DampedPoleFunction(FunctionHandle):

@@ -86,9 +86,6 @@ class ExtendedComplex:
         return cls.finite(c)
 
 
-INFINITY = ExtendedComplex.infinity()
-
-
 # ---------------------------------------------------------------------------
 # distances
 
@@ -278,11 +275,6 @@ def disk_to_strip(z, theta: float = 0.0):
     zz = np.asarray(z, dtype=complex) * np.exp(-1j * theta)
     w = np.log((1.0 + zz) / (1.0 - zz))
     return np.real(w), gudermann_inv(np.imag(w))
-
-
-def axis_point(s, theta: float = 0.0):
-    """Point of the diameter geodesic at signed hyperbolic position s."""
-    return np.exp(1j * theta) * np.tanh(np.asarray(s, dtype=float) / 2.0)
 
 
 def strip_distance(s1, t1, s2, t2):

@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import analysis as an
 from . import curves as cv
@@ -294,7 +293,7 @@ def criterion_stolz(seed: int):
 
 def criterion_decay(seed: int):
     """Exponential-decay margins: the boundary identity of the slow
-    exponential, the violation threshold against a root-finding oracle, and
+    exponential, the violation threshold against a closed-form oracle, and
     the consistency probe pairing a satisfied super-exponential bound with a
     diverging normality sup."""
     rad = cv.canonical_curve("radius", 0.0)
@@ -304,7 +303,7 @@ def criterion_decay(seed: int):
     ident_err = float(np.max(np.abs(-h.log_abs_array(pts) * t - 1.0)))
 
     rep = st.decay_margin(h, rad, st.DecayProfile.log_form(shift=1.0), 12)
-    oracle = brentq(lambda x: 1.0 - math.log1p(1.0 / x), 1e-8, 50.0, xtol=1e-14)
+    oracle = 1.0 / math.expm1(1.0)   # the root of 1 - log1p(1/x) = 0
     thr_err = abs((rep.violation_threshold or math.nan) - oracle)
 
     sq = fn.gallery("square_exp")

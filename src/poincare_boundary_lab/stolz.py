@@ -119,9 +119,6 @@ class StolzMap:
         out = self.forward_steps(arr)
         return complex(out[0]) if scalar else out
 
-    def __call__(self, z):
-        return self.apply(z)
-
     # -- inverse: reversed composition ---------------------------------------
 
     def invert(self, w):

@@ -253,7 +253,8 @@ class TestRadialMembership:
             sampled = cv.angle_contains(region, p, 10)
             if m != sampled:
                 # disagreements live within the sampling slack of the border
-                d = cv.angle_min_distance(region, p, 10)
+                d = np.min(ge.pseudo_hyperbolic_distance_array(
+                    p, region.curve.refine(10)))
                 assert abs(d - 0.5) <= region.curve.max_gap(10) + 1e-9
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -302,3 +304,16 @@ class TestOtherSubcommands:
                     "--r1", "0.9", "--depths", "1:16"], tmp_path) == 0
         assert run(["family", "--function", "identity", "--target", "0,0",
                     "--r1", "0.5", "--depths", "1:8"], tmp_path) == 4
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the CLI pulls in, whatever this test session has loaded
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys, poincare_boundary_lab.cli; "
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

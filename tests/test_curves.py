@@ -138,7 +138,8 @@ class TestCurvilinearAngle:
     def test_pseudo_and_hyperbolic_radii_agree(self, radius):
         r = 0.4
         a = cv.CurvilinearAngle(radius, r)
-        b = cv.CurvilinearAngle.from_hyperbolic(radius, ge.radius_convert(r, "ph_to_h"))
+        b = cv.CurvilinearAngle(radius, ge.radius_convert(
+            ge.radius_convert(r, "ph_to_h"), "h_to_ph"))
         assert a.deflection == pytest.approx(b.deflection, abs=1e-14)
 
     def test_deflection_range(self, radius):

@@ -139,16 +139,6 @@ class TestPoleSchedule:
             fn.PoleSchedule(sch.theta, sch.pole_points, sch.radii[::-1],
                             sch.deflections, sch.pole_strip)
 
-    def test_json_round_trip(self, schedule):
-        import json
-
-        payload = json.loads(json.dumps(schedule.to_json_dict()))
-        back = fn.PoleSchedule.from_json_dict(payload)
-        assert np.allclose(back.pole_points, schedule.pole_points)
-        assert np.allclose(back.radii, schedule.radii)
-        assert all(back.validate().values())
-
-
 class TestPoleSeries:
     def test_finite_at_offset_points(self, schedule, f0):
         for k in (1, 2, 5, 8):
@@ -187,15 +177,6 @@ class TestPoleSeries:
             dz = abs(z[i + 1] - z[i])
             bound = max(lip[i], lip[i + 1]) * dz * 1.5 + 1e-12
             assert abs(vals[i + 1] - vals[i]) <= bound
-
-    def test_truncation_bound_controls_tail(self, schedule):
-        full = fn.pole_sequence_function(schedule, 20)
-        part = fn.pole_sequence_function(schedule, 8)
-        rng = np.random.default_rng(67)
-        z = sample_disk(rng, 200, 0.8)
-        diff = np.abs(full.eval_array(z) - part.eval_array(z))
-        bound = part.truncation_bound(z)
-        assert np.all(diff <= bound + 1e-12)
 
     def test_sph_at_pole_is_reciprocal_residue(self, schedule, f0):
         for k in (1, 3):

@@ -31,7 +31,7 @@ class TestExtendedComplex:
     def test_finite_and_infinity(self):
         v = ge.ExtendedComplex.finite(2 + 1j)
         assert not v.is_infinity and v.value == 2 + 1j
-        assert ge.INFINITY.is_infinity
+        assert ge.ExtendedComplex.infinity().is_infinity
 
     def test_from_value_inf(self):
         assert ge.ExtendedComplex.from_value(math.inf).is_infinity
@@ -51,10 +51,11 @@ class TestDistances:
         assert ge.hyperbolic_distance(0.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_spherical_examples(self):
+        inf = ge.ExtendedComplex.infinity()
         assert ge.spherical_distance(1 + 2j, 1 + 2j) == 0.0
-        assert ge.spherical_distance(0.0, ge.INFINITY) == pytest.approx(2.0)
+        assert ge.spherical_distance(0.0, inf) == pytest.approx(2.0)
         assert ge.spherical_distance(1.0, 1j) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert ge.spherical_distance(ge.INFINITY, ge.INFINITY) == 0.0
+        assert ge.spherical_distance(inf, inf) == 0.0
 
     def test_metric_axioms_random_sweep(self):
         rng = np.random.default_rng(7)
@@ -173,8 +174,10 @@ class TestStripCoordinates:
             got = float(ge.strip_distance(s1, t1, s2, t2))
             assert got == pytest.approx(expect, abs=1e-9)
 
-    def test_axis_point_is_tanh(self):
-        assert complex(ge.axis_point(2.0)) == pytest.approx(math.tanh(1.0))
+    def test_axis_is_tanh_of_half_position(self):
+        # t = 0 is the diameter geodesic, parametrised by hyperbolic arc length
+        assert complex(ge.strip_to_disk(2.0, 0.0)) == pytest.approx(math.tanh(1.0))
+        assert complex(ge.strip_to_disk(-2.0, 0.0)) == pytest.approx(-math.tanh(1.0))
 
     def test_depth_deep_and_shallow(self):
         assert float(ge.strip_depth(5.0, 0.3)) == pytest.approx(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import curves as cv
@@ -170,9 +169,9 @@ class TestDecayMargin:
         h = fn.gallery("saginjan_h")
         rep = st.decay_margin(h, rad, st.DecayProfile.log_form(shift=1.0), 12)
         assert rep.verdict == "violated"
-        oracle = brentq(lambda x: 1.0 - math.log1p(1.0 / x), 1e-8, 50.0, xtol=1e-14)
+        oracle = 1.0 / math.expm1(1.0)
+        assert abs(1.0 - math.log1p(1.0 / oracle)) <= 1e-15
         assert rep.violation_threshold == pytest.approx(oracle, abs=1e-6)
-        assert oracle == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
 
     def test_euler_shift_violated_everywhere(self):
         rad = cv.canonical_curve("radius", 0.0)
