@@ -16,7 +16,7 @@ from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
 
 sch = fn.PoleSchedule.default(0.0, 20)
-f1 = fn.damped_pole_sequence_function(sch, 20)
+f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch, 20))
 
 print("cluster estimate for the damped pole series on the band r=0.5:")
 member = an.radial_angle_membership(0.5, 0.0)
@@ -25,7 +25,8 @@ cl = an.cluster_estimate(f1, member, 0.0, range(2, 15), seed=1,
 for sh, d in zip(cl.shells[-5:], cl.diameters[-5:]):
     print(f"  shell {sh['shell']:>2}: {sh['n']:>4} samples, "
           f"spherical diameter {d:.2e}")
-print("  verdict:", cl.verdict, " candidate:", cl.to_dict()["limit_candidate"])
+c = cl.limit_candidate
+print("  verdict:", cl.verdict, " candidate:", c if c is None else [c.real, c.imag])
 
 print("\nrenormalized family along the radius, target 0:")
 ws = [1 - 2.0 ** (-k) for k in range(1, 15)]
@@ -53,9 +54,7 @@ cl2 = an.cluster_estimate(f1, member_region, 0.0, range(2, 11), seed=2,
                           extra_points=extra)
 print(f"{'shell':>6} {'n':>5} {'min d_S to 0':>13} {'min d_S to inf':>15}")
 for sh in cl2.shells:
-    vals = sh.get("values") or []
-    arr = np.array([np.inf if v == "infinity" else complex(*v) for v in vals],
-                   dtype=complex)
+    arr = np.asarray(sh.get("values", []), dtype=complex)
     d0 = ge.spherical_distance_array(arr, np.zeros(len(arr)))
     di = ge.spherical_distance_array(arr, np.full(len(arr), np.inf))
     print(f"{sh['shell']:>6} {sh['n']:>5} {float(np.min(d0)):>13.2e} "

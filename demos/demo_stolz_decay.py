@@ -24,7 +24,7 @@ from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import stolz as st
 
 alpha = math.pi / 4
-m = st.stolz_map(alpha)
+m = st.StolzMap(alpha)
 print(f"sector half-angle {alpha:.4f}, admissible radius rho = {m.rho}")
 print(f"  map at 1 - rho: {m.apply(1 - m.rho + 1e-13, check_domain=False):.6f}")
 print(f"  map near 1:     {m.apply(1 - 1e-9, check_domain=False):.12f}")

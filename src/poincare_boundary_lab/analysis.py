@@ -32,7 +32,7 @@ from .functions import (
     log_lehto_virtanen_array,
 )
 from .geometry import (
-    ExtendedComplex,
+    DISK_BOUNDARY_MARGIN,
     as_complex,
     disk_to_strip,
     hyperbolic_distance_array,
@@ -109,8 +109,6 @@ class NormalityReport:
     verdict: str
     failures: int = 0
     evaluations: int = 0
-    seed: int = 0
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def to_dict(self) -> dict:
         return {
@@ -121,8 +119,7 @@ class NormalityReport:
             "verdict": self.verdict,
             "failures": self.failures,
             "evaluations": self.evaluations,
-            "seed": self.seed,
-            "thresholds": self.thresholds,
+            "thresholds": dict(DEFAULT_THRESHOLDS),
         }
 
 
@@ -172,7 +169,7 @@ class _LockstepZoom:
             ok[rows] = np.min(d, axis=1) <= self.r_h + 1e-12
         if np.any(ok):
             z = strip_to_disk(s[ok], t[ok], self.theta)
-            good = np.abs(z) < 1.0 - 1e-15
+            good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
             vals = np.full(len(z), -np.inf)
             if np.any(good):
                 lv = log_lehto_virtanen_array(self.f, z[good])
@@ -296,7 +293,7 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
         if len(new_ws):
             pts = np.concatenate([
                 mobius_translation(w).apply(template) for w in new_ws])
-            pts = pts[np.abs(pts) < 1.0 - 1e-15]
+            pts = pts[np.abs(pts) < 1.0 - DISK_BOUNDARY_MARGIN]
             pts_all.append(pts)
             intro_all.append(np.full(len(pts), k))
     pool = np.concatenate(pts_all)
@@ -386,7 +383,7 @@ def pseq_indicator_local_sup(f: FunctionHandle, sequence, radii) -> IndicatorRep
     for zn, rn in zip(z, radii):
         template = _disk_template(radius_convert(rn, "h_to_ph"), rn / 10.0)
         pts = mobius_translation(zn).apply(template)
-        pts = pts[np.abs(pts) < 1.0 - 1e-15]
+        pts = pts[np.abs(pts) < 1.0 - DISK_BOUNDARY_MARGIN]
         vals = lehto_virtanen_array(f, pts)
         sups.append(float(np.nanmax(vals)))
     return IndicatorReport("local_sup", sups, sup_trend_verdict(sups),
@@ -402,12 +399,9 @@ def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,
     zb = np.asarray([as_complex(p) for p in seq_b], dtype=complex)
     if len(za) != len(zb):
         raise ValueError("sequences must have equal length")
-    av = alpha if isinstance(alpha, ExtendedComplex) else ExtendedComplex.from_value(alpha)
-    ac = np.inf if av.is_infinity else av.value
-    fa = f.eval_array(za)
-    fb = f.eval_array(zb)
-    da = spherical_distance_array(fa, np.full(len(za), ac))
-    db = spherical_distance_array(fb, np.full(len(zb), ac))
+    target = np.full(len(za), complex(alpha))
+    da = spherical_distance_array(f.eval_array(za), target)
+    db = spherical_distance_array(f.eval_array(zb), target)
     dh = hyperbolic_distance_array(za, zb)
     n0 = max(1, len(za) // 4)
     conv_a = bool(np.max(da[-n0:]) < 0.05 and da[-1] <= da[0] + 1e-12)
@@ -432,31 +426,33 @@ def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,
 
 
 def _sphere_embed(values: np.ndarray) -> np.ndarray:
-    """Chordal embedding of extended-complex values into R^3."""
+    """Chordal embedding of sphere points into R^3."""
     v = np.asarray(values, dtype=complex)
     inf = ~np.isfinite(v)
     safe = np.where(inf, 0.0, v)
-    n = 1.0 + np.abs(safe) ** 2
-    out = np.column_stack([2.0 * safe.real / n, 2.0 * safe.imag / n,
-                           (np.abs(safe) ** 2 - 1.0) / n])
-    out[inf] = (0.0, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = 1.0 + np.abs(safe) ** 2
+        out = np.column_stack([2.0 * safe.real / n, 2.0 * safe.imag / n,
+                               (np.abs(safe) ** 2 - 1.0) / n])
+    # |v|^2 overflows only for |v| > 1e154, within 2e-154 of the north pole
+    out[inf | ~np.isfinite(n)] = (0.0, 0.0, 1.0)
     return out
 
 
-def _sphere_unembed(p) -> ExtendedComplex:
+def _sphere_unembed(p) -> complex:
     x, y, z = (float(v) for v in p)
     if 1.0 - z < 1e-12:
-        return ExtendedComplex.infinity()
-    return ExtendedComplex.finite(complex(x, y) / (1.0 - z))
+        return complex(math.inf, 0.0)
+    return complex(x, y) / (1.0 - z)
 
 
-def sphere_mean(values) -> ExtendedComplex:
+def sphere_mean(values) -> complex:
     """Chordal-embedding mean renormalized back to the sphere."""
     pts = _sphere_embed(values)
     m = pts.mean(axis=0)
     norm = np.linalg.norm(m)
     if norm < 1e-12:
-        return ExtendedComplex.finite(0.0)
+        return 0j
     return _sphere_unembed(m / norm)
 
 
@@ -471,26 +467,19 @@ class ClusterEstimate:
     theta: float
     shells: list[dict]
     diameters: list[float]
-    limit_candidate: ExtendedComplex | None
+    limit_candidate: complex | None
     verdict: str
     seed: int
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            if v.is_infinity:
-                return "infinity"
-            return [v.value.real, v.value.imag]
         return {
             "theta": self.theta,
             "shells": self.shells,
             "diameters": self.diameters,
-            "limit_candidate": enc(self.limit_candidate),
+            "limit_candidate": self.limit_candidate,
             "verdict": self.verdict,
             "seed": self.seed,
-            "thresholds": self.thresholds,
+            "thresholds": dict(DEFAULT_THRESHOLDS),
         }
 
 
@@ -524,7 +513,7 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
             rho = np.sqrt(rng.uniform(lo ** 2, hi ** 2, n))
             ang = rng.uniform(-math.pi, math.pi, n)
             z = e * (1.0 - rho * np.exp(1j * ang))
-            z = z[(np.abs(z) < 1.0 - 1e-15)]
+            z = z[(np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN)]
             z = z[np.abs(z - e) >= lo]
             z = z[np.abs(z - e) < hi]
             if len(z):
@@ -546,15 +535,10 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
         dia = spherical_diameter(vals)
         means.append(mean)
         diameters.append(dia)
-        rec = {
-            "shell": int(k), "range": [lo, hi], "n": int(len(pts)),
-            "mean": "infinity" if mean.is_infinity
-                    else [mean.value.real, mean.value.imag],
-            "diameter": dia,
-        }
+        rec = {"shell": int(k), "range": [lo, hi], "n": int(len(pts)),
+               "mean": mean, "diameter": dia}
         if record_values:
-            rec["values"] = ["infinity" if not np.isfinite(v) else
-                             [v.real, v.imag] for v in vals]
+            rec["values"] = list(vals)
         shells.append(rec)
     candidate = None
     verdict = "no_limit"
@@ -562,13 +546,8 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
         verdict = "inconclusive"
     elif len(diameters) >= 2 and diameters[-1] < CONVERGE_TOL \
             and diameters[-2] < CONVERGE_TOL:
-        va = means[-1]
-        vb = means[-2]
-        a = np.inf if va.is_infinity else va.value
-        b = np.inf if vb.is_infinity else vb.value
-        if spherical_distance(ExtendedComplex.from_value(a),
-                              ExtendedComplex.from_value(b)) < CONVERGE_TOL:
-            candidate = va
+        if spherical_distance(means[-1], means[-2]) < CONVERGE_TOL:
+            candidate = means[-1]
             verdict = "limit"
     return ClusterEstimate(theta, shells, diameters, candidate, verdict, seed)
 
@@ -581,24 +560,20 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
 class FamilyReport:
     w_sequence: list[complex]
     compact_radius: float
-    target: ExtendedComplex
+    target: complex
     sup_ds: list[float]
     verdict: str
     failures: int = 0
-    seed: int = 0
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def to_dict(self) -> dict:
         return {
-            "w_sequence": [[w.real, w.imag] for w in self.w_sequence],
+            "w_sequence": self.w_sequence,
             "compact_radius": self.compact_radius,
-            "target": "infinity" if self.target.is_infinity
-                      else [self.target.value.real, self.target.value.imag],
+            "target": self.target,
             "sup_ds": self.sup_ds,
             "verdict": self.verdict,
             "failures": self.failures,
-            "seed": self.seed,
-            "thresholds": self.thresholds,
+            "thresholds": dict(DEFAULT_THRESHOLDS),
         }
 
 
@@ -609,8 +584,7 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
     renormalized family to the constant c, rendered at desk scale."""
     if not 0.0 < r1 < 1.0:
         raise ValueError("compact radius r1 must be in (0, 1)")
-    cv = c if isinstance(c, ExtendedComplex) else ExtendedComplex.from_value(c)
-    cc = np.inf if cv.is_infinity else cv.value
+    c = complex(c)
     side = np.arange(-r1, r1 + FAMILY_MESH / 2, FAMILY_MESH)
     gx, gy = np.meshgrid(side, side)
     grid = (gx + 1j * gy).ravel()
@@ -621,14 +595,14 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
     for w in ws:
         img = mobius_translation(w).apply(grid)
         vals = f.eval_array(img)
-        ds = spherical_distance_array(vals, np.full(len(img), cc))
+        ds = spherical_distance_array(vals, np.full(len(img), c))
         bad = np.isnan(ds)
         failures += int(np.sum(bad))
         sups.append(float(np.max(ds[~bad])) if np.any(~bad) else math.nan)
     verdict = "converges" if sups and sups[-1] < CONVERGE_TOL else "no_convergence"
     if sups and (sum(math.isnan(s) for s in sups) / len(sups)) > FAILURE_FRACTION:
         verdict = "inconclusive"
-    return FamilyReport(ws, r1, cv, sups, verdict, failures)
+    return FamilyReport(ws, r1, c, sups, verdict, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ runs with the same seed are byte-identical; the timestamp only names the file.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -110,7 +111,10 @@ def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"bad complex {text!r}; expected re,im")
-    return complex(float(parts[0]), float(parts[1]))
+    v = complex(float(parts[0]), float(parts[1]))
+    if cmath.isnan(v):
+        raise CliError(f"bad complex {text!r}; NaN is not a point")
+    return v
 
 
 def parse_curve(spec: str) -> cv.BoundaryCurve:
@@ -143,10 +147,8 @@ def parse_function(spec: str) -> fn.FunctionHandle:
         return fn.gallery(name)
     if name in ("pole_series", "damped_pole_series"):
         k = int(parts[1]) if len(parts) > 1 else 20
-        sch = fn.PoleSchedule.default(0.0, max(k, 4))
-        if name == "pole_series":
-            return fn.pole_sequence_function(sch, k)
-        return fn.damped_pole_sequence_function(sch, k)
+        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, max(k, 4)), k)
+        return f if name == "pole_series" else fn.DampedPoleFunction(f)
     raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
                    f"also identity, constant:c, automorphism:w, "
                    f"pole_series[:K], damped_pole_series[:K]")
@@ -172,23 +174,16 @@ def parse_profile(spec: str) -> st.DecayProfile:
                    f"pow:s[:e], super:n")
 
 
-def _enc(v):
-    """JSON-encodable rendering of numbers, complexes, extended values."""
-    if isinstance(v, ge.ExtendedComplex):
-        if v.is_infinity:
-            return "infinity"
-        return [v.value.real, v.value.imag]
-    if isinstance(v, complex):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            return "infinity"
-        return [v.real, v.imag]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 # ---------------------------------------------------------------------------
 # report output
+
+
+def _json_default(v):
+    """How a report writes a point of the Riemann sphere: [re, im] when the
+    complex is finite, "infinity" otherwise."""
+    if isinstance(v, complex):
+        return [v.real, v.imag] if cmath.isfinite(v) else "infinity"
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _report_rows(report: dict):
@@ -216,7 +211,7 @@ def _report_rows(report: dict):
                     rows.append(rec)
             if rows:
                 return rows
-    return [{"value": json.dumps(report.get("value"))}] \
+    return [{"value": json.dumps(report.get("value"), default=_json_default)}] \
         if "value" in report else [{"note": "no tabular data"}]
 
 
@@ -225,7 +220,8 @@ def write_report(cfg: RunConfig, subcommand: str, report: dict) -> str:
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"{time.time_ns() % 1_000_000_000:09d}"
     path = os.path.join(cfg.output_dir, f"{subcommand}-{stamp}.{cfg.format}")
     if cfg.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(report, indent=2, sort_keys=True,
+                             default=_json_default) + "\n"
     else:
         buf = io.StringIO()
         rows = _report_rows(report)
@@ -260,7 +256,7 @@ def cmd_metric(args, cfg):
         value = ge.spherical_distance(z, w)
     else:
         raise CliError(f"unknown metric kind {args.kind!r}")
-    return 0, {"kind": args.kind, "z": _enc(z), "w": _enc(w), "value": value}, f"{value:.12g}"
+    return 0, {"kind": args.kind, "z": z, "w": w, "value": value}, f"{value:.12g}"
 
 
 def cmd_curve_dist(args, cfg):
@@ -307,10 +303,8 @@ def cmd_lemma4(args, cfg):
         _, g2, mk = cv.build_zigzag_pair(args.r, args.n_zigzags)
         contained = True
     increasing = all(a < b for a, b in zip(values, values[1:]))
-    mk_enc = {k: [_enc(v) for v in val] if isinstance(val, list) else _enc(val)
-              for k, val in mk.items()}
     exch = cv.curve_to_exchange(g2, min(12, cfg.max_level))
-    rep = {"r": args.r, "n_zigzags": args.n_zigzags, "markers": mk_enc,
+    rep = {"r": args.r, "n_zigzags": args.n_zigzags, "markers": mk,
            "frechet_by_prefix": values, "contained": contained,
            "strictly_increasing": increasing, "curve2_exchange": exch}
     ok = contained and (increasing or not values)
@@ -323,7 +317,6 @@ def cmd_normality(args, cfg):
     curve = parse_curve(args.curve)
     region = cv.CurvilinearAngle(curve, args.deflection)
     rep = an.normality_sup(f, region, _level(args.max_level, max(cfg.max_level, 4)))
-    rep.seed = cfg.seed
     code = 0 if rep.verdict in ("bounded", "diverging") else 3
     d = rep.to_dict()
     d["function"] = f.label
@@ -367,7 +360,6 @@ def cmd_pseq(args, cfg):
         raise CliError(f"unknown pseq mode {args.mode!r}")
     d = rep.to_dict()
     d["function"] = f.label
-    d["seed"] = cfg.seed
     code = 0 if rep.verdict in ("positive", "negative", "bounded", "diverging") else 3
     return code, d, f"{args.mode}: {rep.verdict}"
 
@@ -401,8 +393,9 @@ def cmd_cluster(args, cfg):
     d["function"] = f.label
     d["region"] = args.region
     code = 3 if rep.verdict == "inconclusive" else 0
-    cand = d["limit_candidate"]
-    return code, d, f"verdict {rep.verdict}  candidate {cand}"
+    cand = rep.limit_candidate
+    return code, d, (f"verdict {rep.verdict}  candidate "
+                     f"{cand if cand is None else _json_default(cand)}")
 
 
 def cmd_family(args, cfg):
@@ -410,7 +403,6 @@ def cmd_family(args, cfg):
     ws = [1.0 - 2.0 ** (-k) for k in _parse_range(args.depths, "depth")]
     target = parse_complex(args.target)
     rep = an.renormalized_family_check(f, ws, args.r1, target)
-    rep.seed = cfg.seed
     d = rep.to_dict()
     d["function"] = f.label
     code = {"converges": 0, "no_convergence": 4}.get(rep.verdict, 3)
@@ -418,7 +410,7 @@ def cmd_family(args, cfg):
 
 
 def cmd_stolz_map(args, cfg):
-    m = st.stolz_map(args.alpha, args.rho)
+    m = st.StolzMap(args.alpha, args.rho)
     if args.z:
         z = parse_complex(args.z)
         try:
@@ -426,7 +418,7 @@ def cmd_stolz_map(args, cfg):
         except st.StolzMapDomainError as exc:
             raise CliError(str(exc)) from None
         back = m.invert(w)
-        rep = {"alpha": args.alpha, "rho": m.rho, "z": _enc(z), "w": _enc(w),
+        rep = {"alpha": args.alpha, "rho": m.rho, "z": z, "w": w,
                "roundtrip_error": abs(back - z)}
         return 0, rep, f"w = {w:.12g}"
     ang = st.StolzAngle(0.0, args.alpha, m.rho)
@@ -436,7 +428,7 @@ def cmd_stolz_map(args, cfg):
     closed = float(np.max(np.abs(w - m.closed_form(z))))
     rep = {"alpha": args.alpha, "rho": m.rho, "samples": args.grid,
            "max_roundtrip_error": rt, "max_closed_form_error": closed,
-           "image_in_disk": bool(np.all(np.abs(w) < 1.0)), "seed": cfg.seed}
+           "image_in_disk": bool(np.all(np.abs(w) < 1.0))}
     return 0, rep, f"roundtrip {rt:.2e}  closed-form {closed:.2e}"
 
 
@@ -444,7 +436,7 @@ def cmd_lemma6(args, cfg):
     m_hat, big_m, ok = st.stolz_distortion_bounds(
         args.alpha, args.beta, args.samples, seed=cfg.seed)
     rep = {"alpha": args.alpha, "beta": args.beta, "samples": args.samples,
-           "m": m_hat, "M": big_m, "holdout_pass": ok, "seed": cfg.seed}
+           "m": m_hat, "M": big_m, "holdout_pass": ok}
     return (0 if ok else 4), rep, f"m={m_hat:.6g} M={big_m:.6g} pass={ok}"
 
 
@@ -456,7 +448,6 @@ def cmd_decay(args, cfg):
     d = rep.to_dict()
     d["function"] = f.label
     d["curve"] = curve.label
-    d["seed"] = cfg.seed
     code = 0 if rep.verdict == "satisfied" else 4
     return code, d, f"verdict {rep.verdict}  threshold {rep.violation_threshold}"
 
@@ -466,10 +457,10 @@ def cmd_gallery(args, cfg):
     points = [parse_complex(p) for p in (args.at or ["0,0"])]
     values = []
     for p in points:
-        v = f.eval(p)
-        values.append({"z": _enc(p), "value": _enc(v), "saturated": v.saturated})
+        v, saturated = f.eval(p)
+        values.append({"z": p, "value": v, "saturated": saturated})
     rep = {"name": f.label, "values": values}
-    return 0, rep, " ".join(str(v["value"]) for v in values)
+    return 0, rep, " ".join(str(_json_default(v["value"])) for v in values)
 
 
 def cmd_selftest(args, cfg):

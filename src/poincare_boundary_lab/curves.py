@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,12 +298,6 @@ class EquivalenceVerdict:
     forward: list[float]
     backward: list[float]
     verdict: str
-    thresholds: dict = field(default_factory=lambda: {
-        "plateau_ratio": PLATEAU_RATIO,
-        "small_distance": SMALL_DISTANCE,
-        "growth_run": GROWTH_RUN,
-        "growth_floor": GROWTH_FLOOR,
-    })
 
     @property
     def values(self) -> list[float]:
@@ -316,7 +310,12 @@ class EquivalenceVerdict:
             "backward": self.backward,
             "values": self.values,
             "verdict": self.verdict,
-            "thresholds": self.thresholds,
+            "thresholds": {
+                "plateau_ratio": PLATEAU_RATIO,
+                "small_distance": SMALL_DISTANCE,
+                "growth_run": GROWTH_RUN,
+                "growth_floor": GROWTH_FLOOR,
+            },
         }
 
 

@@ -4,25 +4,25 @@ A FunctionHandle packages vectorized evaluation, a derivative (closed form
 when known, otherwise a boundary-scaled central difference), and a pole-safe
 spherical derivative f# = |f'| / (1 + |f|^2).  Functions built from
 exponential towers carry log-scale forms (log|f| and log|f'|) so the
-spherical derivative survives |log|f|| far beyond double range; conversion
-to ExtendedComplex saturates to 0 / infinity with a flag.
+spherical derivative survives |log|f|| far beyond double range; a point
+value saturates to 0 / infinity with a flag.
 
-The gallery holds the closed-form probe functions; pole_sequence_function
-builds the truncated series  sum_k eps_k^2 / (z - z_k)  over a pole schedule
-whose poles march to the boundary point along the two boundary arcs of
-deflection regions of growing radius, and damped_pole_sequence_function
-multiplies it by (z - e^{i theta}).
+The gallery holds the closed-form probe functions; RationalPoleFunction is
+the truncated series  sum_k eps_k^2 / (z - z_k)  over a pole schedule whose
+poles march to the boundary point along the two boundary arcs of deflection
+regions of growing radius, and DampedPoleFunction multiplies it by
+(z - e^{i theta}).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
-    ExtendedComplex,
     MobiusAutomorphism,
     as_complex,
     radius_convert,
@@ -94,20 +94,20 @@ class FunctionHandle:
                 out[at_pole] = 1.0 / np.abs(res)
         return out
 
-    def eval(self, z) -> ExtendedComplex:
+    def eval(self, z) -> tuple[complex, bool]:
+        """(f(z), saturated): a value that is not finite is infinity, and
+        `saturated` marks a log-scale value clamped to 0 or infinity."""
         zv = as_complex(z)
         if self.has_log:
             lm = float(self.log_abs_array(np.array([zv]))[0])
             if lm < -LOG_SATURATION:
-                return ExtendedComplex("finite", 0.0, saturated=True)
+                return 0j, True
             if lm > LOG_SATURATION:
-                return ExtendedComplex("infinity", saturated=True)
+                return complex(math.inf, 0.0), True
         v = complex(self.eval_array(np.array([zv]))[0])
-        if np.isnan(v.real) or np.isnan(v.imag):
+        if cmath.isnan(v):
             raise EvaluationError(f"{self.label} failed to evaluate at {zv!r}")
-        if np.isinf(v.real) or np.isinf(v.imag):
-            return ExtendedComplex.infinity()
-        return ExtendedComplex.finite(v)
+        return v, False
 
     def __repr__(self):
         return f"<FunctionHandle {self.label}>"
@@ -351,14 +351,6 @@ class DampedPoleFunction(FunctionHandle):
         bad = ~(np.isfinite(v) & np.isfinite(d))
         out[bad] = np.inf + 0j
         return out
-
-
-def pole_sequence_function(schedule: PoleSchedule, truncation: int) -> RationalPoleFunction:
-    return RationalPoleFunction(schedule, truncation)
-
-
-def damped_pole_sequence_function(schedule: PoleSchedule, truncation: int) -> DampedPoleFunction:
-    return DampedPoleFunction(RationalPoleFunction(schedule, truncation))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ Everything else in the package is built on the three distances defined here:
 plus the disk automorphisms z -> e^{i tau} (z + w) / (1 + z conj(w)) and
 axial ("strip") coordinates for the diameter geodesic, which stay numerically
 exact arbitrarily close to the boundary where complex doubles saturate.
+
+A point of the Riemann sphere is a complex number, scalar or array entry;
+every complex that is not finite stands for the point at infinity.
 """
 
 from __future__ import annotations
@@ -36,54 +39,9 @@ def as_complex(z) -> complex:
     """Coerce a number to a complex point of the open disk, rejecting
     |z| >= 1 - DISK_BOUNDARY_MARGIN."""
     v = complex(z)
-    if abs(v) >= 1.0 - DISK_BOUNDARY_MARGIN:
+    if not abs(v) < 1.0 - DISK_BOUNDARY_MARGIN:  # NaN fails this test too
         raise DiskDomainError(f"|z| = {abs(v)!r} is not inside the unit disk")
     return v
-
-
-@dataclass(frozen=True)
-class ExtendedComplex:
-    """A point of the Riemann sphere: a finite complex value or infinity.
-
-    `saturated` marks values produced by log-scale evaluation that over- or
-    underflowed the double range and were clamped to 0 or infinity.
-    """
-
-    kind: Literal["finite", "infinity"]
-    value: complex | None = None
-    saturated: bool = False
-
-    def __post_init__(self):
-        if self.kind == "finite":
-            if self.value is None:
-                raise ValueError("finite point needs a value")
-            object.__setattr__(self, "value", complex(self.value))
-        elif self.kind == "infinity":
-            object.__setattr__(self, "value", None)
-        else:
-            raise ValueError(f"bad kind {self.kind!r}")
-
-    @classmethod
-    def finite(cls, v) -> "ExtendedComplex":
-        return cls("finite", complex(v))
-
-    @classmethod
-    def infinity(cls) -> "ExtendedComplex":
-        return cls("infinity")
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.kind == "infinity"
-
-    @classmethod
-    def from_value(cls, v) -> "ExtendedComplex":
-        """Coerce a number (inf allowed) or ExtendedComplex."""
-        if isinstance(v, ExtendedComplex):
-            return v
-        c = complex(v)
-        if math.isinf(c.real) or math.isinf(c.imag):
-            return cls.infinity()
-        return cls.finite(c)
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +79,16 @@ def radius_convert(r: float, direction: Literal["ph_to_h", "h_to_ph"]) -> float:
 
 
 def spherical_distance(a, b) -> float:
-    """Chordal distance on the Riemann sphere, bounded by 2."""
-    av = ExtendedComplex.from_value(a)
-    bv = ExtendedComplex.from_value(b)
-    if av.is_infinity and bv.is_infinity:
+    """Chordal distance on the Riemann sphere, bounded by 2; a complex that is
+    not finite is the point at infinity."""
+    za, zb = complex(a), complex(b)
+    a_inf, b_inf = not cmath.isfinite(za), not cmath.isfinite(zb)
+    if a_inf and b_inf:
         return 0.0
-    if av.is_infinity:
-        return 2.0 / math.hypot(1.0, abs(bv.value))
-    if bv.is_infinity:
-        return 2.0 / math.hypot(1.0, abs(av.value))
-    za, zb = av.value, bv.value
+    if a_inf:
+        return 2.0 / math.hypot(1.0, abs(zb))
+    if b_inf:
+        return 2.0 / math.hypot(1.0, abs(za))
     return 2.0 * abs(za - zb) / (math.hypot(1.0, abs(za)) * math.hypot(1.0, abs(zb)))
 
 
@@ -153,7 +111,8 @@ def hyperbolic_distance_array(z, w):
 
 
 def spherical_distance_array(a, b):
-    """Chordal distance for complex arrays; inf entries mean the point at infinity."""
+    """Chordal distance for complex arrays; non-finite entries are the point at
+    infinity."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     a_inf = ~np.isfinite(a)

@@ -1,11 +1,11 @@
 """The acceptance battery: one function per criterion, shared by the CLI
 `selftest` subcommand and the pytest acceptance module.
 
-Each criterion returns (passed, details) with JSON-serializable details.
-run_all aggregates them deterministically for a seed and echoes, under
-`tolerances`, the threshold constants the lab's verdicts read; they are fixed
-module constants, not options.  run_criterion runs one criterion and adds
-its wall time.
+Each criterion returns (passed, details); the details hold what a report
+can write: JSON values and complex numbers.  run_all aggregates them
+deterministically for a seed and echoes, under `tolerances`, the threshold
+constants the lab's verdicts read; they are fixed module constants, not
+options.  run_criterion runs one criterion and adds its wall time.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def criterion_normality(seed: int):
     rep_a = an.normality_sup(
         fn.automorphism_function(ge.mobius_translation(0.3)), reg, 10)
     sch = fn.PoleSchedule.default(0.0, 20)
-    f0 = fn.pole_sequence_function(sch, 20)
+    f0 = fn.RationalPoleFunction(sch, 20)
     rep_f = an.normality_sup(f0, reg, 14)
     ind = an.pseq_indicator_local_sup(
         f0, sch.pole_points[:10], sch.hyperbolic_diameters[:10])
@@ -197,7 +197,7 @@ def criterion_cluster_family(seed: int):
     """Cluster limits agree with renormalized-family limits; the two-value
     cluster set of the damped pole series is reproduced."""
     sch = fn.PoleSchedule.default(0.0, 20)
-    f1 = fn.damped_pole_sequence_function(sch, 20)
+    f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch, 20))
     ident = fn.identity_function()
     ws = [1.0 - 2.0 ** (-k) for k in range(1, 17)]
     ok = True
@@ -241,11 +241,9 @@ def criterion_cluster_family(seed: int):
                               seed=seed + 77, extra_points=extra)
     both_shells = []
     for sh in cl2.shells:
-        vals = sh.get("values") or []
-        if not vals:
+        if not sh.get("values"):
             continue
-        arr = np.array([np.inf if v == "infinity" else complex(v[0], v[1])
-                        for v in vals], dtype=complex)
+        arr = np.asarray(sh["values"])
         d0 = ge.spherical_distance_array(arr, np.zeros(len(arr)))
         di = ge.spherical_distance_array(arr, np.full(len(arr), np.inf))
         if float(np.min(d0)) < 1e-2 and float(np.min(di)) < 1e-2:
@@ -262,7 +260,7 @@ def criterion_stolz(seed: int):
     ok = True
     details = {}
     for alpha in (math.pi / 4, math.pi / 3):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         w_end = m.apply(1.0 - m.rho + 1e-12, check_domain=False)
         near1 = m.apply(1.0 - 1e-7, check_domain=False)
         ang = st.StolzAngle(0.0, alpha)
@@ -272,7 +270,7 @@ def criterion_stolz(seed: int):
         rt = float(np.max(np.abs(m.invert(w) - z)))
         inside = bool(np.all(np.abs(w) < 1.0))
         details[f"alpha={alpha:.6f}"] = {
-            "phi_at_1_minus_rho": [w_end.real, w_end.imag],
+            "phi_at_1_minus_rho": w_end,
             "phi_near_1_error": abs(near1 - 1.0),
             "composition_vs_closed_form": closed,
             "roundtrip": rt,

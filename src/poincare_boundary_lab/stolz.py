@@ -138,10 +138,6 @@ class StolzMap:
         return complex(out[0]) if scalar else out
 
 
-def stolz_map(alpha: float, rho: float = None) -> StolzMap:
-    return StolzMap(alpha, rho)
-
-
 def stolz_distortion_bounds(alpha: float, beta: float, samples: int = 10000,
                             seed: int = 0) -> tuple[float, float, bool]:
     """Estimate the boundary-distance distortion constants of the inverse
@@ -263,7 +259,6 @@ class MarginReport:
     rows: list[dict]            # per-sample: depth, margin
     verdict: str                # satisfied / violated / mixed
     violation_threshold: float | None
-    thresholds: dict = field(default_factory=lambda: {"margin_rel_tol": MARGIN_REL_TOL})
 
     def to_dict(self) -> dict:
         return {
@@ -273,7 +268,7 @@ class MarginReport:
             "rows": self.rows,
             "verdict": self.verdict,
             "violation_threshold": self.violation_threshold,
-            "thresholds": self.thresholds,
+            "thresholds": {"margin_rel_tol": MARGIN_REL_TOL},
         }
 
 

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +28,12 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def f0(schedule):
-    return fn.pole_sequence_function(schedule, 20)
+    return fn.RationalPoleFunction(schedule, 20)
 
 
 @pytest.fixture(scope="module")
 def f1(schedule):
-    return fn.damped_pole_sequence_function(schedule, 20)
+    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule, 20))
 
 
 class TestNormalitySup:
@@ -185,11 +187,9 @@ class TestClusterEstimate:
         assert rep.limit_candidate is None
         found = False
         for sh in rep.shells:
-            vals = sh.get("values") or []
-            if not vals:
+            if not sh.get("values"):
                 continue
-            arr = np.array([np.inf if v == "infinity" else complex(*v)
-                            for v in vals], dtype=complex)
+            arr = np.asarray(sh["values"])
             d0 = ge.spherical_distance_array(arr, np.zeros(len(arr)))
             di = ge.spherical_distance_array(arr, np.full(len(arr), np.inf))
             if d0.min() < 1e-2 and di.min() < 1e-2:
@@ -300,8 +300,17 @@ class TestSphereStatistics:
 
     def test_mean_near_infinity(self):
         m = an.sphere_mean(np.array([np.inf, np.inf], dtype=complex))
-        assert m.is_infinity
+        assert not cmath.isfinite(m)
 
     def test_diameter_antipodal(self):
         d = an.spherical_diameter(np.array([0.0, np.inf], dtype=complex))
         assert d == pytest.approx(2.0)
+
+    def test_huge_finite_values_embed_at_the_north_pole(self):
+        # |v|^2 overflows here; the embedding must not turn into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = an._sphere_embed(np.array([1e200, -3e200j]))
+            d = an.spherical_diameter(np.array([1e200, np.inf], dtype=complex))
+        assert np.allclose(p, [(0.0, 0.0, 1.0)] * 2, rtol=0, atol=1e-150)
+        assert d == 0.0

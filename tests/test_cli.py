@@ -160,6 +160,16 @@ class TestExitCodes:
         assert "error: " in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--kind", "ph", "--z", "nan,0", "--w", "0,0"],
+        ["family", "--function", "identity", "--target", "nan,0"],
+        ["gallery", "--name", "identity", "--at", "0,nan"],
+    ], ids=["metric-z", "family-target", "gallery-at"])
+    def test_nan_point_is_2(self, tmp_path, capsys, argv):
+        assert run(argv, tmp_path) == 2
+        assert "NaN is not a point" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_config_level_below_one_is_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_level=0\n")
@@ -218,6 +228,15 @@ class TestReports:
             "converge": an.CONVERGE_TOL,
             "margin_rel": st.MARGIN_REL_TOL,
         }
+
+    def test_sphere_points_are_pairs_or_infinity(self, tmp_path):
+        run(["metric", "--kind", "s", "--z", "inf", "--w", "0.5,0"], tmp_path)
+        payload = json.loads(latest_report(tmp_path, "metric"))
+        assert payload["z"] == "infinity" and payload["w"] == [0.5, 0.0]
+        run(["gallery", "--name", "gavrilov_g", "--at", "0.999,0"], tmp_path)
+        payload = json.loads(latest_report(tmp_path, "gallery"))
+        assert payload["values"] == [
+            {"z": [0.999, 0.0], "value": [0.0, 0.0], "saturated": True}]
 
     def test_no_report_flag(self, tmp_path):
         run(["--no-report", "metric", "--kind", "ph", "--z", "0,0",

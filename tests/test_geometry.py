@@ -15,7 +15,8 @@ class TestAsComplex:
     def test_accepts_interior(self):
         assert ge.as_complex(0.5 + 0.2j) == 0.5 + 0.2j
 
-    @pytest.mark.parametrize("z", [1.0, -1.0, 1.0 + 1e-16j, 2.0, 1 - 1e-16])
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1.0 + 1e-16j, 2.0, 1 - 1e-16,
+                                   math.nan, complex(0.0, math.nan)])
     def test_rejects_boundary_and_outside(self, z):
         with pytest.raises(ge.DiskDomainError):
             ge.as_complex(z)
@@ -25,17 +26,6 @@ class TestAsComplex:
         assert v == 0.3 and isinstance(v, complex)
         with pytest.raises(ge.DiskDomainError):
             ge.as_complex(1.0)
-
-
-class TestExtendedComplex:
-    def test_finite_and_infinity(self):
-        v = ge.ExtendedComplex.finite(2 + 1j)
-        assert not v.is_infinity and v.value == 2 + 1j
-        assert ge.ExtendedComplex.infinity().is_infinity
-
-    def test_from_value_inf(self):
-        assert ge.ExtendedComplex.from_value(math.inf).is_infinity
-        assert ge.ExtendedComplex.from_value(3.0).value == 3.0
 
 
 class TestDistances:
@@ -51,11 +41,21 @@ class TestDistances:
         assert ge.hyperbolic_distance(0.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_spherical_examples(self):
-        inf = ge.ExtendedComplex.infinity()
+        inf = complex(math.inf, 0.0)
         assert ge.spherical_distance(1 + 2j, 1 + 2j) == 0.0
         assert ge.spherical_distance(0.0, inf) == pytest.approx(2.0)
         assert ge.spherical_distance(1.0, 1j) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert ge.spherical_distance(inf, inf) == 0.0
+
+    def test_every_non_finite_complex_is_infinity(self):
+        # one convention for scalars and arrays: the scalar distance agrees
+        # bit for bit with the array kernel, non-finite points included
+        pts = [0.0, 2 + 1j, complex(math.inf, 0.0), complex(0.0, -math.inf),
+               complex(math.nan, 0.0)]
+        for a in pts:
+            for b in pts:
+                assert ge.spherical_distance(a, b) == \
+                    ge.spherical_distance_array(a, b)[()]
 
     def test_metric_axioms_random_sweep(self):
         rng = np.random.default_rng(7)

@@ -106,7 +106,7 @@ def _function(name):
     if name == "automorphism":
         return fn.automorphism_function(ge.mobius_translation(0.3))
     if name == "pole_series":
-        return fn.pole_sequence_function(fn.PoleSchedule.default(0.0, 20), 20)
+        return fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, 20), 20)
     return fn.gallery(name)
 
 

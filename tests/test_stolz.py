@@ -51,32 +51,32 @@ class TestStolzAngle:
 @pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3, 1.3])
 class TestStolzMap:
     def test_boundary_correspondences(self, alpha):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         w = m.apply(1.0 - m.rho + 1e-12, check_domain=False)
         assert abs(w + 1.0) <= 1e-9
         assert abs(m.apply(1.0 - 1e-8, check_domain=False) - 1.0) <= 1e-7
 
     def test_axis_sequence_converges_to_one(self, alpha):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         gaps = [abs(m.apply(1.0 - 10.0 ** (-k), check_domain=False) - 1.0)
                 for k in range(2, 8)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
 
     def test_composition_matches_closed_form(self, alpha):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         z = st.StolzAngle(0.0, alpha).sample(1000, seed=2, margin=1e-9)
         assert np.max(np.abs(m.forward_steps(z) - m.closed_form(z))) <= 1e-9
 
     def test_image_inside_disk_and_roundtrip(self, alpha):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         z = st.StolzAngle(0.0, alpha).sample(1000, seed=3, margin=1e-9)
         w = m.forward_steps(z)
         assert np.all(np.abs(w) < 1.0)
         assert np.max(np.abs(m.invert(w) - z)) <= 1e-9
 
     def test_domain_rejection(self, alpha):
-        m = st.stolz_map(alpha)
+        m = st.StolzMap(alpha)
         with pytest.raises(st.StolzMapDomainError):
             m.apply(0.9j)
 
@@ -188,7 +188,7 @@ class TestDecayMargin:
 
     def test_pole_on_curve_violates(self, ):
         sch = fn.PoleSchedule.default(0.0, 12)
-        f0 = fn.pole_sequence_function(sch, 12)
+        f0 = fn.RationalPoleFunction(sch, 12)
         pole = sch.pole_points[1]
         samples = [0.1, pole, 0.9, 0.99, 0.999, 1 - 2e-4]
         curve = cv.SampleBackedCurve(0.0, samples)
