@@ -581,7 +581,11 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
                               c) -> FamilyReport:
     """Per n, sup over a grid of the compact |z| <= r1 of the spherical
     distance d_S(f(phi_{w_n}(z)), c): local-topology convergence of the
-    renormalized family to the constant c, rendered at desk scale."""
+    renormalized family to the constant c, rendered at desk scale.
+
+    A NaN value of f with no infinite part is a failed evaluation, not the
+    point at infinity: it is left out of the sups, and more than
+    FAILURE_FRACTION of them makes the verdict inconclusive."""
     if not 0.0 < r1 < 1.0:
         raise ValueError("compact radius r1 must be in (0, 1)")
     c = complex(c)
@@ -595,12 +599,13 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
     for w in ws:
         img = mobius_translation(w).apply(grid)
         vals = f.eval_array(img)
-        ds = spherical_distance_array(vals, np.full(len(img), c))
-        bad = np.isnan(ds)
+        bad = np.isnan(vals) & ~np.isinf(vals)
         failures += int(np.sum(bad))
-        sups.append(float(np.max(ds[~bad])) if np.any(~bad) else math.nan)
+        good = vals[~bad]
+        ds = spherical_distance_array(good, np.full(len(good), c))
+        sups.append(float(np.max(ds)) if len(ds) else math.nan)
     verdict = "converges" if sups and sups[-1] < CONVERGE_TOL else "no_convergence"
-    if sups and (sum(math.isnan(s) for s in sups) / len(sups)) > FAILURE_FRACTION:
+    if sups and failures / (len(sups) * len(grid)) > FAILURE_FRACTION:
         verdict = "inconclusive"
     return FamilyReport(ws, r1, c, sups, verdict, failures)
 

@@ -147,7 +147,10 @@ def parse_function(spec: str) -> fn.FunctionHandle:
         return fn.gallery(name)
     if name in ("pole_series", "damped_pole_series"):
         k = int(parts[1]) if len(parts) > 1 else 20
-        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, max(k, 4)), k)
+        if k < 10:
+            # PoleSchedule's own checks reject every schedule of 4 to 9 poles
+            raise CliError(f"{name} needs K >= 10")
+        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, k), k)
         return f if name == "pole_series" else fn.DampedPoleFunction(f)
     raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
                    f"also identity, constant:c, automorphism:w, "

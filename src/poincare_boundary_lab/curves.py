@@ -39,6 +39,12 @@ from .geometry import (
 
 HYP_MESH = 0.25       # target hyperbolic gap between consecutive samples
 DEFAULT_LEVEL = 8
+# half-width of ParametricCurve._step's rounding band, in units of
+# 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
+# [lo, u] is trusted to within half of it (an mpmath oracle puts the worst
+# error there at 0.64 of those units, and tests/test_curves.py checks that
+# it stays below 1)
+GAP_ERROR_ULPS = 64.0
 
 # verdict thresholds (recorded in every EquivalenceVerdict)
 PLATEAU_RATIO = 1.05       # last three levels within 5% => bounded
@@ -100,7 +106,27 @@ class BoundaryCurve:
 
 class ParametricCurve(BoundaryCurve):
     """Curve given by a parameter u decreasing to 0 as the point approaches
-    the endpoint; samples are stepped in hyperbolic arclength by bisection."""
+    the endpoint; samples are stepped in hyperbolic arclength by bisection.
+
+    `_step` skips the bisection evaluations whose outcome is already known,
+    and relies on two properties of point_fn for that:
+    - monotone gaps: the exact hyperbolic distance from point(u) to point(v)
+      grows as v decreases from u.  Hyperbolic disks are Euclidean disks, so
+      they are convex, which settles the chords; a horocycle is a horizontal
+      line in the upper half-plane, where the distance between two of its
+      points grows with their Euclidean gap.
+    - a rounding bound: on a bracket [lo, u], with
+      tau = GAP_ERROR_ULPS * 2^-52 / (1 - |point(lo)|), the evaluated gap
+      `_dh(point(u), point(v))` clipped to the band HYP_MESH +- tau is
+      within tau/2 of the exact gap clipped the same way.  Inside the band
+      that is the plain error; an exact gap outside the band is never
+      evaluated more than tau/2 into it.  The error comes from the
+      cancellation in 1 - a conj(b) (Higham 2002, ch. 3), so it scales with
+      one over the depth of the deepest point, point(lo).  It also grows
+      with the gap, like sinh(gap), which is why only the band is bounded.
+    Both hold for the chords and horocycles of canonical_curve;
+    tests/test_curves.py checks the bound against mpmath.
+    """
 
     def __init__(self, endpoint_angle, point_fn, u_start, label="curve"):
         super().__init__(endpoint_angle, label)
@@ -113,21 +139,92 @@ class ParametricCurve(BoundaryCurve):
         return math.log1p(d) - math.log1p(-d)
 
     def _step(self, u: float, z: complex) -> float:
-        """Parameter of the next sample after the sample z = point(u)."""
-        hi = u
+        """Parameter of the next sample after the sample z = point(u).
+
+        Halve u until the gap reaches HYP_MESH, then bisect the bracket
+        [lo, hi] 60 times at mid = 0.5 * (lo + hi): a gap below HYP_MESH
+        moves hi, any other moves lo.  The result is the one of evaluating
+        every mid, with fewer evaluations:
+        - `_certified_bracket` finds a < b with the evaluated gap at a at
+          least HYP_MESH + tau and the one at b at most HYP_MESH - tau.  By
+          the rounding bound, the clipped exact gap is above HYP_MESH + tau/2
+          at a and below HYP_MESH - tau/2 at b; by monotonicity the same
+          holds at every mid <= a and every mid >= b; by the rounding bound
+          again, evaluating such a mid would give at least HYP_MESH (move
+          lo) or less than HYP_MESH (move hi).  So it is moved without an
+          evaluation, and only mids in (a, b) are evaluated.
+        - Once mid rounds to lo or hi, every later mid does too and repeats
+          an outcome already taken there, so the loop stops.
+        Without a certificate, a = lo and b = hi, and every mid is
+        evaluated.
+        """
+        hi, g_hi = u, 0.0                 # the gap from z to itself
         lo = u * 0.5
-        while self._dh(z, self._point(lo)) < HYP_MESH:
-            hi = lo
+        p = self._point(lo)
+        g_lo = self._dh(z, p)
+        while g_lo < HYP_MESH:
+            hi, g_hi = lo, g_lo
             lo *= 0.5
             if lo < 1e-300:
                 raise RuntimeError("curve parametrization does not reach the boundary")
+            p = self._point(lo)
+            g_lo = self._dh(z, p)
+        a, b = lo, hi
+        depth = 1.0 - abs(p)
+        if depth > 0.0:
+            a, b = self._certified_bracket(
+                z, lo, g_lo, hi, g_hi, GAP_ERROR_ULPS * 2.0 ** -52 / depth)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if self._dh(z, self._point(mid)) < HYP_MESH:
+            if mid == lo or mid == hi:
+                break
+            if mid <= a:
+                lo = mid
+            elif mid >= b or self._dh(z, self._point(mid)) < HYP_MESH:
                 hi = mid
             else:
                 lo = mid
         return lo
+
+    def _certified_bracket(self, z, lo, g_lo, hi, g_hi, tau):
+        """(a, b) with lo <= a < b <= hi: a is lo or a probe whose gap is at
+        least HYP_MESH + tau, b is hi or one whose gap is at most
+        HYP_MESH - tau.
+
+        Each probe is a secant step through the last two points, aimed at a
+        gap 2 tau past HYP_MESH on the side opposite the last point, so the
+        probes close in on the crossing from both sides.  The secant runs in
+        (1/v, sinh(gap/2)): along a horocycle sinh(gap/2) is linear in
+        cot(v/2), which is close to 2/v.  The probing stops once both a and
+        b have gaps within 4 tau of HYP_MESH, after 8 probes, or when a
+        probe leaves (a, b).  A probe only narrows (a, b): one whose gap
+        falls in the band, or whose evaluation raises (d >= 1 in `_dh`),
+        certifies nothing.
+        """
+        a, b = lo, hi
+        w0, g0, w1, g1 = 1.0 / lo, g_lo, 1.0 / hi, g_hi
+        a_close = b_close = False
+        for _ in range(8):
+            q0, q1 = math.sinh(0.5 * g0), math.sinh(0.5 * g1)
+            if q0 == q1:
+                break
+            y = HYP_MESH + 2.0 * tau if g1 < HYP_MESH else HYP_MESH - 2.0 * tau
+            w = w1 + (math.sinh(0.5 * y) - q1) * (w0 - w1) / (q0 - q1)
+            x = 1.0 / w if w > 0.0 else 0.0
+            if not a < x < b:
+                break
+            try:
+                g = self._dh(z, self._point(x))
+            except ValueError:
+                break
+            if g >= HYP_MESH + tau:
+                a, a_close = x, g <= HYP_MESH + 4.0 * tau
+            elif g <= HYP_MESH - tau:
+                b, b_close = x, g >= HYP_MESH - 4.0 * tau
+            if a_close and b_close:
+                break
+            w0, g0, w1, g1 = w1, g1, w, g
+        return a, b
 
     def _build_strip(self, level):
         # extend on local copies and rebind: idempotent and safe under

@@ -240,6 +240,22 @@ class TestRenormalizedFamily:
         with pytest.raises(ValueError):
             an.renormalized_family_check(fn.identity_function(), [0.5], 1.2, 1.0)
 
+    def test_nan_values_are_failures(self):
+        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan))
+        rep = an.renormalized_family_check(nanf, [0.5, 0.75], 0.5, 0.0)
+        assert rep.failures > 0
+        assert rep.verdict == "inconclusive"
+
+    def test_poles_are_not_failures(self):
+        # numpy's 1/0 is (inf+nanj): the point at infinity, not a failure
+        def recip(z):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / z
+        rep = an.renormalized_family_check(
+            fn.CallableFunction("recip", recip), [0.0], 0.5, 0.0)
+        assert rep.failures == 0
+        assert rep.sup_ds == [2.0]
+
 
 class TestRadialMembership:
     def test_agrees_with_sampled_predicate(self, radius):

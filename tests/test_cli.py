@@ -170,6 +170,13 @@ class TestExitCodes:
         assert "NaN is not a point" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
+    def test_pole_series_needs_ten_poles(self, tmp_path, capsys, name):
+        assert run(["gallery", "--name", f"{name}:8", "--at", "0.2,0.1"], tmp_path) == 2
+        assert f"error: {name} needs K >= 10" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+        assert run(["gallery", "--name", f"{name}:10", "--at", "0.2,0.1"], tmp_path) == 0
+
     def test_config_level_below_one_is_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_level=0\n")

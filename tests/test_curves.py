@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,6 +105,156 @@ class TestParametricSampling:
     def test_strip_refine_pinned(self, spec):
         s, t = cv.canonical_curve(*spec).strip_refine(18)
         assert (float(sum(s)).hex(), float(sum(t)).hex(), len(s)) == self.PINNED[spec]
+
+
+def _recording_certificates(curve):
+    """Make `curve` record (lo, hi, a, b) of each certified bracket."""
+    calls = []
+    certify = type(curve)._certified_bracket
+
+    def record(z, lo, g_lo, hi, g_hi, tau):
+        a, b = certify(curve, z, lo, g_lo, hi, g_hi, tau)
+        calls.append((lo, hi, a, b))
+        return a, b
+
+    curve._certified_bracket = record
+    return calls
+
+
+def _case_id(x):
+    return "%s:%g:%g" % x if isinstance(x, tuple) else str(x)
+
+
+def _halving_bracket(curve, u, z):
+    hi, lo = u, u * 0.5
+    while curve._dh(z, curve._point(lo)) < cv.HYP_MESH:
+        hi, lo = lo, lo * 0.5
+    return lo, hi
+
+
+class TestCertifiedBisection:
+    """ParametricCurve._step skips the bisection midpoints whose outcome the
+    rounding band decides; these tests evaluate what it skips."""
+
+    SHADOW = [(("chord", th, a), 22) for th in (0.0, 2.5, -1.3)
+              for a in (0.5, -0.4, -1.55)]
+    SHADOW += [(("horocycle", th, side), 14) for th in (0.0, 2.5, -1.3)
+               for side in (1, -1)]
+
+    @pytest.mark.parametrize("spec,level", SHADOW, ids=_case_id)
+    def test_skipped_midpoints_agree_with_evaluation(self, spec, level):
+        curve = cv.canonical_curve(*spec)
+        calls = _recording_certificates(curve)
+        curve.strip_refine(level)
+        us, pts = curve._u, curve._pts
+        assert len(calls) == len(us) - 1
+        skipped = 0
+        for u, z, u_next, (lo0, hi0, a, b) in zip(us, pts, us[1:], calls):
+            # the bisection of every midpoint, 60 times
+            lo, hi = _halving_bracket(curve, u, z)
+            assert (lo, hi) == (lo0, hi0)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                close = curve._dh(z, curve._point(mid)) < cv.HYP_MESH
+                if lo < mid < hi and not a < mid < b:
+                    assert close == (mid >= b)
+                    skipped += 1
+                if close:
+                    hi = mid
+                else:
+                    lo = mid
+            assert lo == u_next
+        assert skipped > 20 * len(calls)
+
+    # sha256 of the little-endian bytes of _u, s and t of strip_refine(level),
+    # recorded while _step evaluated every midpoint
+    SHA256 = {
+        (("horocycle", 2.5, -1), 22): (
+            "e2cfd002cbc547ce530bfb2dbb9f0dcf968c830f2819d3aae269e5e72e5b0196",
+            "51755774b59a79d6880a70e11d7aeeae87ce973332c77f1a7682a252a78eb047",
+            "90675e06acdb3b55e143be212c08fcc57255fc086b2d2c207be8b7d937a9ad05"),
+        (("chord", 0.0, 1.5), 45): (
+            "f11a5ae14ccf786bf7d15db1d1f2831d554e993baec8cb80a3e35055d3c7bc20",
+            "d262f57fb8858ec3675e3452c5240acfa91c5062e7c2a88be9a9284417eff615",
+            "a3e8102e8b37026d8972530ed952ede6e8704402497b558d11baf9f56160f853"),
+        (("chord", 2.5, -1.55), 40): (
+            "bfe8ee94c5aade89e39d837841e484cc828856d0f21fd8391126349f62cbe339",
+            "de1254cbb73682000e88a304296ed40f9b37eb1cf33c16405e3392d4e3b06484",
+            "09060e4f4df7d8e89650b40d66d02721ec3b7719d8ae0ba6824d8d7d975d61f5"),
+    }
+
+    @pytest.mark.parametrize("spec,level", list(SHA256), ids=_case_id)
+    def test_deep_samples_pinned(self, spec, level):
+        curve = cv.canonical_curve(*spec)
+        s, t = curve.strip_refine(level)
+        digests = tuple(hashlib.sha256(np.asarray(x, dtype="<f8").tobytes()).hexdigest()
+                        for x in (curve._u, s, t))
+        assert digests == self.SHA256[(spec, level)]
+
+    def test_evaluations_per_horocycle_step(self):
+        # evaluating every midpoint costs 61 a step (one halving, 60
+        # bisections); the certified bisection spends 22.7
+        curve = cv.canonical_curve("horocycle", 0.0, 1)
+        count = [0]
+        dh = curve._dh
+
+        def counted(a, b):
+            count[0] += 1
+            return dh(a, b)
+
+        curve._dh = counted
+        curve.strip_refine(18)
+        assert count[0] / (len(curve._u) - 1) <= 35
+
+    def test_raising_probe_certifies_nothing(self):
+        curve = cv.canonical_curve("chord", 0.0, 0.5)
+
+        def out_of_domain(a, b):
+            raise ValueError("math domain error")
+
+        curve._dh = out_of_domain
+        z = curve._pts[0]
+        assert curve._certified_bracket(z, 0.25, 1.0, 0.5, 0.0, 1e-12) == (0.25, 0.5)
+
+    ORACLE = [(("horocycle", 0.0, 1), 16), (("horocycle", 2.5, -1), 16),
+              (("chord", 0.0, 0.5), 40), (("chord", -1.3, -1.55), 45)]
+
+    @pytest.mark.parametrize("spec,level", ORACLE, ids=_case_id)
+    def test_gap_error_against_mpmath(self, spec, level):
+        """Inside the band HYP_MESH +- tau, an evaluated gap is within
+        tau/64 of the exact distance between the exact curve points, and an
+        exact gap outside the band is not evaluated more than tau/64 into
+        it: 32 times inside the tau/2 that _step relies on."""
+        import mpmath as mp
+
+        kind, theta, par = spec
+        curve = cv.canonical_curve(*spec)
+        calls = _recording_certificates(curve)
+        curve.strip_refine(level)
+        rng = np.random.default_rng(7)
+        steps = np.unique(np.linspace(0, len(calls) - 1, 40).astype(int))
+        mesh = cv.HYP_MESH
+        worst = 0.0
+        with mp.workprec(200):
+            rot = mp.expj(mp.mpf(theta))
+            if kind == "chord":
+                lean = mp.expj(-mp.mpf(par))
+                point = lambda v: rot * (1 - mp.mpf(v) * lean)
+            else:
+                point = lambda v: rot * (1 + mp.expj(par * mp.mpf(v))) / 2
+            for i in steps:
+                u, z = curve._u[i], curve._pts[i]
+                lo, _, a, b = calls[i]
+                tau = cv.GAP_ERROR_ULPS * 2.0 ** -52 / (1.0 - abs(curve._point(lo)))
+                band = lambda x: min(max(x, mesh - tau), mesh + tau)
+                vs = np.concatenate([[lo, a, b, curve._u[i + 1]], np.linspace(a, b, 12),
+                                     rng.uniform(lo, u, 12)])
+                for v in vs:
+                    g = curve._dh(z, curve._point(float(v)))
+                    p, q = point(u), point(v)
+                    exact = float(2 * mp.atanh(abs(p - q) / abs(1 - p * mp.conj(q))))
+                    worst = max(worst, abs(band(g) - band(exact)) / tau)
+        assert worst < 1.0 / 64
 
 
 class TestCurvilinearAngle:
