@@ -26,8 +26,8 @@ from poincare_boundary_lab import stolz as st
 alpha = math.pi / 4
 m = st.StolzMap(alpha)
 print(f"sector half-angle {alpha:.4f}, admissible radius rho = {m.rho}")
-print(f"  map at 1 - rho: {m.apply(1 - m.rho + 1e-13, check_domain=False):.6f}")
-print(f"  map near 1:     {m.apply(1 - 1e-9, check_domain=False):.12f}")
+print(f"  map at 1 - rho: {m.apply(1 - m.rho + 1e-13):.6f}")
+print(f"  map near 1:     {m.apply(1 - 1e-9):.12f}")
 z = st.StolzAngle(0.0, alpha).sample(2000, seed=0, margin=1e-9)
 w = m.forward_steps(z)
 print(f"  composition vs rational form: "

@@ -561,7 +561,7 @@ class FamilyReport:
     w_sequence: list[complex]
     compact_radius: float
     target: complex
-    sup_ds: list[float]
+    sup_ds: list[float | None]
     verdict: str
     failures: int = 0
 
@@ -585,7 +585,8 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
 
     A NaN value of f with no infinite part is a failed evaluation, not the
     point at infinity: it is left out of the sups, and more than
-    FAILURE_FRACTION of them makes the verdict inconclusive."""
+    FAILURE_FRACTION of them makes the verdict inconclusive.  The sup of a
+    w_n none of whose values evaluated is None (JSON null)."""
     if not 0.0 < r1 < 1.0:
         raise ValueError("compact radius r1 must be in (0, 1)")
     c = complex(c)
@@ -603,8 +604,9 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
         failures += int(np.sum(bad))
         good = vals[~bad]
         ds = spherical_distance_array(good, np.full(len(good), c))
-        sups.append(float(np.max(ds)) if len(ds) else math.nan)
-    verdict = "converges" if sups and sups[-1] < CONVERGE_TOL else "no_convergence"
+        sups.append(float(np.max(ds)) if len(ds) else None)
+    converged = sups and sups[-1] is not None and sups[-1] < CONVERGE_TOL
+    verdict = "converges" if converged else "no_convergence"
     if sups and failures / (len(sups) * len(grid)) > FAILURE_FRACTION:
         verdict = "inconclusive"
     return FamilyReport(ws, r1, c, sups, verdict, failures)

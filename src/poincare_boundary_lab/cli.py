@@ -294,17 +294,13 @@ def cmd_equiv(args, cfg):
 
 def cmd_lemma4(args, cfg):
     values = []
+    contained = True
     for n in range(1, args.n_zigzags + 1):
         g1, g2, mk = cv.build_zigzag_pair(args.r, n)
-        level = cv.zigzag_truncation_level(mk)
-        values.append(cv.curve_frechet(g1, g2, level))
-    if values:
-        s2, t2 = g2.strip_refine(level)
-        band = ge.radius_convert(args.r / 2.0, "ph_to_h")
-        contained = bool(np.all(np.abs(t2) <= band + 1e-12))
-    else:
+        values.append(cv.curve_frechet(g1, g2, cv.zigzag_truncation_level(mk)))
+        contained &= cv.zigzag_contained(g2, mk)
+    if not values:
         _, g2, mk = cv.build_zigzag_pair(args.r, args.n_zigzags)
-        contained = True
     increasing = all(a < b for a, b in zip(values, values[1:]))
     exch = cv.curve_to_exchange(g2, min(12, cfg.max_level))
     rep = {"r": args.r, "n_zigzags": args.n_zigzags, "markers": mk,
@@ -409,7 +405,9 @@ def cmd_family(args, cfg):
     d = rep.to_dict()
     d["function"] = f.label
     code = {"converges": 0, "no_convergence": 4}.get(rep.verdict, 3)
-    return code, d, f"verdict {rep.verdict}  final sup {rep.sup_ds[-1]:.3e}"
+    final = rep.sup_ds[-1]
+    return code, d, (f"verdict {rep.verdict}  final sup "
+                     f"{'none' if final is None else format(final, '.3e')}")
 
 
 def cmd_stolz_map(args, cfg):

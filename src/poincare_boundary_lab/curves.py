@@ -2,9 +2,10 @@
 
 A BoundaryCurve is a simple curve in the open disk ending at a unit-modulus
 point e^{i theta}, represented by an ordered sample polyline plus a refinement
-rule: refine(k) resamples the curve equidistributed in hyperbolic arclength
-(mesh HYP_MESH) out to depth 1 - |last sample| <= 2^{-k}.  Refinement is
-prefix-consistent: refine(k+1) extends refine(k).
+rule: refine(k) samples the curve at hyperbolic gaps of about HYP_MESH
+through the first sample of depth 1 - |z| <= 2^{-k}, a cut `_level_end` makes
+for every curve class, imported samples too.  Refinement is prefix-consistent:
+refine(k+1) extends refine(k).
 
 The module provides the deflection regions Delta_r gamma (unions of closed
 pseudo-hyperbolic disks along the curve), the directed truncated Hausdorff
@@ -61,8 +62,25 @@ def _depth_target(level: int) -> float:
     return 2.0 ** (-level)
 
 
+def _level_end(depth, level: int) -> int:
+    """How many samples level `level` keeps: every sample through the first
+    one with depth <= 2^-level, or all of them if none is that deep."""
+    deep = depth <= _depth_target(level)
+    return int(np.argmax(deep)) + 1 if np.any(deep) else len(deep)
+
+
+def _offset_run(s0: float, t: float, ds: float, level: int):
+    """The uncut run (s0 + j ds, t), j = 0, 1, ..., out to s_end =
+    log(2 cosh t / 2^-level) + 1.  It ends past depth 2^-level: the depth is
+    below 1 - |z|^2 < 4 e^-s / cosh t, which is (2/e) 2^-level / cosh^2 t there."""
+    s_end = math.log(2.0 * math.cosh(t) / _depth_target(level)) + 1.0
+    n = max(0, int(math.ceil((s_end - s0) / ds)))
+    s = s0 + ds * np.arange(n + 1)
+    return s, np.full_like(s, t)
+
+
 class BoundaryCurve:
-    """Base class: subclasses fill _extend_to_depth and _strip_extend."""
+    """Base class: subclasses fill _build_strip, cut with `_level_end`."""
 
     def __init__(self, endpoint_angle: float, label: str = "curve"):
         self.endpoint_angle = float(endpoint_angle)
@@ -74,15 +92,17 @@ class BoundaryCurve:
 
     def refine(self, level: int) -> np.ndarray:
         """Complex samples out to depth 2^{-level}; memoized and nested."""
-        if level < 1:
-            raise ValueError("level must be >= 1")
         if level not in self._levels:
             s, t = self.strip_refine(level)
             self._levels[level] = strip_to_disk(s, t, self.endpoint_angle)
         return self._levels[level]
 
     def strip_refine(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Axial-coordinate samples (s, t); exact arbitrarily deep."""
+        """Axial-coordinate samples (s, t); exact arbitrarily deep.  Every
+        truncated view of a curve comes through here, so the level is
+        checked here once."""
+        if level < 1:
+            raise ValueError("level must be >= 1")
         if level not in self._strip_levels:
             self._strip_levels[level] = self._build_strip(level)
         return self._strip_levels[level]
@@ -231,58 +251,34 @@ class ParametricCurve(BoundaryCurve):
         # concurrent first-call (last writer wins with identical content)
         target = _depth_target(level)
         us, pts = list(self._u), list(self._pts)
-        while 1.0 - abs(pts[-1]) > target:
-            u = self._step(us[-1], pts[-1])
-            us.append(u)
-            pts.append(complex(self._point(u)))
+        try:
+            while 1.0 - abs(pts[-1]) > target:
+                u = self._step(us[-1], pts[-1])
+                us.append(u)
+                pts.append(complex(self._point(u)))
+        except ValueError:
+            # `_dh` met a rounded pseudo-hyperbolic distance >= 1
+            raise ValueError(
+                f"curve {self.label} at level {level}: depth 2^-{level} is "
+                f"below what complex-double samples resolve") from None
         self._u, self._pts = us, pts
         arr = np.asarray(pts, dtype=complex)
-        depth = 1.0 - np.abs(arr)
-        n = int(np.argmax(depth <= target)) + 1
-        s, t = disk_to_strip(arr[:n], self.endpoint_angle)
-        return s, t
-
-
-class RadiusCurve(BoundaryCurve):
-    """The radius from 0 to e^{i theta}; axial samples (j * mesh, 0)."""
-
-    def __init__(self, endpoint_angle: float):
-        super().__init__(endpoint_angle, f"radius:{endpoint_angle:g}")
-
-    def _build_strip(self, level):
-        target = _depth_target(level)
-        s_end = (level + 1) * math.log(2.0)
-        n = int(math.ceil(s_end / HYP_MESH)) + 1
-        s = HYP_MESH * np.arange(n + 1)
-        t = np.zeros_like(s)
-        deep = strip_depth(s, t) <= target
-        keep = int(np.argmax(deep)) + 1 if np.any(deep) else len(s)
-        return s[:keep], t[:keep]
+        n = _level_end(1.0 - np.abs(arr), level)
+        return disk_to_strip(arr[:n], self.endpoint_angle)
 
 
 class HypercycleCurve(BoundaryCurve):
-    """Constant hyperbolic offset t0 from the diameter geodesic."""
+    """Constant hyperbolic offset t0 from the diameter geodesic, sampled at
+    arclength steps ds along it; t0 = 0 is the radius."""
 
-    def __init__(self, endpoint_angle: float, pseudo_offset: float):
-        if not -1.0 < pseudo_offset < 1.0:
-            raise ValueError("hypercycle offset must be in (-1, 1)")
-        super().__init__(endpoint_angle,
-                         f"hypercycle:{endpoint_angle:g}:{pseudo_offset:g}")
-        self.pseudo_offset = float(pseudo_offset)
-        self.t0 = radius_convert(abs(pseudo_offset), "ph_to_h") * (
-            1.0 if pseudo_offset >= 0 else -1.0)
-        # arclength step producing chordal hyperbolic gaps of HYP_MESH
-        c = (math.cosh(HYP_MESH) + math.sinh(self.t0) ** 2) / math.cosh(self.t0) ** 2
-        self._ds = math.acosh(max(c, 1.0))
+    def __init__(self, endpoint_angle: float, t0: float, ds: float, label: str):
+        super().__init__(endpoint_angle, label)
+        self.t0 = float(t0)
+        self._ds = float(ds)
 
     def _build_strip(self, level):
-        target = _depth_target(level)
-        # strip_depth(s, t0) decreases in s; find the needed count directly
-        s_end = math.log(2.0 / target) + 1.0  # depth <= 2 e^{-s}; slight margin
-        n = int(math.ceil(s_end / self._ds)) + 1
-        s = self._ds * np.arange(n + 1)
-        t = np.full_like(s, self.t0)
-        keep = int(np.argmax(strip_depth(s, t) <= target)) + 1
+        s, t = _offset_run(0.0, self.t0, self._ds, level)
+        keep = _level_end(strip_depth(s, t), level)
         return s[:keep], t[:keep]
 
 
@@ -296,7 +292,7 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
     """
     theta = float(theta)
     if kind == "radius":
-        return RadiusCurve(theta)
+        return HypercycleCurve(theta, 0.0, HYP_MESH, f"radius:{theta:g}")
     if kind == "chord":
         if parameter is None or not -math.pi / 2 < parameter < math.pi / 2:
             raise ValueError("chord angle must be in (-pi/2, pi/2)")
@@ -309,7 +305,15 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
     if kind == "hypercycle":
         if parameter is None:
             raise ValueError("hypercycle needs a pseudo-hyperbolic offset")
-        return HypercycleCurve(theta, float(parameter))
+        offset = float(parameter)
+        if not -1.0 < offset < 1.0:
+            raise ValueError("hypercycle offset must be in (-1, 1)")
+        t0 = radius_convert(abs(offset), "ph_to_h") * (1.0 if offset >= 0 else -1.0)
+        # arclength step producing chordal hyperbolic gaps of HYP_MESH; the
+        # radius passes HYP_MESH itself, which this rounds to 0.25000000000000006
+        c = (math.cosh(HYP_MESH) + math.sinh(t0) ** 2) / math.cosh(t0) ** 2
+        return HypercycleCurve(theta, t0, math.acosh(max(c, 1.0)),
+                               f"hypercycle:{theta:g}:{offset:g}")
     if kind == "horocycle":
         side = 1.0 if parameter is None or parameter >= 0 else -1.0
         rot = complex(np.exp(1j * theta))
@@ -338,8 +342,6 @@ class CurvilinearAngle:
 
 def angle_contains(angle: CurvilinearAngle, z, level: int = DEFAULT_LEVEL) -> bool:
     """Sampled membership test: min d_ph(z, samples) <= deflection + slack."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
     zv = as_complex(z)
     samples = angle.curve.refine(level)
     d = pseudo_hyperbolic_distance_array(zv, samples)
@@ -371,8 +373,6 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve, level: int) ->
     """sup over refine(level) samples of c1 of the hyperbolic distance to
     c2's refine(level+2) samples: a directed Hausdorff distance at truncation
     `level`."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level + 2)
@@ -596,8 +596,8 @@ def polyline_is_simple(points) -> bool:
 
 class StripPolylineCurve(BoundaryCurve):
     """Curve given by a polyline in axial coordinates plus a straight tail at
-    fixed offset; refine(k) densifies edges at HYP_MESH and extends the tail
-    until the depth target is met."""
+    fixed offset; refine(k) densifies edges at HYP_MESH, keeps the polyline
+    whole and extends the tail until it is cut at the level's depth."""
 
     def __init__(self, endpoint_angle, vertices, tail_offset, label="strip-polyline"):
         super().__init__(endpoint_angle, label)
@@ -616,23 +616,16 @@ class StripPolylineCurve(BoundaryCurve):
         return np.asarray(out_s), np.asarray(out_t)
 
     def _build_strip(self, level):
-        target = _depth_target(level)
         s, t = self._densify()
-        # tail: continue at the final offset until deep enough, then trim at
-        # the first sample past the depth target (keeps truncation ends of
-        # different curves aligned to within one mesh step)
-        s_last, t_last = s[-1], self.tail_offset
-        ds = HYP_MESH / math.cosh(t_last)
-        s_end = math.log(2.0 * math.cosh(t_last) / target) + 1.0
-        if s_end > s_last:
-            n = int(math.ceil((s_end - s_last) / ds))
-            tail_s = s_last + ds * np.arange(1, n + 1)
-            tail_t = np.full(n, t_last)
-            deep = strip_depth(tail_s, tail_t) <= target
-            keep = int(np.argmax(deep)) + 1 if np.any(deep) else n
-            s = np.concatenate([s, tail_s[:keep]])
-            t = np.concatenate([t, tail_t[:keep]])
-        return s, t
+        # tail: continue at the final offset past the polyline's last sample
+        # (keeps truncation ends of different curves aligned to within one
+        # mesh step)
+        ds = HYP_MESH / math.cosh(self.tail_offset)
+        tail_s, tail_t = _offset_run(s[-1], self.tail_offset, ds, level)
+        tail_s, tail_t = tail_s[1:], tail_t[1:]
+        keep = _level_end(strip_depth(tail_s, tail_t), level)
+        return (np.concatenate([s, tail_s[:keep]]),
+                np.concatenate([t, tail_t[:keep]]))
 
 
 def zigzag_anchor_positions(n_zigzags: int) -> tuple[list[float], list[float]]:
@@ -647,6 +640,14 @@ def zigzag_truncation_level(markers: dict) -> int:
     """Truncation level for a zigzag pair: the first level with 2^-level below
     e^{-(s + 2)}, s the last forward anchor, plus one."""
     return int(math.ceil((markers["z_anchors_s"][-1] + 2.0) / math.log(2.0))) + 1
+
+
+def zigzag_contained(gamma2: BoundaryCurve, markers: dict) -> bool:
+    """Whether gamma2's samples at the pair's truncation level lie, to 1e-12,
+    in s >= 0, |t| <= markers["deflection_band"] (as a hyperbolic radius)."""
+    s, t = gamma2.strip_refine(zigzag_truncation_level(markers))
+    band = radius_convert(markers["deflection_band"], "ph_to_h")
+    return bool(np.all(np.abs(t) <= band + 1e-12) and np.all(s >= -1e-12))
 
 
 def build_zigzag_pair(r: float, n_zigzags: int):
@@ -665,7 +666,7 @@ def build_zigzag_pair(r: float, n_zigzags: int):
     if n_zigzags < 0:
         raise ValueError("n_zigzags must be >= 0")
     theta = 0.0
-    gamma1 = RadiusCurve(theta)
+    gamma1 = canonical_curve("radius", theta)
 
     zs, ws = zigzag_anchor_positions(n_zigzags)
     markers = {
@@ -681,8 +682,7 @@ def build_zigzag_pair(r: float, n_zigzags: int):
         # gamma2 degenerates to a prefix of gamma1 (the radius itself); give
         # it the radius sampling grid so the Frechet distance is exactly 0.
         markers["visit_s"] = zs[:1]
-        gamma2 = RadiusCurve(theta)
-        gamma2.label = "zigzag:0"
+        gamma2 = HypercycleCurve(theta, 0.0, HYP_MESH, "zigzag:0")
         return gamma1, gamma2, markers
 
     # visit order: z1, z2, w1, z3, w2, ..., z_{n+1}, w_n
@@ -747,9 +747,9 @@ def build_zigzag_pair(r: float, n_zigzags: int):
 
 
 class SampleBackedCurve(BoundaryCurve):
-    """Curve defined by a fixed sample list (the CLI exchange format);
-    refine ignores the level beyond truncating at the level's depth.  Every
-    sample must satisfy as_complex's |z| < 1 - DISK_BOUNDARY_MARGIN."""
+    """Curve defined by a fixed sample list (the CLI exchange format); a level
+    keeps the samples through the first at depth <= 2^-level, or all of them.
+    Every sample must satisfy as_complex's |z| < 1 - DISK_BOUNDARY_MARGIN."""
 
     def __init__(self, endpoint_angle, samples, label="imported"):
         super().__init__(endpoint_angle, label)
@@ -765,7 +765,8 @@ class SampleBackedCurve(BoundaryCurve):
                 f"not inside the unit disk")
 
     def _build_strip(self, level):
-        return disk_to_strip(self._fixed, self.endpoint_angle)
+        keep = _level_end(1.0 - np.abs(self._fixed), level)
+        return disk_to_strip(self._fixed[:keep], self.endpoint_angle)
 
 
 def curve_to_exchange(curve: BoundaryCurve, level: int = DEFAULT_LEVEL) -> dict:

@@ -146,13 +146,10 @@ def criterion_zigzag(seed: int):
     simple = True
     for n in range(1, 9):
         g1, g2, mk = cv.build_zigzag_pair(r, n)
-        level = cv.zigzag_truncation_level(mk)
-        s2, t2 = g2.strip_refine(level)
-        band_t = ge.radius_convert(r / 2.0, "ph_to_h")
-        contained &= bool(np.all(np.abs(t2) <= band_t + 1e-12) and np.all(s2 >= -1e-12))
+        contained &= cv.zigzag_contained(g2, mk)
         simple &= cv.polyline_is_simple(
             np.array([complex(a, b) for a, b in g2.vertices]))
-        values.append(cv.curve_frechet(g1, g2, level))
+        values.append(cv.curve_frechet(g1, g2, cv.zigzag_truncation_level(mk)))
     increasing = all(a < b for a, b in zip(values, values[1:]))
     crosses = values[4] > 10.0
     # sampled membership cross-check on the shallow part (n = 2)
@@ -261,8 +258,8 @@ def criterion_stolz(seed: int):
     details = {}
     for alpha in (math.pi / 4, math.pi / 3):
         m = st.StolzMap(alpha)
-        w_end = m.apply(1.0 - m.rho + 1e-12, check_domain=False)
-        near1 = m.apply(1.0 - 1e-7, check_domain=False)
+        w_end = m.apply(1.0 - m.rho + 1e-12)
+        near1 = m.apply(1.0 - 1e-7)
         ang = st.StolzAngle(0.0, alpha)
         z = ang.sample(1000, seed=seed, margin=1e-9)
         w = m.forward_steps(z)

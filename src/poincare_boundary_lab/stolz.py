@@ -109,12 +109,12 @@ class StolzMap:
         T = ((1.0 - z) / self.rho) ** self.exponent
         return (T * T + 2.0 * T - 1.0) / (T * T - 2.0 * T - 1.0)
 
-    def apply(self, z, check_domain: bool = True):
+    def apply(self, z):
         angle = StolzAngle(0.0, self.alpha, self.rho)
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if check_domain and not np.all(angle.contains(arr)):
+        if not np.all(angle.contains(arr)):
             raise StolzMapDomainError("point outside the Stolz angle")
         out = self.forward_steps(arr)
         return complex(out[0]) if scalar else out

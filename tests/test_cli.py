@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import cli
 from poincare_boundary_lab import curves as cv
+from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
 from poincare_boundary_lab import selftest as sft
 from poincare_boundary_lab import stolz as st
@@ -177,6 +179,14 @@ class TestExitCodes:
         assert not os.listdir(tmp_path)
         assert run(["gallery", "--name", f"{name}:10", "--at", "0.2,0.1"], tmp_path) == 0
 
+    def test_level_past_double_precision_is_2(self, tmp_path, capsys):
+        argv = ["frechet", "--curve1", "radius:0", "--curve2", "chord:0:0.5", "--level"]
+        assert run(argv + ["53"], tmp_path) == 0
+        assert run(argv + ["54"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert ("error: curve chord:0:0.5 at level 54: depth 2^-54 is below "
+                "what complex-double samples resolve") in err
+
     def test_config_level_below_one_is_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_level=0\n")
@@ -324,6 +334,19 @@ class TestOtherSubcommands:
                     "--sequence", "poles:8"], tmp_path)
         assert code == 0
         assert "diverging" in capsys.readouterr().out
+
+    def test_family_sup_of_failed_values_is_null(self, tmp_path, capsys, monkeypatch):
+        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan))
+        monkeypatch.setattr(cli, "parse_function", lambda spec: nanf)
+        assert run(["family", "--function", "nanf", "--target", "0,0",
+                    "--r1", "0.5", "--depths", "1:2"], tmp_path) == 3
+        assert "final sup none" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"report holds {name}")
+
+        report = json.loads(latest_report(tmp_path, "family"), parse_constant=reject)
+        assert report["sup_ds"] == [None, None]
 
     def test_family(self, tmp_path):
         assert run(["family", "--function", "identity", "--target", "1,0",

@@ -257,6 +257,96 @@ class TestCertifiedBisection:
         assert worst < 1.0 / 64
 
 
+def _strip_digest(curve, level):
+    s, t = curve.strip_refine(level)
+    data = np.asarray(s, dtype="<f8").tobytes() + np.asarray(t, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest(), len(s)
+
+
+class TestLevelEnd:
+    """Where a level of each curve class ends."""
+
+    # sha256 of the little-endian bytes of s then t, and len(s), of
+    # strip_refine(level), recorded when the radius, the hypercycles and the
+    # polyline tail each cut their own runs
+    OFFSET_RUNS = {
+        (("radius", 0.0, 0), 1): (
+            "df286f75bbf504e34ec49e2e0d58bef3368d59b9381845780b88fd59ed3f788f", 6),
+        (("radius", 0.0, 0), 20): (
+            "af0cb710c675c324473b06fadbaa660d6b39e901a29650e1030613487cd6af90", 60),
+        (("radius", 2.5, 0), 60): (
+            "2ef2e9954d3b0deed51ce1b5cb877b273f74f474e9a024e9b5bda52e0555e459", 171),
+        (("hypercycle", 0.0, 0.0), 1): (
+            "092360039a8536ff05d302b66f5b34155d3221071c762b957a121406ec80ff80", 6),
+        (("hypercycle", 0.0, 0.0), 60): (
+            "92ccecaf435f854455ba4c11320fef2868e1c317fa7bc2a1e77e983bbfb42b1b", 171),
+        (("hypercycle", 0.0, 1e-9), 60): (
+            "c29c79f79735e7b09ae49c13ac6ae9637fa5463972221a0a8062d6d3bac74e09", 171),
+        (("hypercycle", 0.0, 0.5), 1): (
+            "96f8e6b3f9ccf5567eb055f6a4494141908691ee5f62cf81fa2820cc2ef411b6", 2),
+        (("hypercycle", 0.0, 0.5), 60): (
+            "52eeadea9308ab64b36333cf4de886be5fad0bab2c8f740fbc70234f9884ea50", 280),
+        (("hypercycle", 0.0, 0.95), 1): (
+            "cee416e930af4659eb469b2bfea91f79ce594d6aef2d8d8a797f54f0646ba65c", 1),
+        (("hypercycle", 0.0, 0.95), 20): (
+            "a47c00bbf3a9925eea9bce723646950cbda00764231afe3b6b9c2842fbdba9e1", 903),
+        (("hypercycle", 2.5, -0.95), 1): (
+            "f0a37a93ca38dd2eb73395a16afb7614cf3647e61bb695965f5d5102009e7b29", 1),
+        (("hypercycle", 2.5, -0.95), 60): (
+            "644e6322e6fe427b4bcae5fed0594e45bbee7751c2908b9ef9d0338c3863e2a0", 3062),
+    }
+
+    @pytest.mark.parametrize("spec,level", list(OFFSET_RUNS), ids=_case_id)
+    def test_offset_runs_pinned(self, spec, level):
+        curve = cv.canonical_curve(*spec)
+        assert _strip_digest(curve, level) == self.OFFSET_RUNS[(spec, level)]
+
+    # (gamma1, gamma2) digests at (n, level) for r = 0.5; None is the pair's
+    # truncation level
+    ZIGZAGS = {
+        (0, None): (("67e5de2a4dbf74fee43c7351f6866b5d4c8737c82579dd1e6cc9051b1fe3b8f1", 21),
+                    ("67e5de2a4dbf74fee43c7351f6866b5d4c8737c82579dd1e6cc9051b1fe3b8f1", 21)),
+        (0, 80): (("dfbda0f040564840d4032e5bb3348118e1c5fbfe5fa7474507e1c1869e996d93", 226),
+                  ("dfbda0f040564840d4032e5bb3348118e1c5fbfe5fa7474507e1c1869e996d93", 226)),
+        (3, None): (("41004506f1e319938b06fb3f92ad158ae5054c35f0164c89fc24451b4036cd70", 79),
+                    ("c5e96aea8c8a931a2b66c88f96822acd7a474994ce637138f40a035bb1cc9cdc", 404)),
+        (3, 80): (("dfbda0f040564840d4032e5bb3348118e1c5fbfe5fa7474507e1c1869e996d93", 226),
+                  ("00eb44f160749e9518a8b724ab5e77bee32c9565d06246abe0c1ef6b79365b87", 555)),
+        (8, None): (("c5235348f1d672e22a38ca6a87978c1f93584b636a09553179a743b40a2fef42", 340),
+                    ("b07cced17200fdf415d4080c56a13b9e74da8677eb19b1cc535c0fedc9619ad8", 1869)),
+        (8, 80): (("dfbda0f040564840d4032e5bb3348118e1c5fbfe5fa7474507e1c1869e996d93", 226),
+                  ("61f45603688f7035f73f587c4b1e9de86be9f87ff4902d25e78d477d462619c0", 1856)),
+        (12, None): (("4a24a757fe58a78449c3aee48c96fa7659c66e0cb48b9b4bc9b0c2357e29430c", 692),
+                     ("f29f4b42f354f31766045692903e93ea678bd8e4c5842409f00eb07bf9c19933", 3762)),
+        (12, 80): (("dfbda0f040564840d4032e5bb3348118e1c5fbfe5fa7474507e1c1869e996d93", 226),
+                   ("b2d28c827146aee30c807a5f46aa63191e8c280335efc25586e641e46f4b37b1", 3748)),
+    }
+
+    @pytest.mark.parametrize("n,level", list(ZIGZAGS), ids=str)
+    def test_zigzag_pairs_pinned(self, n, level):
+        g1, g2, mk = cv.build_zigzag_pair(0.5, n)
+        k = level or cv.zigzag_truncation_level(mk)
+        assert (_strip_digest(g1, k), _strip_digest(g2, k)) == self.ZIGZAGS[(n, level)]
+
+    def test_imported_samples_cut_at_level_depth(self):
+        # depths 1, 0.5, 0.1, 0.01: through the first at most 2^-level deep,
+        # or all of them
+        curve = cv.SampleBackedCurve(0.0, [0.0, 0.5, 0.9, 0.99])
+        assert [len(curve.refine(k)) for k in (1, 3, 4, 7)] == [2, 3, 4, 4]
+        hyp = cv.canonical_curve("hypercycle", 0.0, 0.5)
+        back = cv.curve_from_exchange(cv.curve_to_exchange(hyp, 12))
+        for k in range(1, 13):
+            assert back.refine(k) == pytest.approx(hyp.refine(k), abs=1e-12)
+        assert len(back.refine(14)) == len(hyp.refine(12))
+
+    def test_level_below_one_rejected(self, radius, chord):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            radius.strip_refine(0)
+        for level in (0, -3):
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                cv.curve_frechet(radius, chord, level)
+
+
 class TestCurvilinearAngle:
     def test_deflection_zero_is_curve(self, radius):
         region = cv.CurvilinearAngle(radius, 0.0)

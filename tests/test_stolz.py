@@ -52,13 +52,13 @@ class TestStolzAngle:
 class TestStolzMap:
     def test_boundary_correspondences(self, alpha):
         m = st.StolzMap(alpha)
-        w = m.apply(1.0 - m.rho + 1e-12, check_domain=False)
+        w = m.apply(1.0 - m.rho + 1e-12)
         assert abs(w + 1.0) <= 1e-9
-        assert abs(m.apply(1.0 - 1e-8, check_domain=False) - 1.0) <= 1e-7
+        assert abs(m.apply(1.0 - 1e-8) - 1.0) <= 1e-7
 
     def test_axis_sequence_converges_to_one(self, alpha):
         m = st.StolzMap(alpha)
-        gaps = [abs(m.apply(1.0 - 10.0 ** (-k), check_domain=False) - 1.0)
+        gaps = [abs(m.apply(1.0 - 10.0 ** (-k)) - 1.0)
                 for k in range(2, 8)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
