@@ -22,7 +22,7 @@ cases = [
     fn.identity_function(),
     fn.automorphism_function(ge.mobius_translation(0.3)),
     fn.gallery("saginjan_h"),
-    fn.RationalPoleFunction(sch, 20),
+    fn.RationalPoleFunction(sch),
     fn.gallery("square_exp"),
 ]
 
@@ -33,7 +33,7 @@ for f in cases:
     print(f"{f.label:<22} verdict={rep.verdict:<10} sup tail: {tail}")
 
 print("\nblow-up indicators at the pole sequence of the series:")
-f0 = fn.RationalPoleFunction(sch, 20)
+f0 = fn.RationalPoleFunction(sch)
 ind = an.pseq_indicator_local_sup(f0, sch.pole_points[:8],
                                   sch.hyperbolic_diameters[:8])
 print("  local sups:", ", ".join(f"{v:.3g}" for v in ind.values))

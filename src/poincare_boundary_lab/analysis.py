@@ -51,6 +51,8 @@ FAMILY_MESH = 0.02        # Euclidean grid step on the compact of a family check
 GROWTH_FACTOR = 2.0       # each of the last three steps >= x2 => diverging
 CONVERGE_TOL = 1e-3       # limit candidates / family convergence
 FAILURE_FRACTION = 0.01   # more nan evaluations than this => inconclusive
+SHELL_SAMPLES = 200       # accepted points a cluster shell aims for
+PSEQ_THRESHOLDS = (10.0, 100.0, 1000.0)  # all eventually exceeded => positive
 
 DEFAULT_THRESHOLDS = {
     "plateau_ratio": PLATEAU_RATIO,
@@ -269,7 +271,7 @@ def _zoom_max(f, region, levels, z0, v0):
 
 
 def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
-                  max_level: int, zoom: bool = True) -> NormalityReport:
+                  max_level: int) -> NormalityReport:
     """Truncation-indexed sups of (1 - |z|^2) f#(z) over the deflection region.
 
     Level k covers the curve out to refine(k) with pseudo-hyperbolic disks of
@@ -312,9 +314,8 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
         if np.any(mask):
             peak_levels.append(k)
             peaks.append(int(np.argmax(np.where(mask, vals, -np.inf))))
-    level_sups = [float(v) for v in vals[peaks]]
-    if zoom and peaks:
-        level_sups = _zoom_max(f, region, peak_levels, pool[peaks], vals[peaks])
+    level_sups = _zoom_max(f, region, peak_levels, pool[peaks], vals[peaks]) \
+        if peaks else []
     level_sup = dict(zip(peak_levels, level_sups))
     sups: list[float] = []
     running = 0.0
@@ -345,17 +346,16 @@ class IndicatorReport:
                 "verdict": self.verdict, "details": self.details}
 
 
-def pseq_indicator_pointwise(f: FunctionHandle, sequence,
-                             thresholds=(10.0, 100.0, 1000.0)) -> IndicatorReport:
+def pseq_indicator_pointwise(f: FunctionHandle, sequence) -> IndicatorReport:
     """Reports (1 - |z_n|^2) f#(z_n) and whether the values eventually exceed
-    every threshold: a sufficient blow-up indicator, never a definitional
-    verdict."""
+    each of PSEQ_THRESHOLDS: a sufficient blow-up indicator, never a
+    definitional verdict."""
     z = np.asarray([as_complex(p) for p in sequence], dtype=complex)
     if not np.all(np.diff(np.abs(z)) > 0):
         raise ValueError("sequence moduli must increase toward 1")
     vals = lehto_virtanen_array(f, z)
     crossed = {}
-    for T in thresholds:
+    for T in PSEQ_THRESHOLDS:
         above = vals >= T
         idx = None
         for i in range(len(vals)):
@@ -367,7 +367,7 @@ def pseq_indicator_pointwise(f: FunctionHandle, sequence,
     return IndicatorReport(
         "pointwise", [float(v) for v in vals],
         "positive" if positive else "negative",
-        {"thresholds": list(thresholds), "crossed_at": crossed})
+        {"thresholds": list(PSEQ_THRESHOLDS), "crossed_at": crossed})
 
 
 def pseq_indicator_local_sup(f: FunctionHandle, sequence, radii) -> IndicatorReport:
@@ -484,8 +484,7 @@ class ClusterEstimate:
 
 
 def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
-                     shell_levels=range(2, 15), min_samples: int = 200,
-                     seed: int = 0, extra_points=None,
+                     shell_levels=range(2, 15), seed: int = 0, extra_points=None,
                      record_values: bool = True) -> ClusterEstimate:
     """Sample f on nested boundary shells of the region and track the
     spherical spread of the values.
@@ -507,9 +506,9 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
         hi, lo = 2.0 ** (-k), 2.0 ** (-k - 1)
         accepted = []
         attempts = 0
-        while sum(len(a) for a in accepted) < min_samples and attempts < 60:
+        while sum(len(a) for a in accepted) < SHELL_SAMPLES and attempts < 60:
             attempts += 1
-            n = 4 * min_samples
+            n = 4 * SHELL_SAMPLES
             rho = np.sqrt(rng.uniform(lo ** 2, hi ** 2, n))
             ang = rng.uniform(-math.pi, math.pi, n)
             z = e * (1.0 - rho * np.exp(1j * ang))

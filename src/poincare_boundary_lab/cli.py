@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
 import json
 import math
 import os
@@ -40,65 +38,35 @@ class RunConfig:
     seed: int = sft.DEFAULT_SEED
     max_level: int = 12
     output_dir: str = "pblab-reports"
-    format: str = "json"
 
 
 class CliError(ValueError):
     pass
 
 
-def _parse_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
-    return out
+def _positive(value: int, name: str) -> int:
+    if value < 1:
+        raise CliError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def build_config(args) -> RunConfig:
+    """Flags first; PBLAB_OUTPUT_DIR stands in for --output-dir; then defaults."""
     cfg = RunConfig()
-    env_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if env_dir:
-        cfg.output_dir = env_dir
-    if args.config:
-        for key, val in _parse_config_file(args.config).items():
-            if key == "seed":
-                cfg.seed = int(val)
-            elif key == "max_level":
-                cfg.max_level = int(val)
-            elif key == "output_dir":
-                cfg.output_dir = val
-            elif key == "format":
-                cfg.format = val
-            else:
-                raise CliError(f"unknown config key {key!r}")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.max_level is not None:
-        cfg.max_level = args.max_level
+        cfg.max_level = _positive(args.max_level, "max_level")
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
-    if args.format is not None:
-        cfg.format = args.format
-    if cfg.format not in ("json", "csv"):
-        raise CliError(f"unknown format {cfg.format!r}")
-    if cfg.max_level < 1:
-        raise CliError(f"max_level must be >= 1, got {cfg.max_level}")
+    elif os.environ.get(OUTPUT_DIR_ENV):
+        cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
     return cfg
 
 
 def _level(value, default: int) -> int:
     """A subcommand's level flag, or `default` when it is absent."""
-    level = default if value is None else value
-    if level < 1:
-        raise CliError(f"level must be >= 1, got {level}")
-    return level
+    return _positive(default if value is None else value, "level")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +118,7 @@ def parse_function(spec: str) -> fn.FunctionHandle:
         if k < 10:
             # PoleSchedule's own checks reject every schedule of 4 to 9 poles
             raise CliError(f"{name} needs K >= 10")
-        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, k), k)
+        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, k))
         return f if name == "pole_series" else fn.DampedPoleFunction(f)
     raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
                    f"also identity, constant:c, automorphism:w, "
@@ -189,54 +157,11 @@ def _json_default(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def _report_rows(report: dict):
-    """Rows for the CSV rendering: (index-name, index, value) triples plus
-    scalar metadata repeated on each row."""
-    for key in ("levels", "shells", "rows"):
-        if key in report and isinstance(report[key], list):
-            rows = []
-            if key == "levels" and "values" in report:
-                for lv, val in zip(report["levels"], report["values"]):
-                    rows.append({"level": lv, "value": val})
-            elif key == "levels" and "sups" in report:
-                for lv, val in zip(report["levels"], report["sups"]):
-                    rows.append({"level": lv, "value": val})
-            elif key == "shells":
-                for sh in report["shells"]:
-                    rows.append({"shell": sh.get("shell"),
-                                 "value": sh.get("diameter"),
-                                 "n": sh.get("n")})
-            elif key == "rows":
-                for i, r in enumerate(report["rows"]):
-                    rec = {"index": i}
-                    rec.update({k: v for k, v in r.items()
-                                if isinstance(v, (int, float, str))})
-                    rows.append(rec)
-            if rows:
-                return rows
-    return [{"value": json.dumps(report.get("value"), default=_json_default)}] \
-        if "value" in report else [{"note": "no tabular data"}]
-
-
 def write_report(cfg: RunConfig, subcommand: str, report: dict) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"{time.time_ns() % 1_000_000_000:09d}"
-    path = os.path.join(cfg.output_dir, f"{subcommand}-{stamp}.{cfg.format}")
-    if cfg.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True,
-                             default=_json_default) + "\n"
-    else:
-        buf = io.StringIO()
-        rows = _report_rows(report)
-        meta = {"subcommand": subcommand, "seed": report.get("seed", cfg.seed)}
-        fields = list(rows[0].keys()) + list(meta.keys())
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for r in rows:
-            r = dict(r)
-            r.update(meta)
-            writer.writerow(r)
-        payload = buf.getvalue()
+    path = os.path.join(cfg.output_dir, f"{subcommand}-{stamp}.json")
+    payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(payload)
@@ -322,36 +247,49 @@ def cmd_normality(args, cfg):
     return code, d, f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
 
 
-def _build_sequence(spec: str, sch: fn.PoleSchedule):
-    parts = spec.split(":")
-    kind = parts[0]
-    n = int(parts[1]) if len(parts) > 1 else 8
+SEQUENCE_KINDS = ("radial", "poles", "pole-adjacent", "pole-offset")
+
+
+def _parse_sequence(spec: str, n_poles: int) -> tuple[str, int]:
+    """kind[:N], N >= 1 (default 8); the pole kinds take at most the n_poles
+    scheduled poles."""
+    kind, colon, count = spec.partition(":")
+    if kind not in SEQUENCE_KINDS or (colon and not count.isdecimal()):
+        raise CliError(f"bad sequence spec {spec!r}; expected kind[:N] with kind in "
+                       f"{', '.join(SEQUENCE_KINDS)}")
+    n = _positive(int(count) if colon else 8, f"N of sequence {spec!r}")
+    if kind != "radial" and n > n_poles:
+        raise CliError(f"sequence {spec!r} asks for {n} poles; the schedule has {n_poles}")
+    return kind, n
+
+
+def _build_sequence(kind: str, n: int, sch: fn.PoleSchedule):
     if kind == "radial":
         return np.array([1.0 - 2.0 ** (-k) for k in range(1, n + 1)]), None
     if kind == "poles":
         return sch.pole_points[:n], sch.hyperbolic_diameters[:n]
     if kind == "pole-adjacent":
         return sch.pole_points[:n] + sch.radii[:n] ** 2 * 1e-3, None
-    if kind == "pole-offset":
-        return sch.pole_points[:n] + sch.radii[:n], None
-    raise CliError(f"unknown sequence spec {spec!r}")
+    return sch.pole_points[:n] + sch.radii[:n], None
 
 
 def cmd_pseq(args, cfg):
     sch = fn.PoleSchedule.default(0.0, 20)
     f = parse_function(args.function)
+    kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
     if args.mode == "pointwise":
-        seq, _ = _build_sequence(args.sequence, sch)
+        seq, _ = _build_sequence(kind, n, sch)
         rep = an.pseq_indicator_pointwise(f, seq)
     elif args.mode == "local-sup":
-        seq, radii = _build_sequence(args.sequence, sch)
+        seq, radii = _build_sequence(kind, n, sch)
         if radii is None:
             radii = np.array([0.5 * 0.7 ** i for i in range(len(seq))])
         rep = an.pseq_indicator_local_sup(f, seq, radii)
     elif args.mode == "split-pair":
-        n = int(args.sequence.split(":")[1]) if ":" in args.sequence else 8
-        seq_a = sch.pole_points[:n] + sch.radii[:n]
-        seq_b = sch.pole_points[:n] + sch.radii[:n] ** 2 * 1e-3
+        if kind != "poles":
+            raise CliError(f"split-pair takes --sequence poles:N, got {args.sequence!r}")
+        seq_a, _ = _build_sequence("pole-offset", n, sch)
+        seq_b, _ = _build_sequence("pole-adjacent", n, sch)
         alpha = parse_complex(args.alpha) if args.alpha else \
             complex(f.eval_array(np.array([seq_a[-1]]))[0])
         rep = an.pseq_indicator_split_pair(f, seq_a, seq_b, alpha, args.delta)
@@ -423,7 +361,7 @@ def cmd_stolz_map(args, cfg):
                "roundtrip_error": abs(back - z)}
         return 0, rep, f"w = {w:.12g}"
     ang = st.StolzAngle(0.0, args.alpha, m.rho)
-    z = ang.sample(args.grid, seed=cfg.seed, margin=1e-9)
+    z = ang.sample(_positive(args.grid, "--grid"), seed=cfg.seed, margin=1e-9)
     w = m.forward_steps(z)
     rt = float(np.max(np.abs(m.invert(w) - z)))
     closed = float(np.max(np.abs(w - m.closed_form(z))))
@@ -435,7 +373,7 @@ def cmd_stolz_map(args, cfg):
 
 def cmd_lemma6(args, cfg):
     m_hat, big_m, ok = st.stolz_distortion_bounds(
-        args.alpha, args.beta, args.samples, seed=cfg.seed)
+        args.alpha, args.beta, _positive(args.samples, "--samples"), seed=cfg.seed)
     rep = {"alpha": args.alpha, "beta": args.beta, "samples": args.samples,
            "m": m_hat, "M": big_m, "holdout_pass": ok}
     return (0 if ok else 4), rep, f"m={m_hat:.6g} M={big_m:.6g} pass={ok}"
@@ -472,14 +410,12 @@ def cmd_selftest(args, cfg):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pblab",
+    p = argparse.ArgumentParser(  # main() reports errors of the global options
+        prog="pblab", exit_on_error=False,
         description="numerical laboratory for boundary behavior on the unit disk")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--no-report", action="store_true",
                    help="skip writing the report file")
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -577,9 +513,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unknown_global_options(parser: argparse.ArgumentParser, argv) -> list[str]:
+    """The options before the subcommand that `parser` does not take."""
+    probe = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    for action in parser._actions:
+        if action.option_strings:
+            probe.add_argument(*action.option_strings, dest=action.dest,
+                               action="store_true" if action.nargs == 0 else "store")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand on
+    return probe.parse_known_args(argv)[1]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # after an unknown option argparse takes the next word for the
+        # subcommand ("invalid choice: 'csv'"); name the option instead
+        unknown = _unknown_global_options(parser, sys.argv[1:] if argv is None else argv)
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else str(exc))
     try:
         cfg = build_config(args)
         # equiv and normality take their own --max-level, echoed as max_level too
@@ -588,7 +541,7 @@ def main(argv=None) -> int:
         code, report, text = args.handler(args, cfg)
         report = {"subcommand": args.subcommand, "seed": cfg.seed,
                   "arguments": {k: v for k, v in sorted(vars(args).items())
-                                if k not in ("config", "handler") and v is not None},
+                                if k != "handler" and v is not None},
                   **report}
         if not args.no_report:
             path = write_report(cfg, args.subcommand, report)

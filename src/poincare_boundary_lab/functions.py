@@ -293,15 +293,13 @@ class PoleSchedule:
 
 
 class RationalPoleFunction(FunctionHandle):
-    """Truncated series sum_{k<=K} eps_k^2 / (z - z_k)."""
+    """Truncated series sum_{k<=K} eps_k^2 / (z - z_k) over the K poles of
+    the schedule."""
 
-    def __init__(self, schedule: PoleSchedule, truncation: int):
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        K = min(truncation, len(schedule.pole_points))
-        self.label = f"pole-series:K={K}"
-        self.pole_points = schedule.pole_points[:K]
-        self.coeffs = (schedule.radii[:K] ** 2).astype(float)
+    def __init__(self, schedule: PoleSchedule):
+        self.label = f"pole-series:K={len(schedule.pole_points)}"
+        self.pole_points = schedule.pole_points
+        self.coeffs = (schedule.radii ** 2).astype(float)
         self.pole_residues = self.coeffs.astype(complex)
         self._endpoint = complex(np.exp(1j * schedule.theta))
 

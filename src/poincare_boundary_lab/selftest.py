@@ -5,13 +5,12 @@ Each criterion returns (passed, details); the details hold what a report
 can write: JSON values and complex numbers.  run_all aggregates them
 deterministically for a seed and echoes, under `tolerances`, the threshold
 constants the lab's verdicts read; they are fixed module constants, not
-options.  run_criterion runs one criterion and adds its wall time.
+options.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -173,7 +172,7 @@ def criterion_normality(seed: int):
     rep_a = an.normality_sup(
         fn.automorphism_function(ge.mobius_translation(0.3)), reg, 10)
     sch = fn.PoleSchedule.default(0.0, 20)
-    f0 = fn.RationalPoleFunction(sch, 20)
+    f0 = fn.RationalPoleFunction(sch)
     rep_f = an.normality_sup(f0, reg, 14)
     ind = an.pseq_indicator_local_sup(
         f0, sch.pole_points[:10], sch.hyperbolic_diameters[:10])
@@ -194,7 +193,7 @@ def criterion_cluster_family(seed: int):
     """Cluster limits agree with renormalized-family limits; the two-value
     cluster set of the damped pole series is reproduced."""
     sch = fn.PoleSchedule.default(0.0, 20)
-    f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch, 20))
+    f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch))
     ident = fn.identity_function()
     ws = [1.0 - 2.0 ** (-k) for k in range(1, 17)]
     ok = True
@@ -333,28 +332,15 @@ CRITERIA = [
 ]
 
 
-def _record(key: str, description: str, fun, seed: int) -> dict:
-    passed, details = fun(seed)
-    return {"criterion": key, "description": description, "passed": passed,
-            "details": details}
-
-
-def run_criterion(cid: str, seed: int = DEFAULT_SEED) -> dict:
-    """One criterion's record, with its wall time in `elapsed_s`."""
-    for entry in CRITERIA:
-        if entry[0] == cid:
-            t0 = time.perf_counter()
-            rec = _record(*entry, seed)
-            rec["elapsed_s"] = round(time.perf_counter() - t0, 3)
-            return rec
-    raise KeyError(f"unknown criterion {cid!r}")
-
-
 def run_all(seed: int = DEFAULT_SEED) -> dict:
     """Run the whole battery.  The report carries no elapsed times, so it is
     byte-identical across runs with the same seed, and echoes the thresholds
     the verdict functions read."""
-    criteria = [_record(*entry, seed) for entry in CRITERIA]
+    criteria = []
+    for key, description, fun in CRITERIA:
+        passed, details = fun(seed)
+        criteria.append({"criterion": key, "description": description,
+                         "passed": passed, "details": details})
     return {"seed": seed, "criteria": criteria,
             "all_passed": all(c["passed"] for c in criteria),
             "tolerances": {

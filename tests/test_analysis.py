@@ -28,12 +28,12 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def f0(schedule):
-    return fn.RationalPoleFunction(schedule, 20)
+    return fn.RationalPoleFunction(schedule)
 
 
 @pytest.fixture(scope="module")
 def f1(schedule):
-    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule, 20))
+    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule))
 
 
 class TestNormalitySup:
@@ -201,7 +201,7 @@ class TestClusterEstimate:
             return np.zeros(len(np.asarray(z)), dtype=bool)
 
         rep = an.cluster_estimate(fn.identity_function(), member, 0.0,
-                                  range(2, 8), seed=9, min_samples=20)
+                                  range(2, 8), seed=9)
         assert rep.verdict == "inconclusive"
 
     def test_deterministic_given_seed(self, f1):

@@ -83,12 +83,55 @@ class TestExitCodes:
                  "--kind", "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path)
         assert exc.value.code == 2
 
-    def test_tolerance_config_key_is_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tolerance.plateau_ratio=1.0\n")
-        assert run(["--config", str(cfg), "metric", "--kind", "ph",
-                    "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,option", [
+        (["--format", "csv"], "--format"),
+        (["--config", "run.cfg"], "--config"),
+        (["--set-tolerance", "x=1"], "--set-tolerance"),
+        (["--seed", "5", "--bogus", "x"], "--bogus"),
+    ], ids=["format", "config", "set-tolerance", "after-a-known-option"])
+    def test_unknown_global_option_is_named(self, tmp_path, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["metric", "--kind", "ph", "--z", "0,0", "--w", "0.5,0"],
+                tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {option}\n" in err
+        assert "invalid choice" not in err and "Traceback" not in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["stolz-map", "--alpha", "0.5", "--grid", "0"], "--grid must be >= 1, got 0"),
+        (["lemma6", "--alpha", "0.5", "--beta", "0.3", "--samples", "0"],
+         "--samples must be >= 1, got 0"),
+    ], ids=["stolz-map-grid", "lemma6-samples"])
+    def test_zero_count_is_2(self, tmp_path, capsys, argv, message):
+        assert run(argv, tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("mode,sequence,message", [
+        ("split-pair", "poles:0", "N of sequence 'poles:0' must be >= 1, got 0"),
+        ("split-pair", "radial:8", "split-pair takes --sequence poles:N, got 'radial:8'"),
+        ("split-pair", "nonsense:8", "bad sequence spec 'nonsense:8'; expected kind[:N]"),
+        ("pointwise", "poles:30", "sequence 'poles:30' asks for 30 poles; the schedule has 20"),
+        ("local-sup", "pole-offset:21", "asks for 21 poles; the schedule has 20"),
+        ("pointwise", "radial:0", "N of sequence 'radial:0' must be >= 1, got 0"),
+        ("pointwise", "poles:x", "bad sequence spec 'poles:x'; expected kind[:N]"),
+    ], ids=["split-pair-zero", "split-pair-radial", "split-pair-unknown-kind",
+            "too-many-poles", "too-many-offset-poles", "radial-zero", "count-not-integer"])
+    def test_bad_sequence_spec_is_2(self, tmp_path, capsys, mode, sequence, message):
+        assert run(["pseq", "--function", "identity", "--mode", mode,
+                    "--sequence", sequence], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("mode", ["pointwise", "local-sup", "split-pair"])
+    def test_twenty_poles_are_accepted(self, tmp_path, mode):
+        assert run(["pseq", "--function", "pole_series", "--mode", mode,
+                    "--sequence", "poles:20"], tmp_path) == 0
+        report = json.loads(latest_report(tmp_path, "pseq"))
+        assert len(report["values"]) == 20
 
     @pytest.mark.parametrize("argv,message", [
         (["cluster", "--function", "identity", "--region", "radius-angle"],
@@ -137,12 +180,6 @@ class TestExitCodes:
         else:
             assert "error" not in err
 
-    def test_missing_config_file_is_2(self, tmp_path, capsys):
-        assert run(["--config", str(tmp_path / "absent.cfg"), "metric", "--kind",
-                    "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not os.listdir(tmp_path)
-
     @pytest.mark.parametrize("argv", [
         ["frechet", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.5",
          "--level", "0"],
@@ -187,12 +224,6 @@ class TestExitCodes:
         assert ("error: curve chord:0:0.5 at level 54: depth 2^-54 is below "
                 "what complex-double samples resolve") in err
 
-    def test_config_level_below_one_is_2(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_level=0\n")
-        assert run(["--config", str(cfg), "frechet", "--curve1", "radius:0",
-                    "--curve2", "hypercycle:0:0.5"], tmp_path) == 2
-
 
 class TestReports:
     def test_json_report_written(self, tmp_path):
@@ -201,15 +232,6 @@ class TestReports:
         assert payload["subcommand"] == "metric"
         assert payload["value"] == pytest.approx(math.log(3.0))
         assert "seed" in payload
-
-    def test_csv_report(self, tmp_path):
-        code = run(["--format", "csv", "normality", "--function", "identity",
-                    "--curve", "radius:0", "--deflection", "0.3",
-                    "--max-level", "6"], tmp_path)
-        assert code == 0
-        text = latest_report(tmp_path, "normality").decode()
-        header = text.splitlines()[0]
-        assert "level" in header and "value" in header and "seed" in header
 
     def test_deterministic_given_seed(self, tmp_path):
         args = ["--seed", "5", "cluster", "--function", "identity",
@@ -262,11 +284,9 @@ class TestReports:
 
 
 class TestConfig:
-    def test_config_file_and_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=9\nmax_level=6\nformat=json\n")
-        code = run(["--config", str(cfg), "frechet", "--curve1", "radius:0",
-                    "--curve2", "hypercycle:0:0.3"], tmp_path)
+    def test_seed_and_max_level_flags(self, tmp_path):
+        code = run(["--seed", "9", "--max-level", "6", "frechet", "--curve1",
+                    "radius:0", "--curve2", "hypercycle:0:0.3"], tmp_path)
         assert code == 0
         payload = json.loads(latest_report(tmp_path, "frechet"))
         assert payload["seed"] == 9
@@ -278,12 +298,6 @@ class TestConfig:
         code = cli.main(["metric", "--kind", "ph", "--z", "0,0", "--w", "0.2,0"])
         assert code == 0
         assert any(p.startswith("metric") for p in os.listdir(target))
-
-    def test_bad_config_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("volume=11\n")
-        assert run(["--config", str(cfg), "metric", "--kind", "ph",
-                    "--z", "0,0", "--w", "0.1,0"], tmp_path) == 2
 
 
 class TestCurveExchange:

@@ -15,12 +15,12 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def f0(schedule):
-    return fn.RationalPoleFunction(schedule, 20)
+    return fn.RationalPoleFunction(schedule)
 
 
 @pytest.fixture(scope="module")
 def f1(schedule):
-    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule, 20))
+    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule))
 
 
 def sample_disk(rng, n, radius=0.9):

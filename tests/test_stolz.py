@@ -188,7 +188,7 @@ class TestDecayMargin:
 
     def test_pole_on_curve_violates(self, ):
         sch = fn.PoleSchedule.default(0.0, 12)
-        f0 = fn.RationalPoleFunction(sch, 12)
+        f0 = fn.RationalPoleFunction(sch)
         pole = sch.pole_points[1]
         samples = [0.1, pole, 0.9, 0.99, 0.999, 1 - 2e-4]
         curve = cv.SampleBackedCurve(0.0, samples)
