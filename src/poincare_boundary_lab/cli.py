@@ -348,9 +348,14 @@ def cmd_family(args, cfg):
                      f"{'none' if final is None else format(final, '.3e')}")
 
 
+STOLZ_GRID = 1000  # stolz-map samples without --z
+
+
 def cmd_stolz_map(args, cfg):
     m = st.StolzMap(args.alpha, args.rho)
-    if args.z:
+    if args.z is not None:
+        if args.grid is not None:
+            raise CliError("--z maps one point and --grid samples the sector: give one of them")
         z = parse_complex(args.z)
         try:
             w = m.apply(z)
@@ -360,8 +365,10 @@ def cmd_stolz_map(args, cfg):
         rep = {"alpha": args.alpha, "rho": m.rho, "z": z, "w": w,
                "roundtrip_error": abs(back - z)}
         return 0, rep, f"w = {w:.12g}"
+    # written back, so that grid-mode reports echo the sample count in force
+    args.grid = _positive(STOLZ_GRID if args.grid is None else args.grid, "--grid")
     ang = st.StolzAngle(0.0, args.alpha, m.rho)
-    z = ang.sample(_positive(args.grid, "--grid"), seed=cfg.seed, margin=1e-9)
+    z = ang.sample(args.grid, seed=cfg.seed, margin=1e-9)
     w = m.forward_steps(z)
     rt = float(np.max(np.abs(m.invert(w) - z)))
     closed = float(np.max(np.abs(w - m.closed_form(z))))
@@ -409,139 +416,111 @@ def cmd_selftest(args, cfg):
     return (0 if res["all_passed"] else 4), res, "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(  # main() reports errors of the global options
-        prog="pblab", exit_on_error=False,
-        description="numerical laboratory for boundary behavior on the unit disk")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--no-report", action="store_true",
-                   help="skip writing the report file")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+# ---------------------------------------------------------------------------
+# the subcommand table: name -> (help, handler, [(flag, add_argument keywords)])
 
-    sp = sub.add_parser("metric", help="evaluate a point distance")
-    sp.add_argument("--kind", required=True, choices=["ph", "h", "s"])
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--w", required=True)
-    sp.set_defaults(handler=cmd_metric)
+_REQUIRED = {"required": True}
+_CURVE_PAIR = [("--curve1", _REQUIRED), ("--curve2", _REQUIRED)]
+_LEVEL = ("--level", {"type": int})
+_LOCAL_MAX_LEVEL = ("--max-level", {"type": int, "dest": "max_level_local"})
 
-    for name, help_text, handler in [
-            ("curve-dist", "directed curve distance", cmd_curve_dist),
-            ("frechet", "discrete Frechet distance", cmd_frechet)]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--curve1", required=True)
-        sp.add_argument("--curve2", required=True)
-        sp.add_argument("--level", type=int, default=None)
-        sp.set_defaults(handler=handler)
+SUBCOMMANDS = {
+    "metric": ("evaluate a point distance", cmd_metric, [
+        ("--kind", {"required": True, "choices": ["ph", "h", "s"]}),
+        ("--z", _REQUIRED), ("--w", _REQUIRED)]),
+    "curve-dist": ("directed curve distance", cmd_curve_dist, [*_CURVE_PAIR, _LEVEL]),
+    "frechet": ("discrete Frechet distance", cmd_frechet, [*_CURVE_PAIR, _LEVEL]),
+    "equiv": ("curve equivalence verdict", cmd_equiv, [*_CURVE_PAIR, _LOCAL_MAX_LEVEL]),
+    "lemma4": ("zigzag pair construction and growth", cmd_lemma4, [
+        ("--r", {"type": float, "default": 0.5}),
+        ("--n-zigzags", {"type": int, "default": 5})]),
+    "normality": ("normality sup over a deflection region", cmd_normality, [
+        ("--function", _REQUIRED), ("--curve", _REQUIRED),
+        ("--deflection", {"type": float, "required": True}), _LOCAL_MAX_LEVEL]),
+    "pseq": ("blow-up sequence indicators", cmd_pseq, [
+        ("--function", _REQUIRED),
+        ("--mode", {"required": True, "choices": ["pointwise", "local-sup", "split-pair"]}),
+        ("--sequence", {"default": "poles:8"}), ("--alpha", {}),
+        ("--delta", {"type": float, "default": 0.5})]),
+    "cluster": ("cluster-set estimate on boundary shells", cmd_cluster, [
+        ("--function", _REQUIRED),
+        ("--region", {"required": True, "help": "radius-angle:R[:theta]"}),
+        ("--shells", {"default": "2:14", "help": "lo:hi shell levels"}),
+        ("--no-values", {"action": "store_true"})]),
+    "family": ("renormalized family convergence", cmd_family, [
+        ("--function", _REQUIRED), ("--r1", {"type": float, "default": 0.5}),
+        ("--target", _REQUIRED),
+        ("--depths", {"default": "1:16", "help": "lo:hi dyadic depths of w_n"})]),
+    "stolz-map": ("sector-to-disk conformal map", cmd_stolz_map, [
+        ("--alpha", {"type": float, "required": True}), ("--rho", {"type": float}),
+        ("--z", {"help": "map this one point re,im"}),
+        ("--grid", {"type": int, "help": f"without --z: samples (default {STOLZ_GRID})"})]),
+    "lemma6": ("boundary-distance distortion bounds", cmd_lemma6, [
+        ("--alpha", {"type": float, "required": True}),
+        ("--beta", {"type": float, "required": True}),
+        ("--samples", {"type": int, "default": 10000})]),
+    "decay": ("decay-bound margin table", cmd_decay, [
+        ("--function", _REQUIRED), ("--curve", _REQUIRED),
+        ("--profile", {"required": True, "help": "log[:shift[:e]] | pow:s[:e] | super:n"}),
+        _LEVEL]),
+    "gallery": ("evaluate a gallery function", cmd_gallery, [
+        ("--name", _REQUIRED),
+        ("--at", {"action": "append", "help": "point re,im (repeatable)"})]),
+    "selftest": ("run the full acceptance battery", cmd_selftest, []),
+}
 
-    sp = sub.add_parser("equiv", help="curve equivalence verdict")
-    sp.add_argument("--curve1", required=True)
-    sp.add_argument("--curve2", required=True)
-    sp.add_argument("--max-level", type=int, default=None, dest="max_level_local")
-    sp.set_defaults(handler=cmd_equiv)
 
-    sp = sub.add_parser("lemma4", help="zigzag pair construction and growth")
-    sp.add_argument("--r", type=float, default=0.5)
-    sp.add_argument("--n-zigzags", type=int, default=5)
-    sp.set_defaults(handler=cmd_lemma4)
-
-    sp = sub.add_parser("normality", help="normality sup over a deflection region")
-    sp.add_argument("--function", required=True)
-    sp.add_argument("--curve", required=True)
-    sp.add_argument("--deflection", type=float, required=True)
-    sp.add_argument("--max-level", type=int, default=None, dest="max_level_local")
-    sp.set_defaults(handler=cmd_normality)
-
-    sp = sub.add_parser("pseq", help="blow-up sequence indicators")
-    sp.add_argument("--function", required=True)
-    sp.add_argument("--mode", required=True,
-                    choices=["pointwise", "local-sup", "split-pair"])
-    sp.add_argument("--sequence", default="poles:8")
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.set_defaults(handler=cmd_pseq)
-
-    sp = sub.add_parser("cluster", help="cluster-set estimate on boundary shells")
-    sp.add_argument("--function", required=True)
-    sp.add_argument("--region", required=True, help="radius-angle:R[:theta]")
-    sp.add_argument("--shells", default="2:14", help="lo:hi shell levels")
-    sp.add_argument("--no-values", action="store_true")
-    sp.set_defaults(handler=cmd_cluster)
-
-    sp = sub.add_parser("family", help="renormalized family convergence")
-    sp.add_argument("--function", required=True)
-    sp.add_argument("--r1", type=float, default=0.5)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--depths", default="1:16", help="lo:hi dyadic depths of w_n")
-    sp.set_defaults(handler=cmd_family)
-
-    sp = sub.add_parser("stolz-map", help="sector-to-disk conformal map")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--z", default=None)
-    sp.add_argument("--grid", type=int, default=1000)
-    sp.set_defaults(handler=cmd_stolz_map)
-
-    sp = sub.add_parser("lemma6", help="boundary-distance distortion bounds")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.set_defaults(handler=cmd_lemma6)
-
-    sp = sub.add_parser("decay", help="decay-bound margin table")
-    sp.add_argument("--function", required=True)
-    sp.add_argument("--curve", required=True)
-    sp.add_argument("--profile", required=True, help="log[:shift[:e]] | pow:s[:e] | super:n")
-    sp.add_argument("--level", type=int, default=None)
-    sp.set_defaults(handler=cmd_decay)
-
-    sp = sub.add_parser("gallery", help="evaluate a gallery function")
-    sp.add_argument("--name", required=True)
-    sp.add_argument("--at", action="append", help="point re,im (repeatable)")
-    sp.set_defaults(handler=cmd_gallery)
-
-    sp = sub.add_parser("selftest", help="run the full acceptance battery")
-    sp.set_defaults(handler=cmd_selftest)
-
-    # let values like -0.5,0 pass as option arguments rather than flags
-    matcher = re.compile(r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)?(e-?\d+)?$|^-\.\d+.*$")
-    p._negative_number_matcher = matcher
-    for action in p._subparsers._group_actions:
-        for sp_ in getattr(action, "choices", {}).values():
-            sp_._negative_number_matcher = matcher
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand's options or, without one, the top-level
+    parser: the global options, the subcommand word and the rest of the argv.
+    A run builds just these two.  perfbench/setup_probe.py calls this with no
+    argument, and perfbench/tracer.py hooks it by name."""
+    if subcommand is None:
+        p = argparse.ArgumentParser(
+            prog="pblab", formatter_class=argparse.RawDescriptionHelpFormatter,
+            description="numerical laboratory for boundary behavior on the unit disk",
+            epilog="subcommands (pblab SUBCOMMAND -h lists its options):\n" + "\n".join(
+                f"  {name:<11} {row[0]}" for name, row in SUBCOMMANDS.items()))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--max-level", type=int)
+        p.add_argument("--output-dir")
+        p.add_argument("--no-report", action="store_true",
+                       help="skip writing the report file")
+        p.add_argument("subcommand", help="one of the subcommands below")
+        p.add_argument("rest", nargs=argparse.REMAINDER, metavar="...",
+                       help="the options of the subcommand")
+    else:
+        help_text, _, options = SUBCOMMANDS[subcommand]
+        p = argparse.ArgumentParser(prog=f"pblab {subcommand}", description=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    # values like -0.5,0, -.5,0 and -1e-3 are option arguments, not flags:
+    # no option of pblab starts with a digit
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     return p
 
 
-def _unknown_global_options(parser: argparse.ArgumentParser, argv) -> list[str]:
-    """The options before the subcommand that `parser` does not take."""
-    probe = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    for action in parser._actions:
-        if action.option_strings:
-            probe.add_argument(*action.option_strings, dest=action.dest,
-                               action="store_true" if action.nargs == 0 else "store")
-    probe.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand on
-    return probe.parse_known_args(argv)[1]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        # after an unknown option argparse takes the next word for the
-        # subcommand ("invalid choice: 'csv'"); name the option instead
-        unknown = _unknown_global_options(parser, sys.argv[1:] if argv is None else argv)
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else str(exc))
+    top = build_parser()
+    # an unknown option before the subcommand is left over here, and
+    # parse_args names it; the word after it was taken for the subcommand,
+    # so that word is checked second
+    args = top.parse_args(argv)
+    if args.subcommand not in SUBCOMMANDS:
+        top.error(f"argument subcommand: invalid choice: {args.subcommand!r} "
+                  f"(choose from {', '.join(map(repr, SUBCOMMANDS))})")
+    rest = args.rest
+    del args.rest  # the report echoes options, not the raw argv
+    build_parser(args.subcommand).parse_args(rest, namespace=args)
     try:
         cfg = build_config(args)
         # equiv and normality take their own --max-level, echoed as max_level too
         if getattr(args, "max_level_local", None) is not None:
             args.max_level = args.max_level_local
-        code, report, text = args.handler(args, cfg)
+        code, report, text = SUBCOMMANDS[args.subcommand][1](args, cfg)
         report = {"subcommand": args.subcommand, "seed": cfg.seed,
                   "arguments": {k: v for k, v in sorted(vars(args).items())
-                                if k != "handler" and v is not None},
+                                if v is not None},
                   **report}
         if not args.no_report:
             path = write_report(cfg, args.subcommand, report)

@@ -345,7 +345,8 @@ class DampedPoleFunction(FunctionHandle):
         z = np.asarray(z, dtype=complex)
         v = self.base.eval_array(z)
         d = self.base.deriv_array(z)
-        out = d * (z - self._endpoint) + v
+        with np.errstate(invalid="ignore"):  # at a pole inf - inf; set to inf below
+            out = d * (z - self._endpoint) + v
         bad = ~(np.isfinite(v) & np.isfinite(d))
         out[bad] = np.inf + 0j
         return out

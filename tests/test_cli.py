@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +285,102 @@ class TestReports:
         assert not os.listdir(tmp_path)
 
 
+# one cheap run per subcommand, with the keys its `arguments` echo holds
+# besides no_report, output_dir and subcommand, as the parser of the
+# previous release (one argparse subparser per subcommand) wrote them
+ECHO_KEYS = [
+    ("metric", ["--kind", "ph", "--z", "0.5,0", "--w", "-0.5,0"], {"kind", "z", "w"}),
+    ("curve-dist", ["--curve1", "radius:0", "--curve2", "hypercycle:0:0.3",
+                    "--level", "6"], {"curve1", "curve2", "level"}),
+    ("frechet", ["--curve1", "radius:0", "--curve2", "hypercycle:0:0.3",
+                 "--level", "6"], {"curve1", "curve2", "level"}),
+    ("equiv", ["--curve1", "radius:0", "--curve2", "chord:0:0.5236", "--max-level", "8"],
+     {"curve1", "curve2", "max_level", "max_level_local"}),
+    ("lemma4", ["--r", "0.5", "--n-zigzags", "2"], {"r", "n_zigzags"}),
+    ("normality", ["--function", "identity", "--curve", "radius:0",
+                   "--deflection", "0.3", "--max-level", "4"],
+     {"function", "curve", "deflection", "max_level", "max_level_local"}),
+    ("pseq", ["--function", "pole_series", "--mode", "pointwise", "--sequence", "poles:4"],
+     {"function", "mode", "sequence", "delta"}),
+    ("cluster", ["--function", "identity", "--region", "radius-angle:0.4",
+                 "--shells", "2:4", "--no-values"],
+     {"function", "region", "shells", "no_values"}),
+    ("family", ["--function", "identity", "--target", "1,0", "--r1", "0.9"],
+     {"function", "target", "r1", "depths"}),
+    ("stolz-map", ["--alpha", "0.5", "--grid", "10"], {"alpha", "grid"}),
+    ("lemma6", ["--alpha", "0.5", "--beta", "0.3", "--samples", "100"],
+     {"alpha", "beta", "samples"}),
+    ("decay", ["--function", "square_exp", "--curve", "radius:0",
+               "--profile", "super:1", "--level", "6"],
+     {"function", "curve", "profile", "level"}),
+    ("gallery", ["--name", "saginjan_h", "--at", "0.5,0"], {"name", "at"}),
+    ("selftest", [], set()),
+]
+SUBCOMMAND_NAMES = [name for name, _, _ in ECHO_KEYS]
+
+
+class TestParser:
+    @pytest.mark.parametrize("name,options,keys", ECHO_KEYS, ids=SUBCOMMAND_NAMES)
+    def test_echo_key_set_is_pinned(self, tmp_path, monkeypatch, name, options, keys):
+        monkeypatch.setattr(sft, "CRITERIA", [])  # the echo, not the battery
+        assert run([name, *options], tmp_path) == 0
+        payload = json.loads(latest_report(tmp_path, name))
+        assert set(payload["arguments"]) == keys | {"no_report", "output_dir", "subcommand"}
+
+    def test_table_has_every_subcommand(self):
+        assert list(cli.SUBCOMMANDS) == SUBCOMMAND_NAMES
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in SUBCOMMAND_NAMES:
+            help_text = cli.SUBCOMMANDS[name][0]
+            assert any(line.split() == [name, *help_text.split()] for line in lines), name
+
+    @pytest.mark.parametrize("name", SUBCOMMAND_NAMES)
+    def test_subcommand_help(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: pblab {name} [-h]")
+
+    def test_subcommand_usage_error_names_it(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["metric", "--kind", "ph", "--z", "0,0", "--w", "0.5,0", "--bogus"],
+                tmp_path)
+        assert exc.value.code == 2
+        assert "pblab metric: error: unrecognized arguments: --bogus\n" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,dest,value", [
+        (["metric", "--kind", "ph", "--z", "-0.5,0", "--w", "-.5,0"], "z", "-0.5,0"),
+        (["metric", "--kind", "ph", "--z", "0,0", "--w", "-.5,0"], "w", "-.5,0"),
+        (["metric", "--kind", "ph", "--z", "0,0", "--w", "-1e-3,0"], "w", "-1e-3,0"),
+        (["stolz-map", "--alpha", "0.5", "--z", "-.5,0"], "z", "-.5,0"),
+        (["pseq", "--function", "identity", "--mode", "pointwise",
+          "--delta", "-1e-3"], "delta", -1e-3),
+    ], ids=["metric-z", "metric-w-dot", "metric-w-exponent", "stolz-map-z", "pseq-delta"])
+    def test_negative_numbers_are_values(self, argv, dest, value):
+        args = cli.build_parser().parse_args(argv)
+        cli.build_parser(args.subcommand).parse_args(args.rest, namespace=args)
+        assert getattr(args, dest) == value
+
+    def test_a_run_builds_at_most_two_parsers(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["metric", "--kind", "ph", "--z", "0,0", "--w", "0.5,0"],
+                   tmp_path) == 0
+        assert built == ["pblab", "pblab metric"]
+
+
 class TestConfig:
     def test_seed_and_max_level_flags(self, tmp_path):
         code = run(["--seed", "9", "--max-level", "6", "frechet", "--curve1",
@@ -334,6 +432,26 @@ class TestOtherSubcommands:
         code = run(["stolz-map", "--alpha", "0.7853981633974483",
                     "--z", "0.5,0"], tmp_path)
         assert code == 0
+
+    def test_stolz_map_point_rejects_grid(self, tmp_path, capsys):
+        assert run(["stolz-map", "--alpha", "0.5", "--z", "0.5,0", "--grid", "5"],
+                   tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--z" in err and "--grid" in err
+        assert not os.listdir(tmp_path)
+
+    def test_stolz_map_echoes_grid_in_grid_mode_only(self, tmp_path):
+        assert run(["stolz-map", "--alpha", "0.5"], tmp_path) == 0
+        payload = json.loads(latest_report(tmp_path, "stolz-map"))
+        assert payload["arguments"]["grid"] == payload["samples"] == cli.STOLZ_GRID == 1000
+        assert run(["stolz-map", "--alpha", "0.5", "--z", "0.5,0"], tmp_path) == 0
+        assert "grid" not in json.loads(latest_report(tmp_path, "stolz-map"))["arguments"]
+
+    def test_damped_pole_pointwise_warns_nothing(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["pseq", "--function", "damped_pole_series",
+                        "--mode", "pointwise"], tmp_path) == 0
 
     def test_stolz_map_outside_domain(self, tmp_path):
         assert run(["stolz-map", "--alpha", "0.5", "--z", "0,0.9"], tmp_path) == 2
