@@ -14,8 +14,12 @@ grows with the truncation level.  The verdict depends on the zoom: without it
 square_exp reads as bounded instead of diverging.  A level's zoom depends only
 on that level's grid maximum, so the zooms of all levels run in one lockstep
 batch: every slab scan, golden-section step and floor bisection evaluates the
-points of all levels in one call.  Verdicts are taken on the accumulated sups,
-which are non-decreasing in the level by construction.
+points of all levels in one call.  The region test of those points (within
+the deflection of the level's curve samples) runs one broadcast per block of
+levels: levels whose sample counts share floor(log2 n) form a block, padded
+to its longest level with s = +inf (cosh d = +inf), so padding adds less than
+2x to any level however fast the counts grow.  Verdicts are taken on the
+accumulated sups, which are non-decreasing in the level by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .geometry import (
     spherical_distance,
     spherical_distance_array,
     strip_depth,
-    strip_distance,
     strip_to_disk,
 )
 
@@ -160,15 +163,45 @@ class _LockstepZoom:
             if region.deflection > 0 else 0.0
         self.depth_floor = np.array([2.0 ** (-k) for k in levels])
         self.samples = [region.curve.strip_refine(min(k + 2, 60)) for k in levels]
+        # region-test blocks: levels whose sample counts n share
+        # floor(log2 n), so a block pads each of its levels by less than 2x
+        octave = [len(cs).bit_length() for cs, _ in self.samples]
+        self.blocks = []                          # (s, cosh t, sinh t) pads
+        self.block_of = np.zeros(len(levels), dtype=int)
+        self.row_of = np.zeros(len(levels), dtype=int)
+        for b, o in enumerate(sorted(set(octave))):
+            members = [i for i, oi in enumerate(octave) if oi == o]
+            m = max(len(self.samples[i][0]) for i in members)
+            ps, pt = np.full((len(members), m), np.inf), np.zeros((len(members), m))
+            for row, i in enumerate(members):
+                cs, ct = self.samples[i]
+                ps[row, :len(cs)], pt[row, :len(ct)] = cs, ct
+                self.block_of[i], self.row_of[i] = b, row
+            self.blocks.append((ps, np.cosh(pt), np.sinh(pt)))
+
+    def in_region(self, lev, s, t):
+        """Rows at or above their level's depth floor and within r_h of the
+        level's curve samples.  One broadcast per block: the cells are
+        strip_distance's cosh d, and a padded cell (s = +inf, t = 0) gives
+        +inf.  np.maximum(., 1) and np.arccosh are nondecreasing, so
+        applying them to each row's minimum of cosh d gives the minimum
+        distance exactly."""
+        ok = strip_depth(s, t) >= self.depth_floor[lev]
+        rows = np.flatnonzero(ok)
+        blk = self.block_of[lev[rows]]
+        for b, (ps, ch, sh) in enumerate(self.blocks):
+            r = rows[blk == b]
+            if not len(r):
+                continue
+            i = self.row_of[lev[r]]
+            t1 = t[r, None]
+            c = np.cosh(s[r, None] - ps[i]) * np.cosh(t1) * ch[i] - np.sinh(t1) * sh[i]
+            ok[r] = np.arccosh(np.maximum(np.min(c, axis=1), 1.0)) <= self.r_h + 1e-12
+        return ok
 
     def log_value(self, lev, s, t):
         out = np.full(s.shape, -np.inf)
-        ok = strip_depth(s, t) >= self.depth_floor[lev]
-        for i in np.unique(lev[ok]):
-            rows = np.flatnonzero(ok & (lev == i))
-            cs, ct = self.samples[i]
-            d = strip_distance(s[rows, None], t[rows, None], cs[None, :], ct[None, :])
-            ok[rows] = np.min(d, axis=1) <= self.r_h + 1e-12
+        ok = self.in_region(lev, s, t)
         if np.any(ok):
             z = strip_to_disk(s[ok], t[ok], self.theta)
             good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
@@ -457,9 +490,9 @@ def sphere_mean(values) -> complex:
 
 
 def spherical_diameter(values) -> float:
-    pts = _sphere_embed(values)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+    x, y, z = _sphere_embed(values).T
+    dx, dy, dz = (c[:, None] - c[None, :] for c in (x, y, z))
+    return float(np.sqrt(np.max(dx * dx + dy * dy + dz * dz)))
 
 
 @dataclass

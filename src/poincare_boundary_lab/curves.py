@@ -5,7 +5,8 @@ point e^{i theta}, represented by an ordered sample polyline plus a refinement
 rule: refine(k) samples the curve at hyperbolic gaps of about HYP_MESH
 through the first sample of depth 1 - |z| <= 2^{-k}, a cut `_level_end` makes
 for every curve class, imported samples too.  Refinement is prefix-consistent:
-refine(k+1) extends refine(k).
+refine(k+1) extends refine(k).  Each class bounds a level's sample count
+before building it, and a level over SAMPLE_BUDGET is refused.
 
 The module provides the deflection regions Delta_r gamma (unions of closed
 pseudo-hyperbolic disks along the curve), the directed truncated Hausdorff
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +42,11 @@ from .geometry import (
 
 HYP_MESH = 0.25       # target hyperbolic gap between consecutive samples
 DEFAULT_LEVEL = 8
+# most samples a level may be predicted to hold before it is built.  A
+# horocycle passes it at level 29 (131,073); every job the README, the CI
+# and the benchmark run predicts under 6,000.  A distance matrix of 100,000
+# samples against a few hundred is a few hundred MB a temporary.
+SAMPLE_BUDGET = 100_000
 # half-width of ParametricCurve._step's rounding band, in units of
 # 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
 # [lo, u] is trusted to within half of it (an mpmath oracle puts the worst
@@ -69,14 +76,46 @@ def _level_end(depth, level: int) -> int:
     return int(np.argmax(deep)) + 1 if np.any(deep) else len(deep)
 
 
-def _offset_run(s0: float, t: float, ds: float, level: int):
-    """The uncut run (s0 + j ds, t), j = 0, 1, ..., out to s_end =
+def _offset_run_length(s0: float, t: float, ds: float, level: int) -> int:
+    """Samples of the uncut run (s0 + j ds, t), j = 0, 1, ..., out to s_end =
     log(2 cosh t / 2^-level) + 1.  It ends past depth 2^-level: the depth is
     below 1 - |z|^2 < 4 e^-s / cosh t, which is (2/e) 2^-level / cosh^2 t there."""
     s_end = math.log(2.0 * math.cosh(t) / _depth_target(level)) + 1.0
-    n = max(0, int(math.ceil((s_end - s0) / ds)))
-    s = s0 + ds * np.arange(n + 1)
+    return max(0, int(math.ceil((s_end - s0) / ds))) + 1
+
+
+def _offset_run(s0: float, t: float, ds: float, level: int):
+    s = s0 + ds * np.arange(_offset_run_length(s0, t, ds, level))
     return s, np.full_like(s, t)
+
+
+def _stepped_bound(arclength: float) -> int:
+    """Samples a ParametricCurve level can hold when the hyperbolic arclength
+    from its first sample to depth 2^-level is `arclength`: every step spans
+    a chord of at least HYP_MESH, so every sample before the last one lies
+    within that arclength."""
+    return int(arclength / HYP_MESH) + 2
+
+
+def _horocycle_bound(level: int) -> int:
+    # z = (1 + e^{i phi}) / 2 from phi = pi: ds = dphi / sin^2(phi/2), so the
+    # arclength to depth eps = 1 - cos(phi/2) is 2 cot(phi/2), about
+    # sqrt(2) 2^(level/2)
+    eps = _depth_target(level)
+    return _stepped_bound(2.0 * (1.0 - eps) / math.sqrt(eps * (2.0 - eps)))
+
+
+def _chord_bound(alpha: float, level: int) -> int:
+    # z = 1 - u e^{-i alpha} from u = c = cos(alpha): ds = 2 du / (u (2c - u)),
+    # so the arclength to parameter u is log((2c - u) / u) / c, linear in the
+    # level; the chord starts at depth 1 - |sin alpha|
+    c = math.cos(alpha)
+    eps = _depth_target(level)
+    disc = c * c - eps * (2.0 - eps)
+    if disc <= 0.0:
+        return _stepped_bound(0.0)
+    u = eps * (2.0 - eps) / (c + math.sqrt(disc))
+    return _stepped_bound(math.log((2.0 * c - u) / u) / c)
 
 
 class BoundaryCurve:
@@ -100,10 +139,16 @@ class BoundaryCurve:
     def strip_refine(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Axial-coordinate samples (s, t); exact arbitrarily deep.  Every
         truncated view of a curve comes through here, so the level is
-        checked here once."""
+        checked here once: a level predicted to hold more than SAMPLE_BUDGET
+        samples is refused before any of them is built."""
         if level < 1:
             raise ValueError("level must be >= 1")
         if level not in self._strip_levels:
+            n = self._sample_bound(level)
+            if n > SAMPLE_BUDGET:
+                raise ValueError(
+                    f"curve {self.label} at level {level}: {n} samples "
+                    f"predicted, above the budget of {SAMPLE_BUDGET}")
             self._strip_levels[level] = self._build_strip(level)
         return self._strip_levels[level]
 
@@ -121,6 +166,10 @@ class BoundaryCurve:
         return float(np.max(d)) if len(s) > 1 else 0.0
 
     def _build_strip(self, level):
+        raise NotImplementedError
+
+    def _sample_bound(self, level) -> int:
+        """An upper bound on len(strip_refine(level)), without building it."""
         raise NotImplementedError
 
 
@@ -146,13 +195,16 @@ class ParametricCurve(BoundaryCurve):
       with the gap, like sinh(gap), which is why only the band is bounded.
     Both hold for the chords and horocycles of canonical_curve;
     tests/test_curves.py checks the bound against mpmath.
+
+    `sample_bound` maps a level to an upper bound on its sample count.
     """
 
-    def __init__(self, endpoint_angle, point_fn, u_start, label="curve"):
+    def __init__(self, endpoint_angle, point_fn, u_start, sample_bound, label="curve"):
         super().__init__(endpoint_angle, label)
         self._point = point_fn          # u -> complex disk point
         self._u = [float(u_start)]
         self._pts = [complex(point_fn(u_start))]
+        self._bound = sample_bound
 
     def _dh(self, a: complex, b: complex) -> float:
         d = abs((a - b) / (1.0 - a * np.conj(b)))
@@ -246,6 +298,9 @@ class ParametricCurve(BoundaryCurve):
             w0, g0, w1, g1 = w1, g1, w, g
         return a, b
 
+    def _sample_bound(self, level):
+        return self._bound(level)
+
     def _build_strip(self, level):
         # extend on local copies and rebind: idempotent and safe under
         # concurrent first-call (last writer wins with identical content)
@@ -281,6 +336,9 @@ class HypercycleCurve(BoundaryCurve):
         keep = _level_end(strip_depth(s, t), level)
         return s[:keep], t[:keep]
 
+    def _sample_bound(self, level):
+        return _offset_run_length(0.0, self.t0, self._ds, level)
+
 
 def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> BoundaryCurve:
     """Canonical curve families ending at e^{i theta}.
@@ -300,8 +358,9 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         rot = complex(np.exp(1j * theta))
         lean = complex(np.exp(-1j * alpha))
         fn = lambda u: rot * (1.0 - u * lean)
-        c = ParametricCurve(theta, fn, math.cos(alpha), f"chord:{theta:g}:{alpha:g}")
-        return c
+        return ParametricCurve(theta, fn, math.cos(alpha),
+                               lambda level: _chord_bound(alpha, level),
+                               f"chord:{theta:g}:{alpha:g}")
     if kind == "hypercycle":
         if parameter is None:
             raise ValueError("hypercycle needs a pseudo-hyperbolic offset")
@@ -318,8 +377,8 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         side = 1.0 if parameter is None or parameter >= 0 else -1.0
         rot = complex(np.exp(1j * theta))
         fn = lambda phi: rot * (1.0 + cmath.exp(1j * side * phi)) / 2.0
-        c = ParametricCurve(theta, fn, math.pi, f"horocycle:{theta:g}")
-        return c
+        return ParametricCurve(theta, fn, math.pi, _horocycle_bound,
+                               f"horocycle:{theta:g}")
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -603,8 +662,11 @@ class StripPolylineCurve(BoundaryCurve):
         super().__init__(endpoint_angle, label)
         self.vertices = [(float(s), float(t)) for s, t in vertices]
         self.tail_offset = float(tail_offset)
+        self._tail_ds = HYP_MESH / math.cosh(self.tail_offset)
 
-    def _densify(self):
+    @cached_property
+    def _dense(self):
+        """The polyline densified at HYP_MESH; the same for every level."""
         vs = np.asarray(self.vertices, dtype=float)
         out_s, out_t = [vs[0, 0]], [vs[0, 1]]
         for (s0, t0), (s1, t1) in zip(vs[:-1], vs[1:]):
@@ -616,16 +678,20 @@ class StripPolylineCurve(BoundaryCurve):
         return np.asarray(out_s), np.asarray(out_t)
 
     def _build_strip(self, level):
-        s, t = self._densify()
+        s, t = self._dense
         # tail: continue at the final offset past the polyline's last sample
         # (keeps truncation ends of different curves aligned to within one
         # mesh step)
-        ds = HYP_MESH / math.cosh(self.tail_offset)
-        tail_s, tail_t = _offset_run(s[-1], self.tail_offset, ds, level)
+        tail_s, tail_t = _offset_run(s[-1], self.tail_offset, self._tail_ds, level)
         tail_s, tail_t = tail_s[1:], tail_t[1:]
         keep = _level_end(strip_depth(tail_s, tail_t), level)
         return (np.concatenate([s, tail_s[:keep]]),
                 np.concatenate([t, tail_t[:keep]]))
+
+    def _sample_bound(self, level):
+        s = self._dense[0]
+        return len(s) - 1 + _offset_run_length(s[-1], self.tail_offset,
+                                               self._tail_ds, level)
 
 
 def zigzag_anchor_positions(n_zigzags: int) -> tuple[list[float], list[float]]:
@@ -767,6 +833,9 @@ class SampleBackedCurve(BoundaryCurve):
     def _build_strip(self, level):
         keep = _level_end(1.0 - np.abs(self._fixed), level)
         return disk_to_strip(self._fixed[:keep], self.endpoint_angle)
+
+    def _sample_bound(self, level):
+        return len(self._fixed)
 
 
 def curve_to_exchange(curve: BoundaryCurve, level: int = DEFAULT_LEVEL) -> dict:

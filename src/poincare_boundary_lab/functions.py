@@ -274,22 +274,20 @@ class PoleSchedule:
         ms = (ks + 1) // 2
         r_m = 1.0 - 0.5 ** np.arange(1, ms[-1] + 1)
         eps = 0.25 ** ks
-        pts, strip = [], []
-        for k, m in zip(ks, ms):
-            t = radius_convert(1.0 - 0.5 ** int(m), "ph_to_h")
-            t *= 1.0 if k % 2 == 0 else -1.0
-            target = 0.5 ** int(k)
-            lo, hi = 0.0, 60.0
-            for _ in range(80):   # strip_depth decreases in s
-                mid = 0.5 * (lo + hi)
-                if strip_depth(mid, t) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            s = 0.5 * (lo + hi)
-            pts.append(complex(strip_to_disk(s, t, theta)))
-            strip.append((s, t))
-        return cls(theta, np.asarray(pts), eps, r_m, np.asarray(strip))
+        t = np.array([radius_convert(1.0 - 0.5 ** int(m), "ph_to_h")
+                      * (1.0 if k % 2 == 0 else -1.0) for k, m in zip(ks, ms)])
+        target = np.array([0.5 ** int(k) for k in ks])
+        # all poles bisect in lockstep, each with its own midpoints
+        lo, hi = np.zeros(count), np.full(count, 60.0)
+        for _ in range(80):   # strip_depth decreases in s
+            mid = 0.5 * (lo + hi)
+            deeper = strip_depth(mid, t) > target
+            lo, hi = np.where(deeper, mid, lo), np.where(deeper, hi, mid)
+        s = 0.5 * (lo + hi)
+        # one scalar call a pole: an array call can round the last bit of a
+        # point differently when theta != 0
+        pts = [complex(strip_to_disk(float(sk), float(tk), theta)) for sk, tk in zip(s, t)]
+        return cls(theta, np.asarray(pts), eps, r_m, np.column_stack([s, t]))
 
 
 class RationalPoleFunction(FunctionHandle):

@@ -330,3 +330,19 @@ class TestSphereStatistics:
             d = an.spherical_diameter(np.array([1e200, np.inf], dtype=complex))
         assert np.allclose(p, [(0.0, 0.0, 1.0)] * 2, rtol=0, atol=1e-150)
         assert d == 0.0
+
+    def test_diameter_matches_tensor_form(self):
+        # the (N, N, 3) difference tensor summed over its last axis, as the
+        # diameter was computed before it took the three components apart
+        def tensor_diameter(values):
+            pts = an._sphere_embed(values)
+            diff = pts[:, None, :] - pts[None, :, :]
+            return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+
+        rng = np.random.default_rng(77)
+        for n in list(range(1, 12)) + [50, 120, 230, 400]:
+            mag = 10.0 ** rng.uniform(-8.0, 8.0, n)
+            v = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            v[rng.uniform(size=n) < 0.1] = np.inf
+            v[rng.uniform(size=n) < 0.05] = 0.0
+            assert an.spherical_diameter(v) == tensor_diameter(v)

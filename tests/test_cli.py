@@ -226,6 +226,16 @@ class TestExitCodes:
         assert ("error: curve chord:0:0.5 at level 54: depth 2^-54 is below "
                 "what complex-double samples resolve") in err
 
+    def test_level_over_sample_budget_is_2(self, tmp_path, capsys, monkeypatch):
+        # horocycle:0 at level 52 (the distance reads curve2 two levels
+        # deeper) would take about 3.8e8 samples; none of them is stepped
+        monkeypatch.setattr(cv.ParametricCurve, "_step", None)
+        assert run(["curve-dist", "--curve1", "radius:0", "--curve2", "horocycle:0",
+                    "--level", "50"], tmp_path) == 2
+        assert ("error: curve horocycle:0 at level 52: 379625064 samples "
+                "predicted, above the budget of 100000") in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestReports:
     def test_json_report_written(self, tmp_path):

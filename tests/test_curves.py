@@ -347,6 +347,43 @@ class TestLevelEnd:
                 cv.curve_frechet(radius, chord, level)
 
 
+class TestSampleBudget:
+    """strip_refine predicts a level's sample count before building it."""
+
+    @pytest.mark.parametrize("spec", [
+        ("radius", 0.0, 0), ("chord", 0.0, 0.5), ("chord", 2.5, -1.2),
+        ("chord", 0.0, 1.5), ("hypercycle", 0.0, 0.5), ("hypercycle", 2.5, -0.95),
+        ("horocycle", 0.0, 1)], ids=_case_id)
+    def test_prediction_bounds_the_count(self, spec):
+        curve = cv.canonical_curve(*spec)
+        for level in range(1, 25):
+            assert len(curve.strip_refine(level)[0]) <= curve._sample_bound(level)
+
+    def test_prediction_bounds_polyline_and_imported_counts(self):
+        zigzag = cv.build_zigzag_pair(0.5, 3)[1]
+        imported = cv.curve_from_exchange(
+            cv.curve_to_exchange(cv.canonical_curve("chord", 0.0, 0.5), 12))
+        for curve in (zigzag, imported):
+            for level in range(1, 25):
+                assert len(curve.strip_refine(level)[0]) <= curve._sample_bound(level)
+
+    def test_horocycle_prediction_doubles_every_two_levels(self):
+        curve = cv.canonical_curve("horocycle", 0.0)
+        for level in (20, 30, 40, 50):
+            ratio = curve._sample_bound(level) / 2.0 ** (level / 2)
+            assert ratio == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-3)
+
+    def test_over_budget_level_is_refused_unbuilt(self):
+        curve = cv.canonical_curve("horocycle", 0.0)
+        assert curve._sample_bound(28) <= cv.SAMPLE_BUDGET < curve._sample_bound(29)
+        with pytest.raises(ValueError, match="at level 29: 131073 samples predicted"):
+            curve.strip_refine(29)
+        assert len(curve._u) == 1 and not curve._strip_levels
+        wide = cv.canonical_curve("hypercycle", 0.0, 0.999999)
+        with pytest.raises(ValueError, match="above the budget of 100000"):
+            wide.strip_refine(1)
+
+
 class TestCurvilinearAngle:
     def test_deflection_zero_is_curve(self, radius):
         region = cv.CurvilinearAngle(radius, 0.0)

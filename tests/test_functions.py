@@ -23,6 +23,181 @@ def f1(schedule):
     return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule))
 
 
+# PoleSchedule.default(theta, 20) with float.hex, recorded from the scalar
+# bisection that ran one pole at a time: per pole, the real and imaginary
+# parts of the pole point, its axial coordinates (s, t) and its radius eps_k
+POLE_PINS = {
+    0.0: [
+        ("0x1.87eb1990b696dp-27", "-0x1.ffffffffffffcp-2",
+         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
+        ("0x1.61c5f7b5331ffp-1", "0x1.2aaaaaaaaaaa8p-2",
+         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
+        ("0x1.8dfa17bdf5a1dp-1", "-0x1.9b6db6db6db74p-2",
+         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
+        ("0x1.d415b32395381p-1", "0x1.a92492492492ap-3",
+         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
+        ("0x1.e1db6937bcbc4p-1", "-0x1.d66666666665bp-3",
+         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
+        ("0x1.f480d24e2299cp-1", "0x1.da22222222215p-4",
+         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
+        ("0x1.f83d6bfe25761p-1", "-0x1.ed8c6318c62a7p-4",
+         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
+        ("0x1.fd10073db71afp-1", "0x1.ee84210842098p-5",
+         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
+        ("0x1.fe07d3abd48d0p-1", "-0x1.f76186186196fp-5",
+         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
+        ("0x1.ff42003cdcaa1p-1", "0x1.f7a082082092ep-6",
+         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
+        ("0x1.ff80fd1ea6098p-1", "-0x1.fbd83060c1848p-6",
+         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
+        ("0x1.ffd04001f33a9p-1", "0x1.fbe810204082cp-7",
+         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
+        ("0x1.ffe01fd0fa847p-1", "-0x1.fdf606060600cp-7",
+         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
+        ("0x1.fff408000fcc8p-1", "0x1.fdfa020201fc3p-8",
+         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
+        ("0x1.fff803fd07ea0p-1", "-0x1.fefd80c05fedap-8",
+         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
+        ("0x1.fffd0100007f4p-1", "0x1.fefe80401fce3p-9",
+         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
+        ("0x1.fffe007fd03fbp-1", "-0x1.ff7f601801ed7p-9",
+         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
+        ("0x1.ffff402000040p-1", "0x1.ff7fa007fdebdp-10",
+         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
+        ("0x1.ffff800ffd020p-1", "-0x1.ffbfd802fff87p-10",
+         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
+        ("0x1.ffffd00400004p-1", "0x1.ffbfe800ffb91p-11",
+         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
+    ],
+    0.3: [
+        ("0x1.2e9cdad215990p-3", "-0x1.e921dd0907ac6p-2",
+         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
+        ("0x1.25d76edbdc55ap-1", "0x1.ee6be6aed026fp-2",
+         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
+        ("0x1.b8fe9e84a3f9dp-1", "-0x1.3baa20b6f2510p-3",
+         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
+        ("0x1.9fc4d548ddba7p-1", "0x1.dfbbf823a6f34p-2",
+         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
+        ("0x1.ef16bd07bf9a6p-1", "0x1.e0d09d1134058p-5",
+         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
+        ("0x1.cca26d572a6b5p-1", "0x1.990e8d330176dp-2",
+         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
+        ("0x1.f3f3538e236c5p-1", "0x1.684cca36a96cdp-3",
+         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
+        ("0x1.dd313f0376791p-1", "0x1.67ee241cb259ep-2",
+         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
+        ("0x1.f08c5b6fe239cp-1", "0x1.e2ac3d8bc10acp-3",
+         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
+        ("0x1.e3c5b2165918bp-1", "0x1.4c3eaf05d7bdep-2",
+         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
+        ("0x1.ed5926fc22c54p-1", "0x1.0fff2eae479bdp-2",
+         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
+        ("0x1.e69bdc489d767p-1", "0x1.3daa6656dc991p-2",
+         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
+        ("0x1.eb5e3a3851565p-1", "0x1.1f5088c02cca0p-2",
+         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
+        ("0x1.e7e9036a7c066p-1", "0x1.36329270bcc43p-2",
+         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
+        ("0x1.ea48409c05c8cp-1", "0x1.26f7759d379dcp-2",
+         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
+        ("0x1.e887fe30a67edp-1", "0x1.326b6bc324a93p-2",
+         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
+        ("0x1.e9b71d04ff725p-1", "0x1.2aca5d124d508p-2",
+         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
+        ("0x1.e8d591b6749aep-1", "0x1.30850f2ce0d9bp-2",
+         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
+        ("0x1.e96d00c546ff4p-1", "0x1.2cb3a92b14edbp-2",
+         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
+        ("0x1.e8fbe08ca3e9bp-1", "0x1.2f912f5061cf8p-2",
+         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
+    ],
+    -1.2: [
+        ("-0x1.dd3439daa37bcp-2", "-0x1.730deab1001ecp-3",
+         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
+        ("0x1.0b60837821a34p-1", "-0x1.139e53879a55ap-1",
+         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
+        ("-0x1.7c30995f12674p-4", "-0x1.bd78e3231da65p-1",
+         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
+        ("0x1.0cad349fd4100p-1", "-0x1.8dc2851a2d3a8p-1",
+         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
+        ("0x1.03fcc67af7397p-3", "-0x1.ebb90fe835de0p-1",
+         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
+        ("0x1.d9333c3619b9ap-2", "-0x1.bd0347fcd577cp-1",
+         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
+        ("0x1.f4db98c617918p-3", "-0x1.ec5392c4ffdd3p-1",
+         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
+        ("0x1.aa8a035f671dfp-2", "-0x1.cf444abf49454p-1",
+         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
+        ("0x1.36fb10e258651p-2", "-0x1.e6c4c827546b2p-1",
+         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
+        ("0x1.8fda9dd043ef2p-2", "-0x1.d6cf3203cf494p-1",
+         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
+        ("0x1.551c91cefde7ap-2", "-0x1.e27e04cba60b3p-1",
+         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
+        ("0x1.81b66a6b13069p-2", "-0x1.da278bfb96a62p-1",
+         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
+        ("0x1.641c61a7f15e6p-2", "-0x1.dff9abc658562p-1",
+         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
+        ("0x1.7a72827d2ac18p-2", "-0x1.dbb77bd982fa1p-1",
+         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
+        ("0x1.6b9712bf2d24ep-2", "-0x1.de9f1b9b69f8dp-1",
+         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
+        ("0x1.76c445dd1362cp-2", "-0x1.dc78459bcf2dap-1",
+         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
+        ("0x1.6f52fde25ce2ap-2", "-0x1.ddebb5bd7f019p-1",
+         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
+        ("0x1.74ea1ac951ca4p-2", "-0x1.dcd6db13d3b19p-1",
+         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
+        ("0x1.7130941d7e782p-2", "-0x1.dd907abe20951p-1",
+         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
+        ("0x1.73fc42bbee494p-2", "-0x1.dd05b179b5fdap-1",
+         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
+    ],
+    2.5: [
+        ("0x1.326af03ffedb9p-2", "0x1.9a2f7f6d9f66dp-2",
+         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
+        ("-0x1.74cb89aec7409p-1", "0x1.70581707dfd1ep-3",
+         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
+        ("-0x1.8771dec6c1426p-2", "0x1.92fc1b343b56ap-1",
+         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
+        ("-0x1.b69cb685fbfc4p-1", "0x1.85f89cce01fd4p-2",
+         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
+        ("-0x1.3ba8097827c89p-1", "0x1.7e97afc15ce82p-1",
+         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
+        ("-0x1.b471c42adc45dp-1", "0x1.f81cbb5e556dfp-2",
+         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
+        ("-0x1.6f0bf67a7baaap-1", "0x1.5f32edfd0a076p-1",
+         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
+        ("-0x1.aa54531eb5f3bp-1", "0x1.17e60d3d2d46bp-1",
+         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
+        ("-0x1.85c76de193b46p-1", "0x1.4a71b1bafae09p-1",
+         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
+        ("-0x1.a302887ff0055p-1", "0x1.255d694ffd6a8p-1",
+         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
+        ("-0x1.904a4ba4fdaddp-1", "0x1.3ed5c77528b75p-1",
+         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
+        ("-0x1.9ec91cea6bb76p-1", "0x1.2bf2bd5a41b94p-1",
+         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
+        ("-0x1.95512b47f4451p-1", "0x1.38ba127df6ed8p-1",
+         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
+        ("-0x1.9c885223e7611p-1", "0x1.2f32a61fff57bp-1",
+         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
+        ("-0x1.97c578f2b6df1p-1", "0x1.3598ea62776dfp-1",
+         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
+        ("-0x1.9b5ee953ed22bp-1", "0x1.30cfc4a200877p-1",
+         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
+        ("-0x1.98fbc738d1a57p-1", "0x1.3403873186f52p-1",
+         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
+        ("-0x1.9ac7f44e84d62p-1", "0x1.319d99b4edfcbp-1",
+         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
+        ("-0x1.9995f6337fe71p-1", "0x1.3337a25851967p-1",
+         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
+        ("-0x1.9a7be9ac61cd7p-1", "0x1.3204551be7294p-1",
+         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
+    ],
+}
+
+
 def sample_disk(rng, n, radius=0.9):
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
@@ -139,6 +314,16 @@ class TestPoleSchedule:
         with pytest.raises(ValueError):
             fn.PoleSchedule(sch.theta, sch.pole_points, sch.radii[::-1],
                             sch.deflections, sch.pole_strip)
+
+    @pytest.mark.parametrize("theta", list(POLE_PINS))
+    @pytest.mark.parametrize("count", [10, 20])
+    def test_default_schedule_pinned(self, theta, count):
+        # pole k does not depend on the count, so count 10 is the first ten rows
+        sch = fn.PoleSchedule.default(theta, count)
+        rows = [(z.real.hex(), z.imag.hex(), float(s).hex(), float(t).hex(), float(e).hex())
+                for z, (s, t), e in zip(sch.pole_points, sch.pole_strip, sch.radii)]
+        assert rows == POLE_PINS[theta][:count]
+
 
 class TestPoleSeries:
     def test_finite_at_offset_points(self, schedule, f0):

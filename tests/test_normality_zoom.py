@@ -8,9 +8,13 @@ must be unchanged.  The cases are the four normality_sup calls of the
 selftest battery and the gallery towers on the other canonical regions.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from poincare_boundary_lab import analysis as an
+from poincare_boundary_lab import cli
 from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
@@ -137,3 +141,122 @@ def test_square_exp_verdict_needs_the_zoom(monkeypatch):
     monkeypatch.setattr(an, "_zoom_max",
                         lambda f, region, levels, z0, v0: [float(v) for v in v0])
     assert an.normality_sup(f, region, 14).verdict == "bounded"
+
+
+# ---------------------------------------------------------------------------
+# the batched region test against one strip_distance call per level
+
+
+def _per_level_region(zm, lev, s, t):
+    """The region test as it ran before the levels were batched into
+    blocks: one strip_distance call per level present in the rows."""
+    ok = ge.strip_depth(s, t) >= zm.depth_floor[lev]
+    for i in np.unique(lev[ok]):
+        rows = np.flatnonzero(ok & (lev == i))
+        cs, ct = zm.samples[i]
+        d = ge.strip_distance(s[rows, None], t[rows, None], cs[None, :], ct[None, :])
+        ok[rows] = np.min(d, axis=1) <= zm.r_h + 1e-12
+    return ok
+
+
+def _exchange_curve(tmp_path):
+    """A curve read back from an exchange file, as `@file` specs are."""
+    path = tmp_path / "hyper.json"
+    path.write_text(json.dumps(cv.curve_to_exchange(
+        cv.canonical_curve("hypercycle", 0.0, -0.3), 16)))
+    return cli.parse_curve(f"@{path}")
+
+
+REGION_CURVES = ["radius:0", "chord:0:0.5", "chord:0:-1.2", "hypercycle:0:0.5",
+                 "hypercycle:2.5:-0.3", "horocycle:0", "horocycle:2.5:-1",
+                 "zigzag", "@file"]
+
+
+def _region_rows(zm, rng, n):
+    """Random rows tagged with a level, plus rows just inside and just
+    outside r_h of a sample: at equal s, the distance is the offset gap."""
+    lev = rng.integers(0, len(zm.samples), n)
+    s = np.empty(n)
+    t = np.empty(n)
+    for i, (cs, ct) in enumerate(zm.samples):
+        rows = np.flatnonzero(lev == i)
+        j = rng.integers(0, len(cs), len(rows))
+        kind = rng.integers(0, 3, len(rows))
+        gap = zm.r_h * np.where(kind == 0, 1.0 - 1e-9, 1.0 + 1e-9)
+        sign = np.where(rng.uniform(size=len(rows)) < 0.5, -1.0, 1.0)
+        s[rows] = cs[j]
+        t[rows] = ct[j] + sign * gap
+        spread = kind == 2
+        s[rows[spread]] = cs[j[spread]] + rng.uniform(-1.0, 1.0, spread.sum())
+        t[rows[spread]] = rng.uniform(-3.0, 3.0, spread.sum())
+    return lev, s, t
+
+
+class TestRegionTest:
+    @pytest.mark.parametrize("spec", REGION_CURVES)
+    def test_blocks_agree_with_per_level_loop(self, spec, tmp_path):
+        if spec == "zigzag":
+            curve = cv.build_zigzag_pair(0.5, 3)[1]
+        elif spec == "@file":
+            curve = _exchange_curve(tmp_path)
+        else:
+            curve = cli.parse_curve(spec)
+        zm = an._LockstepZoom(fn.identity_function(),
+                              cv.CurvilinearAngle(curve, 0.5), list(range(1, 15)))
+        if spec == "chord:0:-1.2":
+            assert len(zm.samples[0][0]) == 1   # level 1 zooms over refine(3)
+        rng = np.random.default_rng(20261018)
+        lev, s, t = _region_rows(zm, rng, 4000)
+        got = zm.in_region(lev, s, t)
+        assert np.array_equal(got, _per_level_region(zm, lev, s, t))
+        assert 0 < np.count_nonzero(got) < len(got)
+        # every block pads each of its levels to under twice its samples
+        for ps, _, _ in zm.blocks:
+            assert np.all(ps.shape[1] < 2 * np.isfinite(ps).sum(axis=1))
+
+    def test_horocycle_zoom_spans_several_blocks(self):
+        zm = an._LockstepZoom(fn.identity_function(), _region("horocycle:0", 0.5),
+                              list(range(1, 15)))
+        sizes = [len(cs) for cs, _ in zm.samples]
+        assert len(zm.blocks) == len({n.bit_length() for n in sizes}) > 3
+
+
+class TestMonotoneRounding:
+    """The region test applies np.maximum(., 1) and np.arccosh to a row's
+    minimum of cosh d instead of to each cell; that is exact only if both
+    are nondecreasing as numpy evaluates them."""
+
+    @staticmethod
+    def _assert_nondecreasing(c):
+        c = np.sort(c)
+        for g in (np.maximum(c, 1.0), np.arccosh(np.maximum(c, 1.0))):
+            assert np.all(np.diff(g) >= 0)
+
+    def test_dense_sample_of_one_to_1e300(self):
+        near_one = 1.0 + np.arange(200_000) * np.finfo(float).eps
+        self._assert_nondecreasing(np.concatenate([
+            np.geomspace(1.0, 1e300, 1_000_000), near_one,
+            np.linspace(0.0, 1.0, 1001), [np.inf]]))
+
+    def test_cells_of_one_zoom(self, monkeypatch):
+        region = _region("horocycle:0", 0.5)
+        seen = []
+        in_region = an._LockstepZoom.in_region
+
+        def recording(zm, lev, s, t):
+            seen.append((zm, lev.copy(), s.copy(), t.copy()))
+            return in_region(zm, lev, s, t)
+
+        monkeypatch.setattr(an._LockstepZoom, "in_region", recording)
+        an.normality_sup(fn.gallery("square_exp"), region, 8)
+        cells = []
+        for zm, lev, s, t in seen:
+            for i, (cs, ct) in enumerate(zm.samples):
+                s1, t1 = s[lev == i, None], t[lev == i, None]
+                cells.append((np.cosh(s1 - cs) * np.cosh(t1) * np.cosh(ct)
+                              - np.sinh(t1) * np.sinh(ct)).ravel())
+        cells = np.concatenate(cells)
+        # cells on both sides of the region's edge, cosh r_h
+        assert len(cells) > 100_000
+        assert np.min(cells) < np.cosh(seen[0][0].r_h) < np.max(cells)
+        self._assert_nondecreasing(cells)
