@@ -57,6 +57,8 @@ FAILURE_FRACTION = 0.01   # more nan evaluations than this => inconclusive
 SHELL_SAMPLES = 200       # accepted points a cluster shell aims for
 PSEQ_THRESHOLDS = (10.0, 100.0, 1000.0)  # all eventually exceeded => positive
 
+# echoed by the reports of this module as an init=False field, so that no
+# caller can pass thresholds that no rule reads
 DEFAULT_THRESHOLDS = {
     "plateau_ratio": PLATEAU_RATIO,
     "growth_factor": GROWTH_FACTOR,
@@ -107,25 +109,14 @@ def _disk_template(r_ph: float, mesh: float) -> np.ndarray:
 
 @dataclass
 class NormalityReport:
-    region_label: str
+    region: str
     deflection: float
     levels: list[int]
     sups: list[float]
     verdict: str
     failures: int = 0
     evaluations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region_label,
-            "deflection": self.deflection,
-            "levels": self.levels,
-            "sups": self.sups,
-            "verdict": self.verdict,
-            "failures": self.failures,
-            "evaluations": self.evaluations,
-            "thresholds": dict(DEFAULT_THRESHOLDS),
-        }
+    thresholds: dict = field(init=False, default_factory=DEFAULT_THRESHOLDS.copy)
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -374,10 +365,6 @@ class IndicatorReport:
     verdict: str
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "values": self.values,
-                "verdict": self.verdict, "details": self.details}
-
 
 def pseq_indicator_pointwise(f: FunctionHandle, sequence) -> IndicatorReport:
     """Reports (1 - |z_n|^2) f#(z_n) and whether the values eventually exceed
@@ -503,17 +490,7 @@ class ClusterEstimate:
     limit_candidate: complex | None
     verdict: str
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "shells": self.shells,
-            "diameters": self.diameters,
-            "limit_candidate": self.limit_candidate,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "thresholds": dict(DEFAULT_THRESHOLDS),
-        }
+    thresholds: dict = field(init=False, default_factory=DEFAULT_THRESHOLDS.copy)
 
 
 def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
@@ -596,17 +573,7 @@ class FamilyReport:
     sup_ds: list[float | None]
     verdict: str
     failures: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "w_sequence": self.w_sequence,
-            "compact_radius": self.compact_radius,
-            "target": self.target,
-            "sup_ds": self.sup_ds,
-            "verdict": self.verdict,
-            "failures": self.failures,
-            "thresholds": dict(DEFAULT_THRESHOLDS),
-        }
+    thresholds: dict = field(init=False, default_factory=DEFAULT_THRESHOLDS.copy)
 
 
 def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,

@@ -2,8 +2,9 @@
 emitting deterministic machine-readable reports.
 
 Exit codes: 0 success, 2 invalid arguments, 3 evaluation failure or an
-inconclusive verdict, 4 a check-style verdict that is not satisfied
-(not_equivalent, violated, no_convergence, failed selftest).
+inconclusive verdict, 4 a check that is not satisfied.  VERDICT_EXIT maps
+every verdict the library returns to its code; lemma4, lemma6 and selftest
+exit 4 when their check fails.
 
 Reports carry the seed and the arguments but no wall-clock data, so repeated
 runs with the same seed are byte-identical; the timestamp only names the file.
@@ -19,7 +20,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,6 +173,14 @@ def write_report(cfg: RunConfig, subcommand: str, report: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, report_dict, stdout_text)
 
+# indexed directly, so that a verdict missing here fails loudly
+VERDICT_EXIT = {
+    "inconclusive": 3,
+    **dict.fromkeys(("not_equivalent", "no_convergence", "violated", "mixed"), 4),
+    **dict.fromkeys(("equivalent", "bounded", "diverging", "positive", "negative",
+                     "limit", "no_limit", "converges", "satisfied"), 0),
+}
+
 
 def cmd_metric(args, cfg):
     z = parse_complex(args.z)
@@ -211,10 +220,8 @@ def cmd_equiv(args, cfg):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
     verdict = cv.are_equivalent(c1, c2, _level(args.max_level, cfg.max_level))
-    rep = {"curve1": c1.label, "curve2": c2.label}
-    rep.update(verdict.to_dict())
-    code = {"equivalent": 0, "not_equivalent": 4}.get(verdict.verdict, 3)
-    return code, rep, verdict.verdict
+    rep = {"curve1": c1.label, "curve2": c2.label, **asdict(verdict)}
+    return VERDICT_EXIT[verdict.verdict], rep, verdict.verdict
 
 
 def cmd_lemma4(args, cfg):
@@ -241,10 +248,8 @@ def cmd_normality(args, cfg):
     curve = parse_curve(args.curve)
     region = cv.CurvilinearAngle(curve, args.deflection)
     rep = an.normality_sup(f, region, _level(args.max_level, max(cfg.max_level, 4)))
-    code = 0 if rep.verdict in ("bounded", "diverging") else 3
-    d = rep.to_dict()
-    d["function"] = f.label
-    return code, d, f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
+    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, \
+        f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
 
 
 SEQUENCE_KINDS = ("radial", "poles", "pole-adjacent", "pole-offset")
@@ -295,10 +300,8 @@ def cmd_pseq(args, cfg):
         rep = an.pseq_indicator_split_pair(f, seq_a, seq_b, alpha, args.delta)
     else:
         raise CliError(f"unknown pseq mode {args.mode!r}")
-    d = rep.to_dict()
-    d["function"] = f.label
-    code = 0 if rep.verdict in ("positive", "negative", "bounded", "diverging") else 3
-    return code, d, f"{args.mode}: {rep.verdict}"
+    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, \
+        f"{args.mode}: {rep.verdict}"
 
 
 def _parse_region(spec: str):
@@ -326,13 +329,10 @@ def cmd_cluster(args, cfg):
     member, theta, r = _parse_region(args.region)
     rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
                               seed=cfg.seed, record_values=not args.no_values)
-    d = rep.to_dict()
-    d["function"] = f.label
-    d["region"] = args.region
-    code = 3 if rep.verdict == "inconclusive" else 0
+    d = {**asdict(rep), "function": f.label, "region": args.region}
     cand = rep.limit_candidate
-    return code, d, (f"verdict {rep.verdict}  candidate "
-                     f"{cand if cand is None else _json_default(cand)}")
+    return VERDICT_EXIT[rep.verdict], d, (f"verdict {rep.verdict}  candidate "
+                                          f"{cand if cand is None else _json_default(cand)}")
 
 
 def cmd_family(args, cfg):
@@ -340,12 +340,10 @@ def cmd_family(args, cfg):
     ws = [1.0 - 2.0 ** (-k) for k in _parse_range(args.depths, "depth")]
     target = parse_complex(args.target)
     rep = an.renormalized_family_check(f, ws, args.r1, target)
-    d = rep.to_dict()
-    d["function"] = f.label
-    code = {"converges": 0, "no_convergence": 4}.get(rep.verdict, 3)
     final = rep.sup_ds[-1]
-    return code, d, (f"verdict {rep.verdict}  final sup "
-                     f"{'none' if final is None else format(final, '.3e')}")
+    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, (
+        f"verdict {rep.verdict}  final sup "
+        f"{'none' if final is None else format(final, '.3e')}")
 
 
 STOLZ_GRID = 1000  # stolz-map samples without --z
@@ -391,11 +389,9 @@ def cmd_decay(args, cfg):
     curve = parse_curve(args.curve)
     profile = parse_profile(args.profile)
     rep = st.decay_margin(f, curve, profile, _level(args.level, cfg.max_level))
-    d = rep.to_dict()
-    d["function"] = f.label
-    d["curve"] = curve.label
-    code = 0 if rep.verdict == "satisfied" else 4
-    return code, d, f"verdict {rep.verdict}  threshold {rep.violation_threshold}"
+    d = {**asdict(rep), "function": f.label, "curve": curve.label}
+    return VERDICT_EXIT[rep.verdict], d, \
+        f"verdict {rep.verdict}  threshold {rep.violation_threshold}"
 
 
 def cmd_gallery(args, cfg):

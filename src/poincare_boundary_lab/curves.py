@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,10 @@ DEFAULT_LEVEL = 8
 # and the benchmark run predicts under 6,000.  A distance matrix of 100,000
 # samples against a few hundred is a few hundred MB a temporary.
 SAMPLE_BUDGET = 100_000
+# most cells a curve distance matrix may hold; it takes about 27 B a cell at
+# its peak.  The largest of any benchmark job holds 2.6M; two horocycles at
+# level 21 would ask for 67M, though each has only 8,172 samples.
+CELL_BUDGET = 20_000_000
 # half-width of ParametricCurve._step's rounding band, in units of
 # 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
 # [lo, u] is trusted to within half of it (an mpmath oracle puts the worst
@@ -420,6 +424,13 @@ def _strip_distance_matrix(s1, t1, s2, t2):
     return np.arccosh(np.maximum(c, 1.0))
 
 
+def _check_cells(c1: BoundaryCurve, c2: BoundaryCurve, level: int, n1: int, n2: int):
+    if n1 * n2 > CELL_BUDGET:
+        raise ValueError(
+            f"curves {c1.label} and {c2.label} at level {level}: {n1 * n2} "
+            f"distance-matrix cells, above the budget of {CELL_BUDGET}")
+
+
 def _check_same_endpoint(c1: BoundaryCurve, c2: BoundaryCurve):
     d = (c1.endpoint_angle - c2.endpoint_angle) % (2.0 * math.pi)
     if min(d, 2.0 * math.pi - d) > 1e-9:
@@ -435,6 +446,7 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve, level: int) ->
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level + 2)
+    _check_cells(c1, c2, level, len(s1), len(s2))
     d = _strip_distance_matrix(s1, t1, s2, t2)
     return float(np.max(np.min(d, axis=1)))
 
@@ -453,26 +465,11 @@ class EquivalenceVerdict:
     levels: list[int]
     forward: list[float]
     backward: list[float]
+    values: list[float]
     verdict: str
-
-    @property
-    def values(self) -> list[float]:
-        return [max(f, b) for f, b in zip(self.forward, self.backward)]
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "forward": self.forward,
-            "backward": self.backward,
-            "values": self.values,
-            "verdict": self.verdict,
-            "thresholds": {
-                "plateau_ratio": PLATEAU_RATIO,
-                "small_distance": SMALL_DISTANCE,
-                "growth_run": GROWTH_RUN,
-                "growth_floor": GROWTH_FLOOR,
-            },
-        }
+    thresholds: dict = field(init=False, default_factory=lambda: {
+        "plateau_ratio": PLATEAU_RATIO, "small_distance": SMALL_DISTANCE,
+        "growth_run": GROWTH_RUN, "growth_floor": GROWTH_FLOOR})
 
 
 def _trend_verdict(values: list[float]) -> str:
@@ -498,7 +495,7 @@ def are_equivalent(c1: BoundaryCurve, c2: BoundaryCurve,
     fwd = [directed_curve_distance(c1, c2, k) for k in levels]
     bwd = [directed_curve_distance(c2, c1, k) for k in levels]
     values = [max(f, b) for f, b in zip(fwd, bwd)]
-    return EquivalenceVerdict(levels, fwd, bwd, _trend_verdict(values))
+    return EquivalenceVerdict(levels, fwd, bwd, values, _trend_verdict(values))
 
 
 def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
@@ -597,6 +594,7 @@ def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level)
+    _check_cells(c1, c2, level, len(s1), len(s2))
     return discrete_frechet_strip(s1, t1, s2, t2)
 
 
@@ -607,46 +605,29 @@ def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
 def polyline_is_simple(points) -> bool:
     """True iff no two non-adjacent segments of the polyline intersect.
 
-    Points may be complex or an (n, 2) array.  O(n^2) sweep, vectorized per
-    segment; adequate for the sample counts used here.
+    Points may be complex or an (n, 2) array.  Every pair of non-adjacent
+    segments is tested in one broadcast, in O(n^2) memory; adequate for the
+    few hundred points used here.
     """
     pts = np.asarray(points)
     if pts.ndim == 1:
         xy = np.column_stack([pts.real.astype(float), pts.imag.astype(float)])
     else:
         xy = pts.astype(float)
-    n = len(xy) - 1
-    if n < 2:
-        return True
-    a = xy[:-1]
-    b = xy[1:]
+    i, j = np.triu_indices(max(len(xy) - 1, 0), 2)
+    p, q, r, s = xy[i], xy[i + 1], xy[j], xy[j + 1]
 
     def orient(p, q, r):
-        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
-                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+        return ((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+                - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
 
-    for i in range(n - 2):
-        js = np.arange(i + 2, n)
-        p, q = a[i], b[i]
-        r, s = a[js], b[js]
-        d1 = orient(p[None, :], q[None, :], r)
-        d2 = orient(p[None, :], q[None, :], s)
-        d3 = orient(r, s, p[None, :])
-        d4 = orient(r, s, q[None, :])
-        crossing = ((d1 * d2) < 0) & ((d3 * d4) < 0)
-        if np.any(crossing):
-            return False
-        # collinear overlap: conservative bounding-box check on degenerate rows
-        deg = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
-        if np.any(deg):
-            lo1 = np.minimum(p, q)
-            hi1 = np.maximum(p, q)
-            lo2 = np.minimum(r[deg], s[deg])
-            hi2 = np.maximum(r[deg], s[deg])
-            overlap = np.all((lo1[None, :] <= hi2) & (lo2 <= hi1[None, :]), axis=1)
-            if np.any(overlap):
-                return False
-    return True
+    d1, d2, d3, d4 = orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q)
+    crossing = ((d1 * d2) < 0) & ((d3 * d4) < 0)
+    # collinear overlap: conservative bounding-box check on degenerate pairs
+    deg = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
+    overlap = np.all((np.minimum(p, q) <= np.maximum(r, s))
+                     & (np.minimum(r, s) <= np.maximum(p, q)), axis=1)
+    return not np.any(crossing | (deg & overlap))
 
 
 # ---------------------------------------------------------------------------

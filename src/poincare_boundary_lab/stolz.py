@@ -259,17 +259,8 @@ class MarginReport:
     rows: list[dict]            # per-sample: depth, margin
     verdict: str                # satisfied / violated / mixed
     violation_threshold: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "exponent": self.exponent,
-            "levels": self.levels,
-            "rows": self.rows,
-            "verdict": self.verdict,
-            "violation_threshold": self.violation_threshold,
-            "thresholds": {"margin_rel_tol": MARGIN_REL_TOL},
-        }
+    thresholds: dict = field(init=False,
+                             default_factory=lambda: {"margin_rel_tol": MARGIN_REL_TOL})
 
 
 def _margin_values(f: FunctionHandle, z, profile: DecayProfile):

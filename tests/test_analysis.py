@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestClusterEstimate:
         member = an.radial_angle_membership(0.4, 0.0)
         a = an.cluster_estimate(f1, member, 0.0, range(2, 8), seed=11)
         b = an.cluster_estimate(f1, member, 0.0, range(2, 8), seed=11)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
 
 class TestRenormalizedFamily:

@@ -58,6 +58,11 @@ class TestExitCodes:
                     "--max-level", "12"], tmp_path)
         assert code == 4
 
+    def test_equiv_inconclusive_is_3(self, tmp_path):
+        code = run(["equiv", "--curve1", "radius:0", "--curve2", "horocycle:0",
+                    "--max-level", "4"], tmp_path)
+        assert code == 3
+
     def test_equiv_equivalent_is_0(self, tmp_path):
         code = run(["equiv", "--curve1", "radius:0", "--curve2",
                     "chord:0:0.5236", "--max-level", "10"], tmp_path)
@@ -236,6 +241,16 @@ class TestExitCodes:
                 "predicted, above the budget of 100000") in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_matrix_over_cell_budget_is_2(self, tmp_path, capsys, monkeypatch):
+        # 8,172 samples a curve, far under the sample budget
+        monkeypatch.setattr(cv, "_strip_distance_matrix", None)
+        assert run(["frechet", "--curve1", "horocycle:0", "--curve2", "horocycle:0:-1",
+                    "--level", "21"], tmp_path) == 2
+        assert ("error: curves horocycle:0 and horocycle:0 at level 21: 66781584 "
+                "distance-matrix cells, above the budget of 20000000"
+                ) in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestReports:
     def test_json_report_written(self, tmp_path):
@@ -328,6 +343,62 @@ ECHO_KEYS = [
 ]
 SUBCOMMAND_NAMES = [name for name, _, _ in ECHO_KEYS]
 
+_THRESHOLDS = ["thresholds", "thresholds.converge_tol", "thresholds.failure_fraction",
+               "thresholds.growth_factor", "thresholds.plateau_ratio"]
+_SHELLS = ["shells", "shells[].diameter", "shells[].mean", "shells[].n",
+           "shells[].range", "shells[].shell"]
+_CLUSTER = ["cluster", "--function", "identity", "--region", "radius-angle:0.4",
+            "--shells", "2:4"]
+_PSEQ = ["pseq", "--function", "pole_series", "--sequence", "poles:4", "--mode"]
+# one cheap run per report built from a library dataclass, with the nested
+# keys of its report besides arguments, seed and subcommand, as the
+# hand-written serialisers of the previous release wrote them
+PAYLOAD_KEYS = [
+    (["equiv", "--curve1", "radius:0", "--curve2", "chord:0:0.5236", "--max-level", "8"],
+     ["backward", "curve1", "curve2", "forward", "levels", "thresholds",
+      "thresholds.growth_floor", "thresholds.growth_run", "thresholds.plateau_ratio",
+      "thresholds.small_distance", "values", "verdict"]),
+    (["normality", "--function", "identity", "--curve", "radius:0",
+      "--deflection", "0.3", "--max-level", "4"],
+     ["deflection", "evaluations", "failures", "function", "levels", "region", "sups",
+      "verdict", *_THRESHOLDS]),
+    ([*_PSEQ, "pointwise"],
+     ["details", "details.crossed_at", "details.crossed_at.10.0",
+      "details.crossed_at.100.0", "details.crossed_at.1000.0", "details.thresholds",
+      "function", "kind", "values", "verdict"]),
+    ([*_PSEQ, "local-sup"], ["details", "details.radii", "function", "kind", "values",
+                             "verdict"]),
+    ([*_PSEQ, "split-pair"],
+     ["details", "details.converges_along_a", "details.d_h_pairs", "details.d_target_a",
+      "details.d_target_b", "details.delta", "details.pairs_merge",
+      "details.separated_along_b", "function", "kind", "values", "verdict"]),
+    (_CLUSTER, ["diameters", "function", "limit_candidate", "region", *_SHELLS,
+                "shells[].values", "theta", "verdict", *_THRESHOLDS]),
+    ([*_CLUSTER, "--no-values"], ["diameters", "function", "limit_candidate", "region",
+                                  *_SHELLS, "theta", "verdict", *_THRESHOLDS]),
+    (["family", "--function", "identity", "--target", "1,0", "--r1", "0.9",
+      "--depths", "1:4"],
+     ["compact_radius", "failures", "function", "sup_ds", "target", "verdict",
+      "w_sequence", *_THRESHOLDS]),
+    (["decay", "--function", "square_exp", "--curve", "radius:0", "--profile", "super:1",
+      "--level", "6"],
+     ["curve", "exponent", "function", "levels", "profile", "rows", "rows[].depth",
+      "rows[].margin", "thresholds", "thresholds.margin_rel_tol", "verdict",
+      "violation_threshold"]),
+]
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted paths of every key under obj; list items share a `[]` step."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            path = f"{prefix}.{k}" if prefix else k
+            yield path
+            yield from _key_paths(v, path)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _key_paths(v, prefix + "[]")
+
 
 class TestParser:
     @pytest.mark.parametrize("name,options,keys", ECHO_KEYS, ids=SUBCOMMAND_NAMES)
@@ -336,6 +407,15 @@ class TestParser:
         assert run([name, *options], tmp_path) == 0
         payload = json.loads(latest_report(tmp_path, name))
         assert set(payload["arguments"]) == keys | {"no_report", "output_dir", "subcommand"}
+
+    @pytest.mark.parametrize("argv,keys", PAYLOAD_KEYS, ids=[
+        "equiv", "normality", "pseq-pointwise", "pseq-local-sup", "pseq-split-pair",
+        "cluster", "cluster-no-values", "family", "decay"])
+    def test_payload_key_set_is_pinned(self, tmp_path, argv, keys):
+        run(argv, tmp_path)
+        payload = json.loads(latest_report(tmp_path, argv[0]))
+        del payload["arguments"], payload["seed"], payload["subcommand"]
+        assert set(_key_paths(payload)) == set(keys)
 
     def test_table_has_every_subcommand(self):
         assert list(cli.SUBCOMMANDS) == SUBCOMMAND_NAMES

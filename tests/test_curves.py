@@ -65,6 +65,37 @@ class TestCanonicalCurves:
     def test_polyline_simple_at_sample_resolution(self, radius, horocycle, chord):
         for curve in (radius, horocycle, chord):
             assert cv.polyline_is_simple(curve.refine(10))
+        assert not cv.polyline_is_simple(np.array([0, 2 + 2j, 2, 2j]))  # bow-tie
+        assert not cv.polyline_is_simple(np.array([0, 2, 3, 1]))  # collinear back-track
+
+    def test_polyline_simple_matches_pairwise_loop(self):
+        def orient(p, q, r):
+            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+        def simple(xy):
+            for i in range(len(xy) - 1):
+                for j in range(i + 2, len(xy) - 1):
+                    p, q, r, s = xy[i], xy[i + 1], xy[j], xy[j + 1]
+                    d = (orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q))
+                    if d[0] * d[1] < 0 and d[2] * d[3] < 0:
+                        return False
+                    if not any(d) and all(min(p[k], q[k]) <= max(r[k], s[k])
+                                          and min(r[k], s[k]) <= max(p[k], q[k])
+                                          for k in (0, 1)):
+                        return False
+            return True
+
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for k in range(200):
+            # small integer lattices give collinear overlaps; floats general position
+            m = int(rng.integers(0, 12))
+            xy = (rng.integers(0, 4, (m, 2)).astype(float) if k % 2
+                  else rng.normal(size=(m, 2)))
+            want = simple(xy.tolist())
+            verdicts.add(want)
+            assert cv.polyline_is_simple(xy) == want
+        assert verdicts == {True, False}
 
     def test_hypercycle_constant_offset(self):
         c = cv.canonical_curve("hypercycle", 0.0, 0.5)
