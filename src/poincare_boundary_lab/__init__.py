@@ -1,6 +1,6 @@
 """poincare-boundary-lab: boundary behavior of functions on the unit disk.
 
-Subpackages:
+Modules:
 
 * geometry  - metrics, Mobius automorphisms, axial coordinates
 * curves    - boundary-terminating curves, curvilinear angles, equivalence,
@@ -10,7 +10,8 @@ Subpackages:
               renormalized families
 * stolz     - Stolz angles, the sector-to-disk conformal map, distortion
               bounds, decay-margin checks
-* cli       - batch front end emitting JSON/CSV reports
+* cli       - batch front end emitting JSON reports
+* selftest  - the acceptance battery shared by the CLI and pytest
 """
 
 __version__ = "0.1.0"

@@ -432,8 +432,7 @@ def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,
         "split_pair",
         [float(x) for x in da],
         "positive" if flagged else "negative",
-        {"d_target_a": [float(x) for x in da],
-         "d_target_b": [float(x) for x in db],
+        {"d_target_b": [float(x) for x in db],
          "d_h_pairs": [float(x) for x in dh],
          "converges_along_a": conv_a,
          "separated_along_b": away_b,

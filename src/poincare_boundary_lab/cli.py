@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +220,7 @@ def cmd_equiv(args, cfg):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
     verdict = cv.are_equivalent(c1, c2, _level(args.max_level, cfg.max_level))
-    rep = {"curve1": c1.label, "curve2": c2.label, **asdict(verdict)}
+    rep = {"curve1": c1.label, "curve2": c2.label, **vars(verdict)}
     return VERDICT_EXIT[verdict.verdict], rep, verdict.verdict
 
 
@@ -248,7 +248,7 @@ def cmd_normality(args, cfg):
     curve = parse_curve(args.curve)
     region = cv.CurvilinearAngle(curve, args.deflection)
     rep = an.normality_sup(f, region, _level(args.max_level, max(cfg.max_level, 4)))
-    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, \
+    return VERDICT_EXIT[rep.verdict], {**vars(rep), "function": f.label}, \
         f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
 
 
@@ -300,7 +300,7 @@ def cmd_pseq(args, cfg):
         rep = an.pseq_indicator_split_pair(f, seq_a, seq_b, alpha, args.delta)
     else:
         raise CliError(f"unknown pseq mode {args.mode!r}")
-    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, \
+    return VERDICT_EXIT[rep.verdict], {**vars(rep), "function": f.label}, \
         f"{args.mode}: {rep.verdict}"
 
 
@@ -329,7 +329,7 @@ def cmd_cluster(args, cfg):
     member, theta, r = _parse_region(args.region)
     rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
                               seed=cfg.seed, record_values=not args.no_values)
-    d = {**asdict(rep), "function": f.label, "region": args.region}
+    d = {**vars(rep), "function": f.label, "region": args.region}
     cand = rep.limit_candidate
     return VERDICT_EXIT[rep.verdict], d, (f"verdict {rep.verdict}  candidate "
                                           f"{cand if cand is None else _json_default(cand)}")
@@ -341,7 +341,7 @@ def cmd_family(args, cfg):
     target = parse_complex(args.target)
     rep = an.renormalized_family_check(f, ws, args.r1, target)
     final = rep.sup_ds[-1]
-    return VERDICT_EXIT[rep.verdict], {**asdict(rep), "function": f.label}, (
+    return VERDICT_EXIT[rep.verdict], {**vars(rep), "function": f.label}, (
         f"verdict {rep.verdict}  final sup "
         f"{'none' if final is None else format(final, '.3e')}")
 
@@ -389,7 +389,7 @@ def cmd_decay(args, cfg):
     curve = parse_curve(args.curve)
     profile = parse_profile(args.profile)
     rep = st.decay_margin(f, curve, profile, _level(args.level, cfg.max_level))
-    d = {**asdict(rep), "function": f.label, "curve": curve.label}
+    d = {**vars(rep), "function": f.label, "curve": curve.label}
     return VERDICT_EXIT[rep.verdict], d, \
         f"verdict {rep.verdict}  threshold {rep.violation_threshold}"
 

@@ -156,10 +156,6 @@ class BoundaryCurve:
             self._strip_levels[level] = self._build_strip(level)
         return self._strip_levels[level]
 
-    @property
-    def endpoint(self) -> complex:
-        return complex(np.exp(1j * self.endpoint_angle))
-
     def max_gap(self, level: int) -> float:
         """Max adjacent-sample pseudo-hyperbolic gap (the sampling slack)."""
         return float(np.tanh(self.max_gap_hyperbolic(level) / 2.0))
@@ -306,21 +302,21 @@ class ParametricCurve(BoundaryCurve):
         return self._bound(level)
 
     def _build_strip(self, level):
-        # extend on local copies and rebind: idempotent and safe under
-        # concurrent first-call (last writer wins with identical content)
+        # extends the shared samples in place; a step that raises leaves a
+        # valid prefix, and each level is cut from it by `_level_end`
         target = _depth_target(level)
-        us, pts = list(self._u), list(self._pts)
+        us, pts = self._u, self._pts
         try:
             while 1.0 - abs(pts[-1]) > target:
                 u = self._step(us[-1], pts[-1])
+                z = complex(self._point(u))
                 us.append(u)
-                pts.append(complex(self._point(u)))
+                pts.append(z)
         except ValueError:
             # `_dh` met a rounded pseudo-hyperbolic distance >= 1
             raise ValueError(
                 f"curve {self.label} at level {level}: depth 2^-{level} is "
                 f"below what complex-double samples resolve") from None
-        self._u, self._pts = us, pts
         arr = np.asarray(pts, dtype=complex)
         n = _level_end(1.0 - np.abs(arr), level)
         return disk_to_strip(arr[:n], self.endpoint_angle)

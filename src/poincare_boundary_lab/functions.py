@@ -1,11 +1,11 @@
 """Evaluatable meromorphic functions on the disk and the constructed gallery.
 
-A FunctionHandle packages vectorized evaluation, a derivative (closed form
-when known, otherwise a boundary-scaled central difference), and a pole-safe
-spherical derivative f# = |f'| / (1 + |f|^2).  Functions built from
-exponential towers carry log-scale forms (log|f| and log|f'|) so the
-spherical derivative survives |log|f|| far beyond double range; a point
-value saturates to 0 / infinity with a flag.
+A FunctionHandle packages vectorized evaluation and one way to produce the
+spherical derivative f# = |f'| / (1 + |f|^2).  Handles with a closed-form
+derivative get the pole-safe f# of the base class.  Functions built from
+exponential towers f = exp(L) carry log-scale forms instead (log|f| and
+log|L'|), so f# survives |log|f|| far beyond double range; a point value
+saturates to 0 / infinity with a flag.
 
 The gallery holds the closed-form probe functions; RationalPoleFunction is
 the truncated series  sum_k eps_k^2 / (z - z_k)  over a pole schedule whose
@@ -32,32 +32,25 @@ from .geometry import (
 
 LOG_SATURATION = 700.0        # |log|f|| beyond this: saturate to 0 / infinity
 POLE_SNAP = 1e-12             # closer than this to a pole counts as the pole
-DERIV_STEP_SCALE = 1e-6       # central-difference step, times (1 - |z|)
 
 
 class EvaluationError(RuntimeError):
     """Raised when a function value cannot be computed in any scale."""
 
 
-def _central_diff(eval_array, z):
-    z = np.asarray(z, dtype=complex)
-    h = DERIV_STEP_SCALE * (1.0 - np.abs(z))
-    return (eval_array(z + h) - eval_array(z - h)) / (2.0 * h)
-
-
 class FunctionHandle:
-    """Base class; subclasses provide eval_array and optionally more."""
+    """Base class; subclasses provide eval_array and deriv_array, or
+    override sph_array."""
 
     label = "function"
     pole_points: np.ndarray | None = None
     pole_residues: np.ndarray | None = None
-    has_log = False
 
     def eval_array(self, z):
         raise NotImplementedError
 
     def deriv_array(self, z):
-        return _central_diff(self.eval_array, z)
+        raise NotImplementedError
 
     def log_abs_array(self, z):
         v = self.eval_array(z)
@@ -72,9 +65,6 @@ class FunctionHandle:
     def sph_array(self, z):
         """Vectorized spherical derivative; nan marks evaluation failure."""
         z = np.asarray(z, dtype=complex)
-        if self.has_log:
-            with np.errstate(invalid="ignore"):
-                return np.exp(self.log_sph_array(z))
         v = self.eval_array(z)
         d = self.deriv_array(z)
         av = np.abs(v)
@@ -95,15 +85,9 @@ class FunctionHandle:
         return out
 
     def eval(self, z) -> tuple[complex, bool]:
-        """(f(z), saturated): a value that is not finite is infinity, and
-        `saturated` marks a log-scale value clamped to 0 or infinity."""
+        """(f(z), saturated): a value that is not finite is infinity; only a
+        LogScaleFunction flags a value as saturated (clamped to 0 or infinity)."""
         zv = as_complex(z)
-        if self.has_log:
-            lm = float(self.log_abs_array(np.array([zv]))[0])
-            if lm < -LOG_SATURATION:
-                return 0j, True
-            if lm > LOG_SATURATION:
-                return complex(math.inf, 0.0), True
         v = complex(self.eval_array(np.array([zv]))[0])
         if cmath.isnan(v):
             raise EvaluationError(f"{self.label} failed to evaluate at {zv!r}")
@@ -114,7 +98,7 @@ class FunctionHandle:
 
 
 class CallableFunction(FunctionHandle):
-    def __init__(self, label, fn, dfn=None):
+    def __init__(self, label, fn, dfn):
         self.label = label
         self._fn = fn
         self._dfn = dfn
@@ -123,10 +107,7 @@ class CallableFunction(FunctionHandle):
         return self._fn(np.asarray(z, dtype=complex))
 
     def deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self._dfn is not None:
-            return self._dfn(z)
-        return _central_diff(self._fn, z)
+        return self._dfn(np.asarray(z, dtype=complex))
 
 
 def identity_function() -> FunctionHandle:
@@ -170,10 +151,13 @@ def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
         finite = np.isfinite(v) & (v != 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[finite] = -(d[finite] / v[finite]) / v[finite]
-        out[~finite] = np.nan  # caller falls back to central differences
         bad = ~finite
         if np.any(bad):
-            out[bad] = _central_diff(fn, np.asarray(z, complex)[bad])
+            # at a zero or pole of f: central difference of 1/f, its step
+            # scaled to the distance from the boundary
+            zb = z[bad]
+            h = 1e-6 * (1.0 - np.abs(zb))
+            out[bad] = (fn(zb + h) - fn(zb - h)) / (2.0 * h)
         return out
 
     return CallableFunction(f"reciprocal({f.label})", fn, dfn)
@@ -359,17 +343,15 @@ class LogScaleFunction(FunctionHandle):
 
     log_deriv_factor = log|L'| stays finite even where Re L overflows to
     +-inf, which keeps the spherical derivative computable at any depth:
-    log f# = log|L'| + (Re L - log(1 + e^{2 Re L})).
+    log f# = log|L'| + (Re L - log(1 + e^{2 Re L})), the only form f# takes.
+    `log_abs` (Re L) defaults to Re log_complex; pass one that cannot overflow.
     """
 
-    has_log = True
-
-    def __init__(self, label, log_complex, log_abs, log_deriv_factor, deriv_factor):
+    def __init__(self, label, log_complex, log_deriv_factor, log_abs=None):
         self.label = label
         self._logc = log_complex               # L(z), may overflow to inf parts
-        self._log_abs = log_abs                # Re L, computed without overflow
         self._log_deriv_factor = log_deriv_factor   # log |L'|, always finite
-        self._deriv_factor = deriv_factor      # L'(z)
+        self._log_abs = log_abs or (lambda z: np.real(log_complex(z)))
 
     def eval_array(self, z):
         z = np.asarray(z, dtype=complex)
@@ -384,13 +366,10 @@ class LogScaleFunction(FunctionHandle):
         out[sat_hi] = np.inf
         return out
 
-    def deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        v = self.eval_array(z)
-        fac = self._deriv_factor(z)
-        out = v * fac
-        out[~np.isfinite(v)] = np.inf
-        return out
+    def eval(self, z) -> tuple[complex, bool]:
+        v, _ = super().eval(z)
+        lm = float(self.log_abs_array(np.array([as_complex(z)]))[0])
+        return v, abs(lm) > LOG_SATURATION
 
     def log_abs_array(self, z):
         return self._log_abs(np.asarray(z, dtype=complex))
@@ -404,6 +383,10 @@ class LogScaleFunction(FunctionHandle):
         with np.errstate(invalid="ignore", over="ignore"):
             mid = lm - np.logaddexp(0.0, 2.0 * lm)
         return lp + np.where(tail, -np.abs(lm), mid)
+
+    def sph_array(self, z):
+        with np.errstate(invalid="ignore"):
+            return np.exp(self.log_sph_array(z))
 
 
 def _gavrilov() -> FunctionHandle:
@@ -425,11 +408,7 @@ def _gavrilov() -> FunctionHandle:
         e = E(z)
         return e.real - 2.0 * np.log(np.abs(1.0 - z))
 
-    def deriv_factor(z):
-        e = E(z)
-        return -np.exp(e) * e ** 2
-
-    return LogScaleFunction("gavrilov_g", logc, log_abs, log_deriv_factor, deriv_factor)
+    return LogScaleFunction("gavrilov_g", logc, log_deriv_factor, log_abs)
 
 
 def _saginjan() -> FunctionHandle:
@@ -437,16 +416,10 @@ def _saginjan() -> FunctionHandle:
     def logc(z):
         return -1.0 / (1.0 - z)
 
-    def log_abs(z):
-        return np.real(-1.0 / (1.0 - z))
-
     def log_deriv_factor(z):
         return -2.0 * np.log(np.abs(1.0 - z))
 
-    def deriv_factor(z):
-        return -1.0 / (1.0 - z) ** 2
-
-    return LogScaleFunction("saginjan_h", logc, log_abs, log_deriv_factor, deriv_factor)
+    return LogScaleFunction("saginjan_h", logc, log_deriv_factor)
 
 
 def _square_exp() -> FunctionHandle:
@@ -454,16 +427,10 @@ def _square_exp() -> FunctionHandle:
     def logc(z):
         return -(1.0 - z) ** -2.0
 
-    def log_abs(z):
-        return np.real(-(1.0 - z) ** -2.0)
-
     def log_deriv_factor(z):
         return math.log(2.0) - 3.0 * np.log(np.abs(1.0 - z))
 
-    def deriv_factor(z):
-        return -2.0 * (1.0 - z) ** -3.0
-
-    return LogScaleFunction("square_exp", logc, log_abs, log_deriv_factor, deriv_factor)
+    return LogScaleFunction("square_exp", logc, log_deriv_factor)
 
 
 _GALLERY = {

@@ -123,13 +123,10 @@ def criterion_equivalence(seed: int):
                         and verdicts.get(f"{b}|{c}", verdicts.get(f"{c}|{b}")) == "equivalent":
                     ok &= verdicts.get(f"{a}|{c}", verdicts.get(f"{c}|{a}")) == "equivalent"
 
-    rad = fam["radius"]
-    hor = cv.canonical_curve("horocycle", 0.0)
-    fwd = [cv.directed_curve_distance(rad, hor, k) for k in range(4, 13)]
-    bwd = [cv.directed_curve_distance(hor, rad, k) for k in range(4, 13)]
+    v = cv.are_equivalent(fam["radius"], cv.canonical_curve("horocycle", 0.0), 12)
+    fwd, bwd = v.forward[3:], v.backward[3:]   # levels 4..12
     inc = all(x < y for x, y in zip(fwd, fwd[1:])) and \
         all(x < y for x, y in zip(bwd, bwd[1:]))
-    v = cv.are_equivalent(rad, hor, 12)
     ok &= inc and v.verdict == "not_equivalent"
     return bool(ok), {"verdicts": verdicts, "radius_horocycle": v.verdict,
                       "directed_forward": fwd, "directed_backward": bwd,

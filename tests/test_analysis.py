@@ -242,7 +242,8 @@ class TestRenormalizedFamily:
             an.renormalized_family_check(fn.identity_function(), [0.5], 1.2, 1.0)
 
     def test_nan_values_are_failures(self):
-        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan))
+        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan),
+                                   lambda z: np.full_like(z, np.nan))
         rep = an.renormalized_family_check(nanf, [0.5, 0.75], 0.5, 0.0)
         assert rep.failures > 0
         assert rep.verdict == "inconclusive"
@@ -252,8 +253,12 @@ class TestRenormalizedFamily:
         def recip(z):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return 1.0 / z
+
+        def drecip(z):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return -1.0 / z ** 2
         rep = an.renormalized_family_check(
-            fn.CallableFunction("recip", recip), [0.0], 0.5, 0.0)
+            fn.CallableFunction("recip", recip, drecip), [0.0], 0.5, 0.0)
         assert rep.failures == 0
         assert rep.sup_ds == [2.0]
 

@@ -369,9 +369,9 @@ PAYLOAD_KEYS = [
     ([*_PSEQ, "local-sup"], ["details", "details.radii", "function", "kind", "values",
                              "verdict"]),
     ([*_PSEQ, "split-pair"],
-     ["details", "details.converges_along_a", "details.d_h_pairs", "details.d_target_a",
-      "details.d_target_b", "details.delta", "details.pairs_merge",
-      "details.separated_along_b", "function", "kind", "values", "verdict"]),
+     ["details", "details.converges_along_a", "details.d_h_pairs", "details.d_target_b",
+      "details.delta", "details.pairs_merge", "details.separated_along_b", "function",
+      "kind", "values", "verdict"]),
     (_CLUSTER, ["diameters", "function", "limit_candidate", "region", *_SHELLS,
                 "shells[].values", "theta", "verdict", *_THRESHOLDS]),
     ([*_CLUSTER, "--no-values"], ["diameters", "function", "limit_candidate", "region",
@@ -558,7 +558,8 @@ class TestOtherSubcommands:
         assert "diverging" in capsys.readouterr().out
 
     def test_family_sup_of_failed_values_is_null(self, tmp_path, capsys, monkeypatch):
-        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan))
+        nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan),
+                                   lambda z: np.full_like(z, np.nan))
         monkeypatch.setattr(cli, "parse_function", lambda spec: nanf)
         assert run(["family", "--function", "nanf", "--target", "0,0",
                     "--r1", "0.5", "--depths", "1:2"], tmp_path) == 3

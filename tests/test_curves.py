@@ -137,6 +137,18 @@ class TestParametricSampling:
         s, t = cv.canonical_curve(*spec).strip_refine(18)
         assert (float(sum(s)).hex(), float(sum(t)).hex(), len(s)) == self.PINNED[spec]
 
+    def test_failed_level_leaves_a_valid_prefix(self):
+        # level 54 of a chord fails part-way; the samples stepped before the
+        # failure stay, and every level is still the one a fresh curve builds
+        curve = cv.canonical_curve("chord", 0.0, 0.5)
+        with pytest.raises(ValueError, match="at level 54"):
+            curve.strip_refine(54)
+        assert len(curve._u) == len(curve._pts) > 1
+        fresh = cv.canonical_curve("chord", 0.0, 0.5)
+        for level in (18, 53):
+            for a, b in zip(curve.strip_refine(level), fresh.strip_refine(level)):
+                assert np.array_equal(a, b)
+
 
 def _recording_certificates(curve):
     """Make `curve` record (lo, hi, a, b) of each certified bracket."""
