@@ -120,6 +120,8 @@ class NormalityReport:
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 70  # golden-section steps of each zoom offset refinement
+SLAB_GRID = 97     # offsets of each zoom slab's coarse scan
 
 
 def _linspace_rows(lo, hi, n):
@@ -203,13 +205,13 @@ class _LockstepZoom:
             out[ok] = vals
         return out
 
-    def golden_t(self, lev, s, t_lo, t_hi, iters=70):
+    def golden_t(self, lev, s, t_lo, t_hi):
         a, b = t_lo, t_hi
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
         fc = self.log_value(lev, s, c)
         fd = self.log_value(lev, s, d)
-        for _ in range(iters):
+        for _ in range(GOLDEN_ITERS):
             left = fc >= fd  # keep [a, d]; otherwise keep [c, b]
             a = np.where(left, a, c)
             b = np.where(left, d, b)
@@ -220,11 +222,11 @@ class _LockstepZoom:
         left = fc >= fd
         return np.where(left, c, d), np.where(left, fc, fd)
 
-    def sweep_slab(self, lev, s, t_lo, t_hi, n_grid=97):
+    def sweep_slab(self, lev, s, t_lo, t_hi):
         """Coarse offset scan of each slab + golden refinement of its top
         three offsets; returns (found, log value, t) per slab."""
-        grid = _linspace_rows(t_lo, t_hi, n_grid)
-        vals = self.log_value(np.repeat(lev, n_grid), np.repeat(s, n_grid),
+        grid = _linspace_rows(t_lo, t_hi, SLAB_GRID)
+        vals = self.log_value(np.repeat(lev, SLAB_GRID), np.repeat(s, SLAB_GRID),
                               grid.ravel()).reshape(grid.shape)
         step = grid[:, 1] - grid[:, 0]
         top = np.argsort(vals, axis=1)[:, -3:]
@@ -376,13 +378,10 @@ def pseq_indicator_pointwise(f: FunctionHandle, sequence) -> IndicatorReport:
     vals = lehto_virtanen_array(f, z)
     crossed = {}
     for T in PSEQ_THRESHOLDS:
-        above = vals >= T
-        idx = None
-        for i in range(len(vals)):
-            if np.all(above[i:]):
-                idx = i
-                break
-        crossed[str(T)] = idx
+        # the first index from which every value is >= T; a NaN is below
+        below = np.flatnonzero(~(vals >= T))
+        idx = below[-1] + 1 if len(below) else 0
+        crossed[str(T)] = int(idx) if idx < len(vals) else None
     positive = all(v is not None for v in crossed.values())
     return IndicatorReport(
         "pointwise", [float(v) for v in vals],
@@ -406,8 +405,9 @@ def pseq_indicator_local_sup(f: FunctionHandle, sequence, radii) -> IndicatorRep
         pts = pts[np.abs(pts) < 1.0 - DISK_BOUNDARY_MARGIN]
         vals = lehto_virtanen_array(f, pts)
         sups.append(float(np.nanmax(vals)))
-    return IndicatorReport("local_sup", sups, sup_trend_verdict(sups),
-                           {"radii": [float(r) for r in radii]})
+    return IndicatorReport("local_sup", sups, sup_trend_verdict(sups), {
+        "radii": [float(r) for r in radii],
+        "thresholds": {"plateau_ratio": PLATEAU_RATIO, "growth_factor": GROWTH_FACTOR}})
 
 
 def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,

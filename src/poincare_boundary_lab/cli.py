@@ -8,6 +8,8 @@ exit 4 when their check fails.
 
 Reports carry the seed and the arguments but no wall-clock data, so repeated
 runs with the same seed are byte-identical; the timestamp only names the file.
+Only the SEEDED subcommands accept --seed; the others report the default seed.
+Each level option belongs to its subcommand and defaults to DEFAULT_LEVEL.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +33,7 @@ from . import selftest as sft
 from . import stolz as st
 
 OUTPUT_DIR_ENV = "PBLAB_OUTPUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    seed: int = sft.DEFAULT_SEED
-    max_level: int = 12
-    output_dir: str = "pblab-reports"
+DEFAULT_LEVEL = 12  # the level of a subcommand run without its level option
 
 
 class CliError(ValueError):
@@ -51,23 +46,13 @@ def _positive(value: int, name: str) -> int:
     return value
 
 
-def build_config(args) -> RunConfig:
-    """Flags first; PBLAB_OUTPUT_DIR stands in for --output-dir; then defaults."""
-    cfg = RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.max_level is not None:
-        cfg.max_level = _positive(args.max_level, "max_level")
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
-    return cfg
+def _level(value) -> int:
+    """A subcommand's level option, or DEFAULT_LEVEL when it is absent."""
+    return _positive(DEFAULT_LEVEL if value is None else value, "level")
 
 
-def _level(value, default: int) -> int:
-    """A subcommand's level flag, or `default` when it is absent."""
-    return _positive(default if value is None else value, "level")
+def _seed(args) -> int:
+    return sft.DEFAULT_SEED if args.seed is None else args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +143,10 @@ def _json_default(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def write_report(cfg: RunConfig, subcommand: str, report: dict) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+def write_report(output_dir: str, subcommand: str, report: dict) -> str:
+    os.makedirs(output_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"{time.time_ns() % 1_000_000_000:09d}"
-    path = os.path.join(cfg.output_dir, f"{subcommand}-{stamp}.json")
+    path = os.path.join(output_dir, f"{subcommand}-{stamp}.json")
     payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -182,24 +167,21 @@ VERDICT_EXIT = {
 }
 
 
-def cmd_metric(args, cfg):
+METRICS = {"ph": ge.pseudo_hyperbolic_distance, "h": ge.hyperbolic_distance,
+           "s": ge.spherical_distance}
+
+
+def cmd_metric(args):
     z = parse_complex(args.z)
     w = parse_complex(args.w)
-    if args.kind == "ph":
-        value = ge.pseudo_hyperbolic_distance(z, w)
-    elif args.kind == "h":
-        value = ge.hyperbolic_distance(z, w)
-    elif args.kind == "s":
-        value = ge.spherical_distance(z, w)
-    else:
-        raise CliError(f"unknown metric kind {args.kind!r}")
+    value = METRICS[args.kind](z, w)
     return 0, {"kind": args.kind, "z": z, "w": w, "value": value}, f"{value:.12g}"
 
 
-def cmd_curve_dist(args, cfg):
+def cmd_curve_dist(args):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    level = _level(args.level, cfg.max_level)
+    level = _level(args.level)
     fwd = cv.directed_curve_distance(c1, c2, level)
     bwd = cv.directed_curve_distance(c2, c1, level)
     rep = {"curve1": c1.label, "curve2": c2.label, "level": level,
@@ -207,24 +189,24 @@ def cmd_curve_dist(args, cfg):
     return 0, rep, f"forward {fwd:.6g}  backward {bwd:.6g}"
 
 
-def cmd_frechet(args, cfg):
+def cmd_frechet(args):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    level = _level(args.level, cfg.max_level)
+    level = _level(args.level)
     value = cv.curve_frechet(c1, c2, level)
     return 0, {"curve1": c1.label, "curve2": c2.label, "level": level,
                "value": value}, f"{value:.6g}"
 
 
-def cmd_equiv(args, cfg):
+def cmd_equiv(args):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
-    verdict = cv.are_equivalent(c1, c2, _level(args.max_level, cfg.max_level))
+    verdict = cv.are_equivalent(c1, c2, _level(args.max_level_local))
     rep = {"curve1": c1.label, "curve2": c2.label, **vars(verdict)}
     return VERDICT_EXIT[verdict.verdict], rep, verdict.verdict
 
 
-def cmd_lemma4(args, cfg):
+def cmd_lemma4(args):
     values = []
     contained = True
     for n in range(1, args.n_zigzags + 1):
@@ -234,7 +216,7 @@ def cmd_lemma4(args, cfg):
     if not values:
         _, g2, mk = cv.build_zigzag_pair(args.r, args.n_zigzags)
     increasing = all(a < b for a, b in zip(values, values[1:]))
-    exch = cv.curve_to_exchange(g2, min(12, cfg.max_level))
+    exch = cv.curve_to_exchange(g2, DEFAULT_LEVEL)
     rep = {"r": args.r, "n_zigzags": args.n_zigzags, "markers": mk,
            "frechet_by_prefix": values, "contained": contained,
            "strictly_increasing": increasing, "curve2_exchange": exch}
@@ -243,11 +225,11 @@ def cmd_lemma4(args, cfg):
         f"frechet by prefix: {['%.3f' % v for v in values]} contained={contained}"
 
 
-def cmd_normality(args, cfg):
+def cmd_normality(args):
     f = parse_function(args.function)
     curve = parse_curve(args.curve)
     region = cv.CurvilinearAngle(curve, args.deflection)
-    rep = an.normality_sup(f, region, _level(args.max_level, max(cfg.max_level, 4)))
+    rep = an.normality_sup(f, region, _level(args.max_level_local))
     return VERDICT_EXIT[rep.verdict], {**vars(rep), "function": f.label}, \
         f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
 
@@ -278,7 +260,7 @@ def _build_sequence(kind: str, n: int, sch: fn.PoleSchedule):
     return sch.pole_points[:n] + sch.radii[:n], None
 
 
-def cmd_pseq(args, cfg):
+def cmd_pseq(args):
     sch = fn.PoleSchedule.default(0.0, 20)
     f = parse_function(args.function)
     kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
@@ -290,7 +272,7 @@ def cmd_pseq(args, cfg):
         if radii is None:
             radii = np.array([0.5 * 0.7 ** i for i in range(len(seq))])
         rep = an.pseq_indicator_local_sup(f, seq, radii)
-    elif args.mode == "split-pair":
+    else:  # split-pair
         if kind != "poles":
             raise CliError(f"split-pair takes --sequence poles:N, got {args.sequence!r}")
         seq_a, _ = _build_sequence("pole-offset", n, sch)
@@ -298,8 +280,6 @@ def cmd_pseq(args, cfg):
         alpha = parse_complex(args.alpha) if args.alpha else \
             complex(f.eval_array(np.array([seq_a[-1]]))[0])
         rep = an.pseq_indicator_split_pair(f, seq_a, seq_b, alpha, args.delta)
-    else:
-        raise CliError(f"unknown pseq mode {args.mode!r}")
     return VERDICT_EXIT[rep.verdict], {**vars(rep), "function": f.label}, \
         f"{args.mode}: {rep.verdict}"
 
@@ -324,18 +304,18 @@ def _parse_range(spec: str, what: str) -> range:
     return range(lo, hi + 1)
 
 
-def cmd_cluster(args, cfg):
+def cmd_cluster(args):
     f = parse_function(args.function)
     member, theta, r = _parse_region(args.region)
     rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
-                              seed=cfg.seed, record_values=not args.no_values)
+                              seed=_seed(args), record_values=not args.no_values)
     d = {**vars(rep), "function": f.label, "region": args.region}
     cand = rep.limit_candidate
     return VERDICT_EXIT[rep.verdict], d, (f"verdict {rep.verdict}  candidate "
                                           f"{cand if cand is None else _json_default(cand)}")
 
 
-def cmd_family(args, cfg):
+def cmd_family(args):
     f = parse_function(args.function)
     ws = [1.0 - 2.0 ** (-k) for k in _parse_range(args.depths, "depth")]
     target = parse_complex(args.target)
@@ -349,11 +329,13 @@ def cmd_family(args, cfg):
 STOLZ_GRID = 1000  # stolz-map samples without --z
 
 
-def cmd_stolz_map(args, cfg):
+def cmd_stolz_map(args):
     m = st.StolzMap(args.alpha, args.rho)
     if args.z is not None:
         if args.grid is not None:
             raise CliError("--z maps one point and --grid samples the sector: give one of them")
+        if args.seed is not None:
+            raise CliError("--z maps one point and draws no sample: it does not read --seed")
         z = parse_complex(args.z)
         try:
             w = m.apply(z)
@@ -366,7 +348,7 @@ def cmd_stolz_map(args, cfg):
     # written back, so that grid-mode reports echo the sample count in force
     args.grid = _positive(STOLZ_GRID if args.grid is None else args.grid, "--grid")
     ang = st.StolzAngle(0.0, args.alpha, m.rho)
-    z = ang.sample(args.grid, seed=cfg.seed, margin=1e-9)
+    z = ang.sample(args.grid, seed=_seed(args), margin=1e-9)
     w = m.forward_steps(z)
     rt = float(np.max(np.abs(m.invert(w) - z)))
     closed = float(np.max(np.abs(w - m.closed_form(z))))
@@ -376,25 +358,25 @@ def cmd_stolz_map(args, cfg):
     return 0, rep, f"roundtrip {rt:.2e}  closed-form {closed:.2e}"
 
 
-def cmd_lemma6(args, cfg):
+def cmd_lemma6(args):
     m_hat, big_m, ok = st.stolz_distortion_bounds(
-        args.alpha, args.beta, _positive(args.samples, "--samples"), seed=cfg.seed)
+        args.alpha, args.beta, _positive(args.samples, "--samples"), seed=_seed(args))
     rep = {"alpha": args.alpha, "beta": args.beta, "samples": args.samples,
            "m": m_hat, "M": big_m, "holdout_pass": ok}
     return (0 if ok else 4), rep, f"m={m_hat:.6g} M={big_m:.6g} pass={ok}"
 
 
-def cmd_decay(args, cfg):
+def cmd_decay(args):
     f = parse_function(args.function)
     curve = parse_curve(args.curve)
     profile = parse_profile(args.profile)
-    rep = st.decay_margin(f, curve, profile, _level(args.level, cfg.max_level))
+    rep = st.decay_margin(f, curve, profile, _level(args.level))
     d = {**vars(rep), "function": f.label, "curve": curve.label}
     return VERDICT_EXIT[rep.verdict], d, \
         f"verdict {rep.verdict}  threshold {rep.violation_threshold}"
 
 
-def cmd_gallery(args, cfg):
+def cmd_gallery(args):
     f = parse_function(args.name)
     points = [parse_complex(p) for p in (args.at or ["0,0"])]
     values = []
@@ -405,8 +387,8 @@ def cmd_gallery(args, cfg):
     return 0, rep, " ".join(str(_json_default(v["value"])) for v in values)
 
 
-def cmd_selftest(args, cfg):
-    res = sft.run_all(cfg.seed)
+def cmd_selftest(args):
+    res = sft.run_all(_seed(args))
     lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['criterion']}"
              for c in res["criteria"]]
     return (0 if res["all_passed"] else 4), res, "\n".join(lines)
@@ -422,7 +404,7 @@ _LOCAL_MAX_LEVEL = ("--max-level", {"type": int, "dest": "max_level_local"})
 
 SUBCOMMANDS = {
     "metric": ("evaluate a point distance", cmd_metric, [
-        ("--kind", {"required": True, "choices": ["ph", "h", "s"]}),
+        ("--kind", {"required": True, "choices": list(METRICS)}),
         ("--z", _REQUIRED), ("--w", _REQUIRED)]),
     "curve-dist": ("directed curve distance", cmd_curve_dist, [*_CURVE_PAIR, _LEVEL]),
     "frechet": ("discrete Frechet distance", cmd_frechet, [*_CURVE_PAIR, _LEVEL]),
@@ -464,6 +446,7 @@ SUBCOMMANDS = {
         ("--at", {"action": "append", "help": "point re,im (repeatable)"})]),
     "selftest": ("run the full acceptance battery", cmd_selftest, []),
 }
+SEEDED = ("cluster", "stolz-map", "lemma6", "selftest")  # the readers of --seed
 
 
 def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
@@ -477,8 +460,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
             description="numerical laboratory for boundary behavior on the unit disk",
             epilog="subcommands (pblab SUBCOMMAND -h lists its options):\n" + "\n".join(
                 f"  {name:<11} {row[0]}" for name, row in SUBCOMMANDS.items()))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-level", type=int)
+        p.add_argument("--seed", type=int, help=f"read by {', '.join(SEEDED)} only")
         p.add_argument("--output-dir")
         p.add_argument("--no-report", action="store_true",
                        help="skip writing the report file")
@@ -508,18 +490,23 @@ def main(argv=None) -> int:
     rest = args.rest
     del args.rest  # the report echoes options, not the raw argv
     build_parser(args.subcommand).parse_args(rest, namespace=args)
+    output_dir = args.output_dir if args.output_dir is not None else \
+        os.environ.get(OUTPUT_DIR_ENV) or "pblab-reports"
     try:
-        cfg = build_config(args)
-        # equiv and normality take their own --max-level, echoed as max_level too
+        if args.seed is not None and args.subcommand not in SEEDED:
+            raise CliError(f"{args.subcommand} does not read --seed")
+        code, report, text = SUBCOMMANDS[args.subcommand][1](args)
+        # equiv and normality read --max-level as max_level_local and echo it
+        # as max_level too: the benchmark references pin both keys
         if getattr(args, "max_level_local", None) is not None:
             args.max_level = args.max_level_local
-        code, report, text = SUBCOMMANDS[args.subcommand][1](args, cfg)
-        report = {"subcommand": args.subcommand, "seed": cfg.seed,
+        # taken after the handler, which may write a value back (stolz-map --grid)
+        report = {"subcommand": args.subcommand, "seed": _seed(args),
                   "arguments": {k: v for k, v in sorted(vars(args).items())
                                 if v is not None},
                   **report}
         if not args.no_report:
-            path = write_report(cfg, args.subcommand, report)
+            path = write_report(output_dir, args.subcommand, report)
             print(text)
             print(f"report: {path}", file=sys.stderr)
         else:

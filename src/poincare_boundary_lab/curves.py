@@ -815,7 +815,7 @@ class SampleBackedCurve(BoundaryCurve):
         return len(self._fixed)
 
 
-def curve_to_exchange(curve: BoundaryCurve, level: int = DEFAULT_LEVEL) -> dict:
+def curve_to_exchange(curve: BoundaryCurve, level: int) -> dict:
     pts = curve.refine(level)
     return {
         "endpoint_angle": curve.endpoint_angle,

@@ -106,6 +106,33 @@ class TestPointwiseIndicator:
         with pytest.raises(ValueError):
             an.pseq_indicator_pointwise(fn.identity_function(), [0.5, 0.4])
 
+    @staticmethod
+    def _crossing_by_suffix(vals, T):
+        """The first i with every vals[i:] >= T, tried suffix by suffix."""
+        above = vals >= T
+        for i in range(len(vals)):
+            if np.all(above[i:]):
+                return i
+        return None
+
+    def test_crossing_matches_suffix_scan(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        cases = [np.full(n, 5e3) for n in (1, 7)]               # all above
+        cases += [np.full(n, 1.0) for n in (1, 7)]              # never above
+        cases += [np.array([np.nan]), np.array([2e3, np.nan]),  # NaN counts as below
+                  np.array([np.nan, 2e3, 2e3]), np.array([100.0, 10.0, 1000.0])]
+        for _ in range(300):
+            vals = 10.0 ** rng.uniform(0.0, 4.0, rng.integers(1, 13))
+            vals[rng.random(len(vals)) < 0.1] = np.nan
+            cases.append(np.sort(vals) if rng.random() < 0.3 else vals)
+        for vals in cases:
+            monkeypatch.setattr(an, "lehto_virtanen_array", lambda f, z: vals)
+            seq = [1 - 2.0 ** (-k) for k in range(1, len(vals) + 1)]
+            crossed = an.pseq_indicator_pointwise(fn.identity_function(), seq) \
+                .details["crossed_at"]
+            assert crossed == {str(T): self._crossing_by_suffix(vals, T)
+                               for T in an.PSEQ_THRESHOLDS}, vals
+
 
 class TestLocalSupIndicator:
     def test_constant_zero(self):
@@ -128,6 +155,13 @@ class TestLocalSupIndicator:
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             an.pseq_indicator_local_sup(fn.identity_function(), [0.5, 0.9], [0.1, 0.2])
+
+    def test_echoes_the_thresholds_it_is_judged_with(self):
+        seq = [1 - 2.0 ** (-k) for k in range(1, 5)]
+        radii = [0.5 * 0.7 ** k for k in range(4)]
+        rep = an.pseq_indicator_local_sup(fn.identity_function(), seq, radii)
+        assert rep.details["thresholds"] == {"plateau_ratio": cv.PLATEAU_RATIO,
+                                             "growth_factor": an.GROWTH_FACTOR}
 
 
 class TestSplitPairIndicator:

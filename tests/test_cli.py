@@ -198,12 +198,19 @@ class TestExitCodes:
          "--max-level", "0"],
         ["normality", "--function", "identity", "--curve", "radius:0",
          "--deflection", "0.3", "--max-level", "0"],
-        ["--max-level", "0", "frechet", "--curve1", "radius:0",
-         "--curve2", "hypercycle:0:0.5"],
-    ], ids=["frechet", "curve-dist", "decay", "equiv", "normality", "global"])
+    ], ids=["frechet", "curve-dist", "decay", "equiv", "normality"])
     def test_level_below_one_is_2(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == 2
         assert "error: " in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_global_max_level_is_unrecognized(self, tmp_path, capsys):
+        # a level is an option of the subcommand that reads it
+        with pytest.raises(SystemExit) as exc:
+            run(["--max-level", "6", "frechet", "--curve1", "radius:0",
+                 "--curve2", "chord:0:0.5"], tmp_path)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --max-level\n" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv", [
@@ -342,6 +349,7 @@ ECHO_KEYS = [
     ("selftest", [], set()),
 ]
 SUBCOMMAND_NAMES = [name for name, _, _ in ECHO_KEYS]
+SEEDED = {"cluster", "stolz-map", "lemma6", "selftest"}  # they draw samples
 
 _THRESHOLDS = ["thresholds", "thresholds.converge_tol", "thresholds.failure_fraction",
                "thresholds.growth_factor", "thresholds.plateau_ratio"]
@@ -366,8 +374,10 @@ PAYLOAD_KEYS = [
      ["details", "details.crossed_at", "details.crossed_at.10.0",
       "details.crossed_at.100.0", "details.crossed_at.1000.0", "details.thresholds",
       "function", "kind", "values", "verdict"]),
-    ([*_PSEQ, "local-sup"], ["details", "details.radii", "function", "kind", "values",
-                             "verdict"]),
+    ([*_PSEQ, "local-sup"], ["details", "details.radii", "details.thresholds",
+                             "details.thresholds.growth_factor",
+                             "details.thresholds.plateau_ratio", "function", "kind",
+                             "values", "verdict"]),
     ([*_PSEQ, "split-pair"],
      ["details", "details.converges_along_a", "details.d_h_pairs", "details.d_target_b",
       "details.delta", "details.pairs_merge", "details.separated_along_b", "function",
@@ -419,6 +429,29 @@ class TestParser:
 
     def test_table_has_every_subcommand(self):
         assert list(cli.SUBCOMMANDS) == SUBCOMMAND_NAMES
+
+    @pytest.mark.parametrize("name,options,keys", ECHO_KEYS, ids=SUBCOMMAND_NAMES)
+    def test_seed_is_accepted_where_it_is_read(self, tmp_path, capsys, monkeypatch,
+                                               name, options, keys):
+        seeds = []  # the battery is not run, only the seed it is given
+        monkeypatch.setattr(sft, "run_all", lambda seed: seeds.append(seed) or
+                            {"criteria": [], "all_passed": True})
+        if name not in SEEDED:
+            assert run(["--seed", "4", name, *options], tmp_path) == 2
+            assert f"error: {name} does not read --seed\n" in capsys.readouterr().err
+            assert not os.listdir(tmp_path)
+            return
+        payloads = []
+        for seed in (4, 5):
+            assert run(["--seed", str(seed), name, *options], tmp_path) == 0
+            payload = json.loads(latest_report(tmp_path, name))
+            assert payload["seed"] == payload["arguments"]["seed"] == seed
+            del payload["arguments"], payload["seed"]
+            payloads.append(payload)
+        if name == "selftest":
+            assert seeds == [4, 5]
+        else:
+            assert payloads[0] != payloads[1]
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,13 +505,18 @@ class TestParser:
 
 
 class TestConfig:
-    def test_seed_and_max_level_flags(self, tmp_path):
-        code = run(["--seed", "9", "--max-level", "6", "frechet", "--curve1",
-                    "radius:0", "--curve2", "hypercycle:0:0.3"], tmp_path)
-        assert code == 0
-        payload = json.loads(latest_report(tmp_path, "frechet"))
-        assert payload["seed"] == 9
-        assert payload["level"] == 6
+    def test_seed_flag(self, tmp_path):
+        cluster = ["cluster", "--function", "identity", "--region", "radius-angle:0.4",
+                   "--shells", "2:4", "--no-values"]
+        assert run(["--seed", "9", *cluster], tmp_path) == 0
+        payload = json.loads(latest_report(tmp_path, "cluster"))
+        assert payload["seed"] == payload["arguments"]["seed"] == 9
+        # without --seed, and on subcommands that draw no sample, the default
+        assert run(cluster, tmp_path) == 0
+        payload = json.loads(latest_report(tmp_path, "cluster"))
+        assert payload["seed"] == sft.DEFAULT_SEED and "seed" not in payload["arguments"]
+        assert run(["metric", "--kind", "ph", "--z", "0,0", "--w", "0.5,0"], tmp_path) == 0
+        assert json.loads(latest_report(tmp_path, "metric"))["seed"] == sft.DEFAULT_SEED
 
     def test_env_output_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "env-dir"
@@ -528,6 +566,14 @@ class TestOtherSubcommands:
                    tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--z" in err and "--grid" in err
+        assert not os.listdir(tmp_path)
+
+    def test_stolz_map_point_rejects_seed(self, tmp_path, capsys):
+        # one mapped point draws no sample
+        assert run(["--seed", "4", "stolz-map", "--alpha", "0.5", "--z", "0.5,0"],
+                   tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--z" in err and "--seed" in err
         assert not os.listdir(tmp_path)
 
     def test_stolz_map_echoes_grid_in_grid_mode_only(self, tmp_path):
