@@ -42,7 +42,7 @@ print("the chord, its r1-angle sits inside the chord's (r1 + r)-angle:")
 r = cv.directed_curve_distance(rad, chords[0], 8)
 print("  measured r =", round(r, 4))
 print("  inclusion with the full budget:",
-      cv.angle_inclusion_check(rad, chords[0], r, 1.0, 800, seed=3))
+      cv.angle_inclusion_check(rad, chords[0], r, 1.0, 800, level=8, seed=3))
 print("  inclusion with half the budget:",
-      cv.angle_inclusion_check(rad, chords[0], r, 1.0, 800, seed=3,
+      cv.angle_inclusion_check(rad, chords[0], r, 1.0, 800, level=8, seed=3,
                                r2=1.0 + r / 2.0))

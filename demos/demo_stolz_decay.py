@@ -24,11 +24,11 @@ from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import stolz as st
 
 alpha = math.pi / 4
-m = st.StolzMap(alpha)
+m = st.StolzAngle(alpha)
 print(f"sector half-angle {alpha:.4f}, admissible radius rho = {m.rho}")
 print(f"  map at 1 - rho: {m.apply(1 - m.rho + 1e-13):.6f}")
 print(f"  map near 1:     {m.apply(1 - 1e-9):.12f}")
-z = st.StolzAngle(0.0, alpha).sample(2000, seed=0, margin=1e-9)
+z = m.sample(2000, seed=0, margin=1e-9)
 w = m.forward_steps(z)
 print(f"  composition vs rational form: "
       f"{float(np.max(np.abs(w - m.closed_form(z)))):.2e}")
@@ -56,8 +56,8 @@ print(f"  its normality sup on the band r=0.5: {sup.verdict} "
       f"(tail {', '.join(f'{v:.2g}' for v in sup.sups[-3:])})")
 
 print("\nthe extended region for tangent curves joins the band and the lens:")
-g = st.GRegion(0.0, 0.3, math.pi / 6, 0.5)
+g = st.GRegion(0.3, math.pi / 6, 0.5)
 for label, p in [("radius point", 1 - g.rho / 2),
                  ("tangent-curve point", complex(g.curve.refine(6)[8])),
                  ("far point", -0.5 + 0.5j)]:
-    print(f"  {label:<20} -> {st.g_region_contains(g, p)}")
+    print(f"  {label:<20} -> {st.g_region_contains(g, p, 8)}")

@@ -330,7 +330,7 @@ STOLZ_GRID = 1000  # stolz-map samples without --z
 
 
 def cmd_stolz_map(args):
-    m = st.StolzMap(args.alpha, args.rho)
+    m = st.StolzAngle(args.alpha)
     if args.z is not None:
         if args.grid is not None:
             raise CliError("--z maps one point and --grid samples the sector: give one of them")
@@ -347,8 +347,7 @@ def cmd_stolz_map(args):
         return 0, rep, f"w = {w:.12g}"
     # written back, so that grid-mode reports echo the sample count in force
     args.grid = _positive(STOLZ_GRID if args.grid is None else args.grid, "--grid")
-    ang = st.StolzAngle(0.0, args.alpha, m.rho)
-    z = ang.sample(args.grid, seed=_seed(args), margin=1e-9)
+    z = m.sample(args.grid, seed=_seed(args), margin=1e-9)
     w = m.forward_steps(z)
     rt = float(np.max(np.abs(m.invert(w) - z)))
     closed = float(np.max(np.abs(w - m.closed_form(z))))
@@ -430,7 +429,7 @@ SUBCOMMANDS = {
         ("--target", _REQUIRED),
         ("--depths", {"default": "1:16", "help": "lo:hi dyadic depths of w_n"})]),
     "stolz-map": ("sector-to-disk conformal map", cmd_stolz_map, [
-        ("--alpha", {"type": float, "required": True}), ("--rho", {"type": float}),
+        ("--alpha", {"type": float, "required": True}),
         ("--z", {"help": "map this one point re,im"}),
         ("--grid", {"type": int, "help": f"without --z: samples (default {STOLZ_GRID})"})]),
     "lemma6": ("boundary-distance distortion bounds", cmd_lemma6, [

@@ -30,7 +30,6 @@ from .geometry import (
     DISK_BOUNDARY_MARGIN,
     DiskDomainError,
     as_complex,
-    hyperbolic_distance_array,
     mobius_translation,
     pseudo_hyperbolic_distance_array,
     radius_convert,
@@ -41,7 +40,6 @@ from .geometry import (
 )
 
 HYP_MESH = 0.25       # target hyperbolic gap between consecutive samples
-DEFAULT_LEVEL = 8
 # most samples a level may be predicted to hold before it is built.  A
 # horocycle passes it at level 29 (131,073); every job the README, the CI
 # and the benchmark run predicts under 6,000.  A distance matrix of 100,000
@@ -399,7 +397,7 @@ class CurvilinearAngle:
             raise ValueError("deflection must be a pseudo-hyperbolic radius in [0, 1)")
 
 
-def angle_contains(angle: CurvilinearAngle, z, level: int = DEFAULT_LEVEL) -> bool:
+def angle_contains(angle: CurvilinearAngle, z, level: int) -> bool:
     """Sampled membership test: min d_ph(z, samples) <= deflection + slack."""
     zv = as_complex(z)
     samples = angle.curve.refine(level)
@@ -495,9 +493,8 @@ def are_equivalent(c1: BoundaryCurve, c2: BoundaryCurve,
 
 
 def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
-                          r1: float, samples: int = 1000,
-                          level: int = DEFAULT_LEVEL, seed: int = 0,
-                          r2: float | None = None) -> bool:
+                          r1: float, samples: int = 1000, *, level: int,
+                          seed: int = 0, r2: float | None = None) -> bool:
     """Sampled check that the r1-angle over c1 sits inside the (r1+r)-angle
     over c2 (hyperbolic radii): triangle-inequality inflation of curve
     distance to region inclusion.  Pass r2 to test a different target radius.
@@ -563,17 +560,6 @@ def _frechet_dp(dist: np.ndarray) -> float:
         np.maximum(flat[lo * m + k - lo::m - 1][:w], mn, out=cur[lo + 1:hi + 2])
         older, prev, cur = prev, cur, older
     return float(prev[n])
-
-
-def discrete_frechet(p_samples, q_samples) -> float:
-    """Discrete Frechet distance between two sample polylines, with
-    hyperbolic leg distance (complex samples)."""
-    p = np.atleast_1d(np.asarray(p_samples, dtype=complex))
-    q = np.atleast_1d(np.asarray(q_samples, dtype=complex))
-    if len(p) == 0 or len(q) == 0:
-        raise ValueError("sample lists must be non-empty")
-    d = hyperbolic_distance_array(p[:, None], q[None, :])
-    return _frechet_dp(d)
 
 
 def discrete_frechet_strip(s1, t1, s2, t2) -> float:

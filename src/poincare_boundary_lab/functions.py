@@ -132,37 +132,6 @@ def automorphism_function(m: MobiusAutomorphism) -> FunctionHandle:
     return CallableFunction(f"automorphism:{w}", m.apply, dfn)
 
 
-def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
-    """1/f; since (1/f)# = f#, an independent cross-check of sph_array."""
-
-    def fn(z):
-        v = f.eval_array(z)
-        out = np.empty_like(v)
-        finite = np.isfinite(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[finite] = np.where(v[finite] == 0, np.inf + 0j, 1.0 / v[finite])
-        out[~finite] = 0.0
-        return out
-
-    def dfn(z):
-        v = f.eval_array(z)
-        d = f.deriv_array(z)
-        out = np.empty_like(v)
-        finite = np.isfinite(v) & (v != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[finite] = -(d[finite] / v[finite]) / v[finite]
-        bad = ~finite
-        if np.any(bad):
-            # at a zero or pole of f: central difference of 1/f, its step
-            # scaled to the distance from the boundary
-            zb = z[bad]
-            h = 1e-6 * (1.0 - np.abs(zb))
-            out[bad] = (fn(zb + h) - fn(zb - h)) / (2.0 * h)
-        return out
-
-    return CallableFunction(f"reciprocal({f.label})", fn, dfn)
-
-
 # ---------------------------------------------------------------------------
 # normality density
 

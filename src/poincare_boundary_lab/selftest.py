@@ -253,11 +253,10 @@ def criterion_stolz(seed: int):
     ok = True
     details = {}
     for alpha in (math.pi / 4, math.pi / 3):
-        m = st.StolzMap(alpha)
+        m = st.StolzAngle(alpha)
         w_end = m.apply(1.0 - m.rho + 1e-12)
         near1 = m.apply(1.0 - 1e-7)
-        ang = st.StolzAngle(0.0, alpha)
-        z = ang.sample(1000, seed=seed, margin=1e-9)
+        z = m.sample(1000, seed=seed, margin=1e-9)
         w = m.forward_steps(z)
         closed = float(np.max(np.abs(w - m.closed_form(z))))
         rt = float(np.max(np.abs(m.invert(w) - z)))

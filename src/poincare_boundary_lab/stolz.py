@@ -1,13 +1,14 @@
 """Stolz angles, the sector-to-disk conformal map, distortion bounds, and
 decay-margin checks for uniqueness-type hypotheses.
 
-The Stolz angle A(e^{i theta}, alpha, rho) is the chordal sector
-{ |arg(e^{i theta} - z)| < alpha, |e^{i theta} - z| < rho } with
-rho = 1 for alpha <= pi/3 and rho = 2 cos(alpha) above (the largest radius
-keeping the sector inside the disk).  The conformal map onto the disk is the
-seven-step composition: negate, shift-scale the sector to unit size, rotate
-the sector base onto the positive axis, raise to pi/(2 alpha) (half-disk),
-Joukowski (lower half-plane), rotate by pi (upper half-plane), Cayley.
+The Stolz angle A(1, alpha, rho) is the chordal sector
+{ |arg(1 - z)| < alpha, |1 - z| < rho } with rho = 1 for alpha <= pi/3 and
+rho = 2 cos(alpha) above (the largest radius keeping the sector inside the
+disk); the radius always follows from alpha.  The conformal map onto the
+disk is the seven-step composition: negate, shift-scale the sector to unit
+size, rotate the sector base onto the positive axis, raise to pi/(2 alpha)
+(half-disk), Joukowski (lower half-plane), rotate by pi (upper half-plane),
+Cayley.
 
 The simplified rational form of that composition, with
 T = ((1-z)/rho)^{pi/(2 alpha)}, is
@@ -42,21 +43,23 @@ def rho_of_alpha(alpha: float) -> float:
     return 1.0 if alpha <= math.pi / 3 else 2.0 * math.cos(alpha)
 
 
+class StolzMapDomainError(ValueError):
+    """Point outside the Stolz angle handed to the sector-to-disk map."""
+
+
 @dataclass(frozen=True)
 class StolzAngle:
-    """Chordal sector at e^{i theta} with half-angle alpha; rho follows the
-    two-branch rule unless overridden."""
+    """The chordal sector A(1, alpha, rho(alpha)) and its conformal map onto
+    the unit disk."""
 
-    theta: float
     alpha: float
-    rho: float = None
+    rho: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho",
-                           rho_of_alpha(self.alpha) if self.rho is None else float(self.rho))
+        object.__setattr__(self, "rho", rho_of_alpha(self.alpha))
 
     def contains(self, z):
-        zv = np.asarray(z, dtype=complex) * complex(np.exp(-1j * self.theta))
+        zv = np.asarray(z, dtype=complex)
         w = 1.0 - zv
         return ((np.abs(w) < self.rho) & (np.abs(w) > 0)
                 & (np.abs(np.angle(w)) < self.alpha) & (np.abs(zv) < 1.0))
@@ -70,23 +73,7 @@ class StolzAngle:
         rad = r * np.sqrt(rng.uniform(0.0, 1.0, n))
         rad = np.maximum(rad, 1e-12)
         ang = rng.uniform(-a, a, n)
-        return complex(np.exp(1j * self.theta)) * (1.0 - rad * np.exp(1j * ang))
-
-
-class StolzMapDomainError(ValueError):
-    """Point outside the Stolz angle handed to the sector-to-disk map."""
-
-
-@dataclass(frozen=True)
-class StolzMap:
-    """Conformal map of A(1, alpha, rho) onto the unit disk (theta = 0)."""
-
-    alpha: float
-    rho: float = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho",
-                           rho_of_alpha(self.alpha) if self.rho is None else float(self.rho))
+        return 1.0 - rad * np.exp(1j * ang)
 
     @property
     def exponent(self) -> float:
@@ -110,11 +97,10 @@ class StolzMap:
         return (T * T + 2.0 * T - 1.0) / (T * T - 2.0 * T - 1.0)
 
     def apply(self, z):
-        angle = StolzAngle(0.0, self.alpha, self.rho)
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if not np.all(angle.contains(arr)):
+        if not np.all(self.contains(arr)):
             raise StolzMapDomainError("point outside the Stolz angle")
         out = self.forward_steps(arr)
         return complex(out[0]) if scalar else out
@@ -146,8 +132,8 @@ def stolz_distortion_bounds(alpha: float, beta: float, samples: int = 10000,
     inside [m, M].  Returns (m_hat, M_hat, holdout_pass) where the holdout
     draws a fresh sample set and requires all ratios inside [m_hat/2, 2 M_hat].
     """
-    m = StolzMap(alpha)
-    image = StolzAngle(0.0, beta)
+    m = StolzAngle(alpha)
+    image = StolzAngle(beta)
 
     def ratios(sd):
         omega = image.sample(samples, seed=sd)
@@ -167,33 +153,30 @@ def stolz_distortion_bounds(alpha: float, beta: float, samples: int = 10000,
 
 @dataclass
 class GRegion:
-    """Union of the deflection band of the canonical tangent curve (the
+    """Union of the deflection band of the canonical tangent curve at 1 (the
     horocycle through 0) and the lens bounded by that curve, the chord at
-    angle alpha on the opposite side, and the arc |z - e^{i theta}| = rho.
+    angle alpha on the opposite side, and the arc |z - 1| = rho.
     The lens sweeps across the radius, so the region joins tangential and
     non-tangential approach; boundaries are included (closed convention)."""
 
-    theta: float
     r: float
     alpha: float
     rho: float
-    curve: BoundaryCurve = field(default=None)
+    curve: BoundaryCurve = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.pi / 2:
             raise ValueError("chord angle must be in (0, pi/2)")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("arc radius must be in (0, 1)")
-        if self.curve is None:
-            self.curve = canonical_curve("horocycle", self.theta)
+        self.curve = canonical_curve("horocycle", 0.0)
 
 
-def g_region_contains(region: GRegion, z, level: int = 8) -> bool:
+def g_region_contains(region: GRegion, z, level: int) -> bool:
     """Membership in the extended region: the deflection band of the tangent
     curve, or the chord-to-curve lens inside the arc."""
     zv = as_complex(z)
-    zeta = zv * complex(np.exp(-1j * region.theta))
-    w = 1.0 - zeta
+    w = 1.0 - zv
     aw = abs(w)
     if aw <= region.rho + BOUNDARY_TOL:
         ang = float(np.angle(w))
@@ -224,7 +207,8 @@ class DecayProfile:
         if self.exponent < 1.0:
             raise ValueError("denominator exponent must be >= 1")
         t = np.logspace(-6, -0.5, 40)
-        v = self.p(t)
+        with np.errstate(all="ignore"):  # a bad profile is refused below, not warned about
+            v = self.p(t)
         if not (np.all(np.diff(v) < 0) and v[0] > v[-1] * 1.5):
             raise ValueError(f"profile {self.name!r} does not increase toward 0+")
 

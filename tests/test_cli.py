@@ -589,8 +589,24 @@ class TestOtherSubcommands:
             assert run(["pseq", "--function", "damped_pole_series",
                         "--mode", "pointwise"], tmp_path) == 0
 
+    def test_bad_decay_profile_warns_nothing(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["decay", "--function", "saginjan_h", "--curve", "radius:0",
+                        "--profile", "log:-5", "--level", "4"], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: bad profile spec 'log:-5'")
+
     def test_stolz_map_outside_domain(self, tmp_path):
         assert run(["stolz-map", "--alpha", "0.5", "--z", "0,0.9"], tmp_path) == 2
+
+    def test_stolz_map_has_no_radius_option(self, tmp_path, capsys):
+        # the radius follows from --alpha, so an out-of-range alpha cannot
+        # slip past rho_of_alpha's check
+        with pytest.raises(SystemExit) as exc:
+            run(["stolz-map", "--alpha", "3", "--rho", "0.5", "--grid", "10"], tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rho" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_lemma6_pass(self, tmp_path):
         assert run(["lemma6", "--alpha", "0.7853981633974483",

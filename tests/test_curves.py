@@ -531,16 +531,16 @@ class TestEquivalence:
 
 class TestAngleInclusion:
     def test_same_curve_zero_inflation(self, radius):
-        assert cv.angle_inclusion_check(radius, radius, 0.3, 1.0, 300, seed=1)
+        assert cv.angle_inclusion_check(radius, radius, 0.3, 1.0, 300, level=8, seed=1)
 
     def test_radius_into_chord_inflated(self, radius, chord):
         r = cv.directed_curve_distance(radius, chord, 8)
-        assert cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, seed=2)
+        assert cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, level=8, seed=2)
 
     def test_shrunk_target_fails(self, radius, chord):
         r = cv.directed_curve_distance(radius, chord, 8)
-        assert not cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, seed=3,
-                                            r2=1.0 + r / 2.0)
+        assert not cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, level=8,
+                                            seed=3, r2=1.0 + r / 2.0)
 
 
 class TestExchangeFormat:

@@ -36,47 +36,56 @@ class TestRhoRule:
 class TestStolzAngle:
     def test_sector_stays_in_disk(self):
         for alpha in (0.3, math.pi / 3, 1.4):
-            ang = st.StolzAngle(0.0, alpha)
+            ang = st.StolzAngle(alpha)
             z = ang.sample(2000, seed=1)
             assert np.all(np.abs(z) < 1.0)
             assert np.all(ang.contains(z))
 
     def test_membership(self):
-        ang = st.StolzAngle(0.0, math.pi / 4)
+        ang = st.StolzAngle(math.pi / 4)
         assert ang.contains(0.5)
         assert not ang.contains(0.5j)
         assert not ang.contains(1.0 - 1.5)  # |1-z| >= rho
+
+    def test_radius_follows_half_angle(self):
+        for alpha in (0.3, math.pi / 4, math.pi / 3, 1.2, 1.4):
+            assert st.StolzAngle(alpha).rho == st.rho_of_alpha(alpha)
+        for bad in (3.0, 0.0, -0.5, math.pi / 2):
+            with pytest.raises(ValueError, match="not in"):
+                st.StolzAngle(bad)
+        with pytest.raises(TypeError):
+            st.StolzAngle(0.5, 0.5)  # the radius is not a parameter
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3, 1.3])
 class TestStolzMap:
     def test_boundary_correspondences(self, alpha):
-        m = st.StolzMap(alpha)
+        m = st.StolzAngle(alpha)
         w = m.apply(1.0 - m.rho + 1e-12)
         assert abs(w + 1.0) <= 1e-9
         assert abs(m.apply(1.0 - 1e-8) - 1.0) <= 1e-7
 
     def test_axis_sequence_converges_to_one(self, alpha):
-        m = st.StolzMap(alpha)
+        m = st.StolzAngle(alpha)
         gaps = [abs(m.apply(1.0 - 10.0 ** (-k)) - 1.0)
                 for k in range(2, 8)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
 
     def test_composition_matches_closed_form(self, alpha):
-        m = st.StolzMap(alpha)
-        z = st.StolzAngle(0.0, alpha).sample(1000, seed=2, margin=1e-9)
+        m = st.StolzAngle(alpha)
+        z = m.sample(1000, seed=2, margin=1e-9)
         assert np.max(np.abs(m.forward_steps(z) - m.closed_form(z))) <= 1e-9
 
     def test_image_inside_disk_and_roundtrip(self, alpha):
-        m = st.StolzMap(alpha)
-        z = st.StolzAngle(0.0, alpha).sample(1000, seed=3, margin=1e-9)
+        m = st.StolzAngle(alpha)
+        z = m.sample(1000, seed=3, margin=1e-9)
         w = m.forward_steps(z)
         assert np.all(np.abs(w) < 1.0)
         assert np.max(np.abs(m.invert(w) - z)) <= 1e-9
 
     def test_domain_rejection(self, alpha):
-        m = st.StolzMap(alpha)
+        m = st.StolzAngle(alpha)
         with pytest.raises(st.StolzMapDomainError):
             m.apply(0.9j)
 
@@ -100,37 +109,37 @@ class TestDistortionBounds:
 
 class TestGRegion:
     def test_radius_point_between_chord_and_curve(self):
-        g = st.GRegion(0.0, 0.3, math.pi / 6, 0.5)
-        assert st.g_region_contains(g, 1.0 - g.rho / 2.0)
+        g = st.GRegion(0.3, math.pi / 6, 0.5)
+        assert st.g_region_contains(g, 1.0 - g.rho / 2.0, 8)
 
     def test_point_on_curve(self):
-        g = st.GRegion(0.0, 0.3, math.pi / 6, 0.5)
+        g = st.GRegion(0.3, math.pi / 6, 0.5)
         for p in g.curve.refine(6)[2:10]:
-            assert st.g_region_contains(g, p)
+            assert st.g_region_contains(g, p, 8)
 
     def test_outside_both_parts(self):
-        g = st.GRegion(0.0, 0.2, math.pi / 6, 0.4)
-        assert not st.g_region_contains(g, -0.5 + 0.5j)
-        assert not st.g_region_contains(g, 0.2 - 0.6j)
+        g = st.GRegion(0.2, math.pi / 6, 0.4)
+        assert not st.g_region_contains(g, -0.5 + 0.5j, 8)
+        assert not st.g_region_contains(g, 0.2 - 0.6j, 8)
 
     def test_lens_respects_arc(self):
-        g = st.GRegion(0.0, 0.1, math.pi / 4, 0.3)
+        g = st.GRegion(0.1, math.pi / 4, 0.3)
         # on the radius but beyond the arc, and farther from the tangent
         # curve than the deflection plus the sampling slack
-        assert not st.g_region_contains(g, 0.35)
+        assert not st.g_region_contains(g, 0.35, 8)
 
     def test_lower_side_bounded_by_chord(self):
-        g = st.GRegion(0.0, 0.2, 0.4, 0.5)
+        g = st.GRegion(0.2, 0.4, 0.5)
         inside = 1.0 - 0.2 * complex(np.exp(1j * 0.3))    # below chord angle
         outside = 1.0 - 0.2 * complex(np.exp(1j * 0.6))   # beyond the chord
-        assert st.g_region_contains(g, inside)
-        assert not st.g_region_contains(g, outside)
+        assert st.g_region_contains(g, inside, 8)
+        assert not st.g_region_contains(g, outside, 8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            st.GRegion(0.0, 0.2, 2.0, 0.5)
+            st.GRegion(0.2, 2.0, 0.5)
         with pytest.raises(ValueError):
-            st.GRegion(0.0, 0.2, 0.4, 1.5)
+            st.GRegion(0.2, 0.4, 1.5)
 
 
 class TestDecayProfiles:
