@@ -234,6 +234,7 @@ def cmd_normality(args):
         f"verdict {rep.verdict}  sup[{rep.levels[-1]}]={rep.sups[-1]:.6g}"
 
 
+PSEQ_DELTA = 0.5  # split-pair's separation along seq_b without --delta
 SEQUENCE_KINDS = ("radial", "poles", "pole-adjacent", "pole-offset")
 
 
@@ -261,6 +262,12 @@ def _build_sequence(kind: str, n: int, sch: fn.PoleSchedule):
 
 
 def cmd_pseq(args):
+    if args.mode != "split-pair":
+        for option in ("alpha", "delta"):
+            if getattr(args, option) is not None:
+                raise CliError(f"pseq --mode {args.mode} does not read --{option}")
+    if args.delta is None:
+        args.delta = PSEQ_DELTA  # reports echo delta in every mode
     sch = fn.PoleSchedule.default(0.0, 20)
     f = parse_function(args.function)
     kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
@@ -417,8 +424,8 @@ SUBCOMMANDS = {
     "pseq": ("blow-up sequence indicators", cmd_pseq, [
         ("--function", _REQUIRED),
         ("--mode", {"required": True, "choices": ["pointwise", "local-sup", "split-pair"]}),
-        ("--sequence", {"default": "poles:8"}), ("--alpha", {}),
-        ("--delta", {"type": float, "default": 0.5})]),
+        ("--sequence", {"default": "poles:8"}), ("--alpha", {"help": "split-pair only"}),
+        ("--delta", {"type": float, "help": f"split-pair only (default {PSEQ_DELTA})"})]),
     "cluster": ("cluster-set estimate on boundary shells", cmd_cluster, [
         ("--function", _REQUIRED),
         ("--region", {"required": True, "help": "radius-angle:R[:theta]"}),

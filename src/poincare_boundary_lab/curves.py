@@ -45,10 +45,14 @@ HYP_MESH = 0.25       # target hyperbolic gap between consecutive samples
 # and the benchmark run predicts under 6,000.  A distance matrix of 100,000
 # samples against a few hundred is a few hundred MB a temporary.
 SAMPLE_BUDGET = 100_000
-# most cells a curve distance matrix may hold; it takes about 27 B a cell at
-# its peak.  The largest of any benchmark job holds 2.6M; two horocycles at
-# level 21 would ask for 67M, though each has only 8,172 samples.
+# most cells a curve distance matrix may hold; it takes about 8.2 B a cell at
+# its peak (tracemalloc, lemma4's 692 x 3,641 pair).  The largest of any
+# benchmark job holds 2.6M; two horocycles at level 21 would ask for 67M,
+# though each has only 8,172 samples.
 CELL_BUDGET = 20_000_000
+# cells of the scratch that _strip_distance_matrix multiplies a block of rows
+# in (512 KiB), or one row where a row is longer
+_PRODUCT_BLOCK_CELLS = 1 << 16
 # half-width of ParametricCurve._step's rounding band, in units of
 # 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
 # [lo, u] is trusted to within half of it (an mpmath oracle puts the worst
@@ -411,11 +415,33 @@ def angle_contains(angle: CurvilinearAngle, z, level: int) -> bool:
 
 
 def _strip_distance_matrix(s1, t1, s2, t2):
+    """cosh of the hyperbolic distance between every sample (s1, t1) and every
+    sample (s2, t2), as one (n1, n2) matrix, unclamped: a cell may round
+    below 1.  Each cell is cosh(s1 - s2) * (cosh t1 cosh t2) - sinh t1 sinh t2
+    in that order.  The matrix is the only (n1, n2) buffer: the cosh t and
+    sinh t products go through one scratch of _PRODUCT_BLOCK_CELLS cells, a
+    block of rows at a time."""
+    c = np.subtract.outer(s1, s2)
+    ct1, st1, ct2, st2 = np.cosh(t1), np.sinh(t1), np.cosh(t2), np.sinh(t2)
+    rows = max(1, _PRODUCT_BLOCK_CELLS // len(s2))
+    scratch = np.empty((min(rows, len(s1)), len(s2)))
     with np.errstate(over="ignore"):
-        c = (np.cosh(s1[:, None] - s2[None, :])
-             * (np.cosh(t1)[:, None] * np.cosh(t2)[None, :])
-             - np.sinh(t1)[:, None] * np.sinh(t2)[None, :])
-    return np.arccosh(np.maximum(c, 1.0))
+        np.cosh(c, out=c)
+        for i in range(0, len(s1), rows):
+            block = c[i:i + rows]
+            p = scratch[:len(block)]
+            np.multiply(ct1[i:i + rows, None], ct2, out=p)
+            block *= p
+            np.multiply(st1[i:i + rows, None], st2, out=p)
+            block -= p
+    return c
+
+
+def _distance_of_cosh(c) -> float:
+    """The hyperbolic distance whose cosh is c, with c rounded below 1 read
+    as 1.  It is nondecreasing, so it commutes with max and min: a max/min
+    taken over cosh d and then converted is exact."""
+    return float(np.arccosh(np.maximum(c, 1.0)))
 
 
 def _check_cells(c1: BoundaryCurve, c2: BoundaryCurve, level: int, n1: int, n2: int):
@@ -441,8 +467,8 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve, level: int) ->
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level + 2)
     _check_cells(c1, c2, level, len(s1), len(s2))
-    d = _strip_distance_matrix(s1, t1, s2, t2)
-    return float(np.max(np.min(d, axis=1)))
+    c = _strip_distance_matrix(s1, t1, s2, t2)
+    return _distance_of_cosh(np.max(np.min(c, axis=1)))
 
 
 @dataclass
@@ -532,6 +558,11 @@ def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
 def _frechet_dp(dist: np.ndarray) -> float:
     """Coupled-traversal DP (Eiter-Mannila) over a ready distance matrix.
 
+    The DP takes only max and min, so dist may hold any nondecreasing function
+    of the leg distances and the value is that function of the Frechet
+    distance: discrete_frechet_strip passes cosh d from
+    _strip_distance_matrix and converts the value once.
+
     The recurrence D[i, j] = max(dist[i, j], min(D[i-1, j], D[i, j-1],
     D[i-1, j-1])) runs one anti-diagonal i + j = k at a time: every cell of a
     diagonal depends only on the two diagonals before it.  Three rotating
@@ -566,9 +597,9 @@ def discrete_frechet_strip(s1, t1, s2, t2) -> float:
     """Discrete Frechet distance on axial-coordinate samples (exact deep)."""
     if len(s1) == 0 or len(s2) == 0:
         raise ValueError("sample lists must be non-empty")
-    return _frechet_dp(_strip_distance_matrix(
+    return _distance_of_cosh(_frechet_dp(_strip_distance_matrix(
         np.asarray(s1, float), np.asarray(t1, float),
-        np.asarray(s2, float), np.asarray(t2, float)))
+        np.asarray(s2, float), np.asarray(t2, float))))
 
 
 def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:

@@ -19,6 +19,28 @@ def discrete_frechet(p_samples, q_samples) -> float:
     return _frechet_dp(d)
 
 
+def strip_distance_matrix(s1, t1, s2, t2):
+    """Hyperbolic distances between axial samples, one arccosh a cell: the
+    matrix the curve distances were taken on before they moved to cosh d."""
+    with np.errstate(over="ignore"):
+        c = (np.cosh(s1[:, None] - s2[None, :])
+             * (np.cosh(t1)[:, None] * np.cosh(t2)[None, :])
+             - np.sinh(t1)[:, None] * np.sinh(t2)[None, :])
+    return np.arccosh(np.maximum(c, 1.0))
+
+
+def directed_curve_distance(c1, c2, level: int) -> float:
+    """`curves.directed_curve_distance` on the distance matrix."""
+    d = strip_distance_matrix(*c1.strip_refine(level), *c2.strip_refine(level + 2))
+    return float(np.max(np.min(d, axis=1)))
+
+
+def curve_frechet(c1, c2, level: int) -> float:
+    """`curves.curve_frechet` on the distance matrix."""
+    return _frechet_dp(strip_distance_matrix(*c1.strip_refine(level),
+                                             *c2.strip_refine(level)))
+
+
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
     """1/f; since (1/f)# = f#, an independent cross-check of sph_array."""
 

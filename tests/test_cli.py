@@ -140,6 +140,25 @@ class TestExitCodes:
         report = json.loads(latest_report(tmp_path, "pseq"))
         assert len(report["values"]) == 20
 
+    @pytest.mark.parametrize("mode", ["pointwise", "local-sup"])
+    @pytest.mark.parametrize("option,value", [("--alpha", "0.3,0"), ("--delta", "0.9")])
+    def test_split_pair_options_are_refused_elsewhere(self, tmp_path, capsys, mode,
+                                                      option, value):
+        assert run(["pseq", "--function", "identity", "--mode", mode,
+                    option, value], tmp_path) == 2
+        assert f"error: pseq --mode {mode} does not read {option}\n" in \
+            capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_split_pair_reads_delta(self, tmp_path):
+        for delta in (None, "0.5", "0.9"):
+            extra = [] if delta is None else ["--delta", delta]
+            assert run(["pseq", "--function", "pole_series", "--mode", "split-pair",
+                        "--sequence", "poles:4", *extra], tmp_path) == 0
+            report = json.loads(latest_report(tmp_path, "pseq"))
+            assert report["arguments"]["delta"] == report["details"]["delta"] == \
+                float(delta or cli.PSEQ_DELTA)
+
     @pytest.mark.parametrize("argv,message", [
         (["cluster", "--function", "identity", "--region", "radius-angle"],
          "region spec must be radius-angle:R[:theta]"),

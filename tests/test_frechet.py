@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import geometry as ge
 
+import reference as ref
 from reference import discrete_frechet
 
 
@@ -244,3 +247,83 @@ class TestZigzagPair:
             cv.build_zigzag_pair(0.0, 3)
         with pytest.raises(ValueError):
             cv.build_zigzag_pair(0.5, -1)
+
+
+# the seven curve pairs of the benchmark's frechet_curves workload, each at
+# two settings that between them take every value the workload draws
+COSH_PAIRS = {
+    "radius-hypercycle": [(("radius", th), ("hypercycle", th, p))
+                          for th, p in ((0.0, 0.5), (2.5, -0.3))],
+    "radius-chord": [(("radius", th), ("chord", th, a)) for th, a in ((0.0, 0.5), (2.5, -0.4))],
+    "radius-horocycle": [(("radius", th), ("horocycle", th, side))
+                         for th, side in ((0.0, 1.0), (2.5, -1.0))],
+    "chord-horocycle": [(("chord", th, a), ("horocycle", th, side))
+                        for th, a, side in ((0.0, 0.5, 1.0), (2.5, -0.4, -1.0))],
+    "hypercycle-chord": [(("hypercycle", th, p), ("chord", th, a))
+                         for th, p, a in ((0.0, 0.5, 0.5), (2.5, -0.3, -0.4))],
+    "hypercycle-hypercycle": [(("hypercycle", th, 0.5), ("hypercycle", th, p))
+                              for th, p in ((0.0, 0.5), (2.5, -0.3))],
+    "chord-chord": [(("chord", th, 0.3), ("chord", th, a)) for th, a in ((0.0, 0.5), (2.5, -0.4))],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def zigzag(r, n):
+    g1, g2, mk = cv.build_zigzag_pair(r, n)
+    return g1, g2, cv.zigzag_truncation_level(mk)
+
+
+class TestCoshDomain:
+    """The curve distances take their max and min on cosh d and convert the
+    result once; the reference converts every cell first.  Compared as
+    float.hex."""
+
+    def assert_matches_reference(self, c1, c2, level):
+        for a, b in ((c1, c2), (c2, c1)):
+            assert cv.directed_curve_distance(a, b, level).hex() == \
+                ref.directed_curve_distance(a, b, level).hex()
+        value = cv.curve_frechet(c1, c2, level).hex()
+        assert value == ref.curve_frechet(c1, c2, level).hex()
+        assert value == cv.curve_frechet(c2, c1, level).hex()  # swapping the curves
+
+    @pytest.mark.parametrize("kind", COSH_PAIRS)
+    def test_canonical_pairs_bit_identical(self, kind):
+        for spec1, spec2 in COSH_PAIRS[kind]:
+            c1, c2 = cv.canonical_curve(*spec1), cv.canonical_curve(*spec2)
+            for level in (12, 14, 16):
+                self.assert_matches_reference(c1, c2, level)
+                # every cell, not only the ones the max and min pick
+                s1, t1 = c1.strip_refine(level)
+                s2, t2 = c2.strip_refine(level + 2)
+                c = cv._strip_distance_matrix(s1, t1, s2, t2)
+                assert np.array_equal(np.arccosh(np.maximum(c, 1.0)),
+                                      ref.strip_distance_matrix(s1, t1, s2, t2))
+
+    @pytest.mark.parametrize("r", [0.4, 0.5])
+    def test_zigzag_pairs_bit_identical(self, r):
+        for n in range(1, 13):
+            self.assert_matches_reference(*zigzag(r, n))
+
+    def test_matrix_rows_span_several_product_blocks(self):
+        # rows of 1,000 cells: two whole blocks of rows and a partial third
+        n = 2 * (cv._PRODUCT_BLOCK_CELLS // 1000) + 3
+        rng = np.random.default_rng(59)
+        s1, s2 = rng.uniform(0, 30, n), rng.uniform(0, 30, 1000)
+        t1, t2 = rng.uniform(-2, 2, n), rng.uniform(-2, 2, 1000)
+        c = cv._strip_distance_matrix(s1, t1, s2, t2)
+        assert np.array_equal(np.arccosh(np.maximum(c, 1.0)),
+                              ref.strip_distance_matrix(s1, t1, s2, t2))
+
+    def test_frechet_peak_memory_per_cell(self):
+        # lemma4's largest pair, 692 x 3,641 cells; the arccosh-per-cell
+        # path peaked at 24 B a cell
+        g1, g2, level = zigzag(0.4, 12)
+        cells = len(g1.strip_refine(level)[0]) * len(g2.strip_refine(level)[0])
+        tracemalloc.start()
+        try:
+            cv.curve_frechet(g1, g2, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells == 692 * 3641
+        assert peak / cells <= 9.0
