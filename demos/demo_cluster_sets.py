@@ -15,8 +15,8 @@ from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
 
-sch = fn.PoleSchedule.default(0.0, 20)
-f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch))
+sch = fn.PoleSchedule.default()
+f1 = fn.RationalPoleFunction(sch, damped=True)
 
 print("cluster estimate for the damped pole series on the band r=0.5:")
 member = an.radial_angle_membership(0.5, 0.0)

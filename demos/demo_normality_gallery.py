@@ -16,7 +16,7 @@ from poincare_boundary_lab import geometry as ge
 
 rad = cv.canonical_curve("radius", 0.0)
 band = cv.CurvilinearAngle(rad, 0.5)
-sch = fn.PoleSchedule.default(0.0, 20)
+sch = fn.PoleSchedule.default()
 
 cases = [
     fn.identity_function(),

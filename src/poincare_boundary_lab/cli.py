@@ -104,8 +104,8 @@ def parse_function(spec: str) -> fn.FunctionHandle:
         if k < 10:
             # PoleSchedule's own checks reject every schedule of 4 to 9 poles
             raise CliError(f"{name} needs K >= 10")
-        f = fn.RationalPoleFunction(fn.PoleSchedule.default(0.0, k))
-        return f if name == "pole_series" else fn.DampedPoleFunction(f)
+        return fn.RationalPoleFunction(fn.PoleSchedule.default(k),
+                                       damped=name == "damped_pole_series")
     raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
                    f"also identity, constant:c, automorphism:w, "
                    f"pole_series[:K], damped_pole_series[:K]")
@@ -268,7 +268,7 @@ def cmd_pseq(args):
                 raise CliError(f"pseq --mode {args.mode} does not read --{option}")
     if args.delta is None:
         args.delta = PSEQ_DELTA  # reports echo delta in every mode
-    sch = fn.PoleSchedule.default(0.0, 20)
+    sch = fn.PoleSchedule.default()
     f = parse_function(args.function)
     kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
     if args.mode == "pointwise":
@@ -297,7 +297,7 @@ def _parse_region(spec: str):
         raise CliError("region spec must be radius-angle:R[:theta]")
     r = float(parts[1])
     theta = float(parts[2]) if len(parts) > 2 else 0.0
-    return an.radial_angle_membership(r, theta), theta, r
+    return an.radial_angle_membership(r, theta), theta
 
 
 def _parse_range(spec: str, what: str) -> range:
@@ -313,7 +313,7 @@ def _parse_range(spec: str, what: str) -> range:
 
 def cmd_cluster(args):
     f = parse_function(args.function)
-    member, theta, r = _parse_region(args.region)
+    member, theta = _parse_region(args.region)
     rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
                               seed=_seed(args), record_values=not args.no_values)
     d = {**vars(rep), "function": f.label, "region": args.region}

@@ -2,16 +2,17 @@
 
 A FunctionHandle packages vectorized evaluation and one way to produce the
 spherical derivative f# = |f'| / (1 + |f|^2).  Handles with a closed-form
-derivative get the pole-safe f# of the base class.  Functions built from
-exponential towers f = exp(L) carry log-scale forms instead (log|f| and
-log|L'|), so f# survives |log|f|| far beyond double range; a point value
-saturates to 0 / infinity with a flag.
+derivative get that formula from the base class; the pole series sets
+1/|residue| at its poles itself.  Functions built from exponential towers
+f = exp(L) carry log-scale forms instead (log|f| and log|L'|), so f#
+survives |log|f|| far beyond double range; a point value saturates to
+0 / infinity with a flag.
 
 The gallery holds the closed-form probe functions; RationalPoleFunction is
 the truncated series  sum_k eps_k^2 / (z - z_k)  over a pole schedule whose
-poles march to the boundary point along the two boundary arcs of deflection
-regions of growing radius, and DampedPoleFunction multiplies it by
-(z - e^{i theta}).
+poles march to the boundary point 1 along the two boundary arcs of
+deflection regions of growing radius, optionally damped by the factor
+(z - 1).
 """
 
 from __future__ import annotations
@@ -38,13 +39,25 @@ class EvaluationError(RuntimeError):
     """Raised when a function value cannot be computed in any scale."""
 
 
+def _spherical_derivative(v, d):
+    """|d| / (1 + |v|^2) for values v and derivatives d; nan where v is nan
+    or infinite."""
+    av = np.abs(v)
+    out = np.full(av.shape, np.nan)
+    small = av <= 1.0
+    out[small] = np.abs(d[small]) / (1.0 + av[small] ** 2)
+    big = (~small) & np.isfinite(av)
+    if np.any(big):
+        q = np.abs(d[big] / v[big])
+        out[big] = q / (av[big] + 1.0 / av[big])
+    return out
+
+
 class FunctionHandle:
     """Base class; subclasses provide eval_array and deriv_array, or
     override sph_array."""
 
     label = "function"
-    pole_points: np.ndarray | None = None
-    pole_residues: np.ndarray | None = None
 
     def eval_array(self, z):
         raise NotImplementedError
@@ -65,24 +78,7 @@ class FunctionHandle:
     def sph_array(self, z):
         """Vectorized spherical derivative; nan marks evaluation failure."""
         z = np.asarray(z, dtype=complex)
-        v = self.eval_array(z)
-        d = self.deriv_array(z)
-        av = np.abs(v)
-        out = np.full(z.shape, np.nan)
-        small = av <= 1.0
-        out[small] = np.abs(d[small]) / (1.0 + av[small] ** 2)
-        big = (~small) & np.isfinite(av)
-        if np.any(big):
-            q = np.abs(d[big] / v[big])
-            out[big] = q / (av[big] + 1.0 / av[big])
-        if self.pole_points is not None:
-            dist = np.abs(z[:, None] - self.pole_points[None, :])
-            nearest = np.argmin(dist, axis=1)
-            at_pole = dist[np.arange(len(z)), nearest] < POLE_SNAP
-            if np.any(at_pole):
-                res = self.pole_residues[nearest[at_pole]]
-                out[at_pole] = 1.0 / np.abs(res)
-        return out
+        return _spherical_derivative(self.eval_array(z), self.deriv_array(z))
 
     def eval(self, z) -> tuple[complex, bool]:
         """(f(z), saturated): a value that is not finite is infinity; only a
@@ -155,26 +151,26 @@ def log_lehto_virtanen_array(f: FunctionHandle, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pole schedules and the constructed series
 
+MAX_POLES = 52   # the largest count whose default schedule passes validate
+
 
 @dataclass
 class PoleSchedule:
-    """Pole positions marching to e^{i theta} along the two boundary arcs of
-    deflection regions of radius r_m (pseudo-hyperbolic), with disk radii
-    eps_k around them.  The construction constraints are checked, not assumed:
-    eps strictly decreasing to 0, the disks pairwise disjoint, hyperbolic
-    disk diameters shrinking to 0, and sum eps_k finite.
+    """Pole positions marching to 1 along the two boundary arcs of deflection
+    regions of radius r_m (pseudo-hyperbolic), with disk radii eps_k around
+    them.  The construction constraints are checked, not assumed: eps
+    strictly decreasing to 0, the disks pairwise disjoint, hyperbolic disk
+    diameters shrinking to 0, and sum eps_k finite.
     """
 
-    theta: float
     pole_points: np.ndarray          # complex, pole k at index k-1
     radii: np.ndarray                # eps_k
     deflections: np.ndarray          # r_m, increasing to 1
     pole_strip: np.ndarray           # (k, 2) axial coordinates (s, t)
-    hyperbolic_diameters: np.ndarray = field(default=None)
+    hyperbolic_diameters: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.hyperbolic_diameters is None:
-            self.hyperbolic_diameters = self._disk_diameters()
+        self.hyperbolic_diameters = self._disk_diameters()
         self.validate()
 
     def _disk_diameters(self):
@@ -201,7 +197,7 @@ class PoleSchedule:
             "poles_converge": bool(
                 np.all(dist_end[4:] < dist_end[:-4])
                 and dist_end[-1] < dist_end[0] * 0.05
-                if len(dist_end := np.abs(self.pole_points - np.exp(1j * self.theta))) > 4
+                if len(dist_end := np.abs(self.pole_points - 1.0)) > 4
                 else dist_end[-1] < dist_end[0]),
         }
         z = self.pole_points
@@ -218,11 +214,13 @@ class PoleSchedule:
         return checks
 
     @classmethod
-    def default(cls, theta: float = 0.0, count: int = 20) -> "PoleSchedule":
-        """theta-rotated default: r_m = 1 - 2^{-m}, eps_k = 4^{-k}, pole k at
-        depth ~2^{-k} on the upper arc for even k, lower for odd k."""
+    def default(cls, count: int = 20) -> "PoleSchedule":
+        """r_m = 1 - 2^{-m}, eps_k = 4^{-k}, pole k at depth ~2^{-k} on the
+        upper arc for even k, lower for odd k."""
         if count < 4:
             raise ValueError("need at least 4 poles")
+        if count > MAX_POLES:
+            raise ValueError(f"pole schedule needs K <= {MAX_POLES}, got K = {count}")
         ks = np.arange(1, count + 1)
         ms = (ks + 1) // 2
         r_m = 1.0 - 0.5 ** np.arange(1, ms[-1] + 1)
@@ -237,69 +235,63 @@ class PoleSchedule:
             deeper = strip_depth(mid, t) > target
             lo, hi = np.where(deeper, mid, lo), np.where(deeper, hi, mid)
         s = 0.5 * (lo + hi)
-        # one scalar call a pole: an array call can round the last bit of a
-        # point differently when theta != 0
-        pts = [complex(strip_to_disk(float(sk), float(tk), theta)) for sk, tk in zip(s, t)]
-        return cls(theta, np.asarray(pts), eps, r_m, np.column_stack([s, t]))
+        return cls(strip_to_disk(s, t), eps, r_m, np.column_stack([s, t]))
 
 
 class RationalPoleFunction(FunctionHandle):
     """Truncated series sum_{k<=K} eps_k^2 / (z - z_k) over the K poles of
-    the schedule."""
+    the schedule; damped, it is multiplied by (z - 1): same poles, and a
+    boundary factor forcing the value 0 along the deflection regions."""
 
-    def __init__(self, schedule: PoleSchedule):
-        self.label = f"pole-series:K={len(schedule.pole_points)}"
+    def __init__(self, schedule: PoleSchedule, damped: bool = False):
+        self.damped = damped
+        label = f"pole-series:K={len(schedule.pole_points)}"
+        self.label = f"damped-{label}" if damped else label
         self.pole_points = schedule.pole_points
         self.coeffs = (schedule.radii ** 2).astype(float)
-        self.pole_residues = self.coeffs.astype(complex)
-        self._endpoint = complex(np.exp(1j * schedule.theta))
+        self.pole_residues = self.coeffs * (self.pole_points - 1.0) if damped \
+            else self.coeffs.astype(complex)
 
-    def eval_array(self, z):
+    def _series(self, z, deriv: bool):
+        """(f, f' or None, where z is within POLE_SNAP of a pole, the index of
+        that pole), all from one (..., K) array of offsets z - z_k; infinity
+        at a pole."""
         z = np.asarray(z, dtype=complex)
         u = z[..., None] - self.pole_points
+        hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
+        nearest = np.argmin(np.abs(u[hit]), axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = self.coeffs / u
-        out = terms.sum(axis=-1)
-        hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
-        out = np.where(hit, np.inf + 0j, out)
-        return out
-
-    def deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        u = z[..., None] - self.pole_points
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = -self.coeffs / u ** 2
-        out = terms.sum(axis=-1)
-        hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
-        return np.where(hit, np.inf + 0j, out)
-
-
-class DampedPoleFunction(FunctionHandle):
-    """The pole series multiplied by (z - e^{i theta}): same poles, boundary
-    factor forcing the value 0 along the deflection regions."""
-
-    def __init__(self, base: RationalPoleFunction):
-        self.label = f"damped-{base.label}"
-        self.base = base
-        self._endpoint = base._endpoint
-        self.pole_points = base.pole_points
-        self.pole_residues = base.coeffs * (base.pole_points - self._endpoint)
+        v = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
+        d = None
+        if deriv:
+            # -coeffs / u ** 2 bit for bit, in buffers already held: the (N, K)
+            # buffers of a 2e4-point normality bulk pass set the peak memory
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(-self.coeffs, np.square(u, out=u), out=terms)
+            d = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
+        if self.damped:
+            w = z - 1.0
+            if deriv:
+                with np.errstate(invalid="ignore"):  # at a pole inf - inf; set to inf below
+                    dw = d * w + v
+                dw[~(np.isfinite(v) & np.isfinite(d))] = np.inf + 0j
+                d = dw
+            vw = v * w
+            vw[~np.isfinite(v)] = np.inf + 0j
+            v = vw
+        return v, d, hit, nearest
 
     def eval_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        v = self.base.eval_array(z)
-        out = v * (z - self._endpoint)
-        out[~np.isfinite(v)] = np.inf + 0j
-        return out
+        return self._series(z, False)[0]
 
     def deriv_array(self, z):
-        z = np.asarray(z, dtype=complex)
-        v = self.base.eval_array(z)
-        d = self.base.deriv_array(z)
-        with np.errstate(invalid="ignore"):  # at a pole inf - inf; set to inf below
-            out = d * (z - self._endpoint) + v
-        bad = ~(np.isfinite(v) & np.isfinite(d))
-        out[bad] = np.inf + 0j
+        return self._series(z, True)[1]
+
+    def sph_array(self, z):
+        v, d, hit, nearest = self._series(z, True)
+        out = _spherical_derivative(v, d)
+        out[hit] = 1.0 / np.abs(self.pole_residues[nearest])
         return out
 
 

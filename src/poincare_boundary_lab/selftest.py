@@ -168,7 +168,7 @@ def criterion_normality(seed: int):
     rep_i = an.normality_sup(fn.identity_function(), reg, 10)
     rep_a = an.normality_sup(
         fn.automorphism_function(ge.mobius_translation(0.3)), reg, 10)
-    sch = fn.PoleSchedule.default(0.0, 20)
+    sch = fn.PoleSchedule.default()
     f0 = fn.RationalPoleFunction(sch)
     rep_f = an.normality_sup(f0, reg, 14)
     ind = an.pseq_indicator_local_sup(
@@ -189,8 +189,8 @@ def criterion_normality(seed: int):
 def criterion_cluster_family(seed: int):
     """Cluster limits agree with renormalized-family limits; the two-value
     cluster set of the damped pole series is reproduced."""
-    sch = fn.PoleSchedule.default(0.0, 20)
-    f1 = fn.DampedPoleFunction(fn.RationalPoleFunction(sch))
+    sch = fn.PoleSchedule.default()
+    f1 = fn.RationalPoleFunction(sch, damped=True)
     ident = fn.identity_function()
     ws = [1.0 - 2.0 ** (-k) for k in range(1, 17)]
     ok = True

@@ -24,7 +24,7 @@ def band(radius):
 
 @pytest.fixture(scope="module")
 def schedule():
-    return fn.PoleSchedule.default(0.0, 20)
+    return fn.PoleSchedule.default()
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def f0(schedule):
 
 @pytest.fixture(scope="module")
 def f1(schedule):
-    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule))
+    return fn.RationalPoleFunction(schedule, damped=True)
 
 
 class TestNormalitySup:

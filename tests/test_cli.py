@@ -249,6 +249,18 @@ class TestExitCodes:
         assert not os.listdir(tmp_path)
         assert run(["gallery", "--name", f"{name}:10", "--at", "0.2,0.1"], tmp_path) == 0
 
+    @pytest.mark.parametrize("k", [53, 56, 60])
+    @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
+    def test_pole_series_refuses_more_than_52_poles(self, tmp_path, capsys, name, k):
+        # 53-55 used to fail a schedule check, 56 and up a numpy reduction
+        assert run(["gallery", "--name", f"{name}:{k}", "--at", "0.5,0"], tmp_path) == 2
+        assert f"error: pole schedule needs K <= 52, got K = {k}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
+    def test_pole_series_takes_52_poles(self, tmp_path, name):
+        assert run(["gallery", "--name", f"{name}:52", "--at", "0.5,0"], tmp_path) == 0
+
     def test_level_past_double_precision_is_2(self, tmp_path, capsys):
         argv = ["frechet", "--curve1", "radius:0", "--curve2", "chord:0:0.5", "--level"]
         assert run(argv + ["53"], tmp_path) == 0

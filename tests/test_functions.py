@@ -7,12 +7,13 @@ import pytest
 from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
 
+import reference
 from reference import reciprocal_function
 
 
 @pytest.fixture(scope="module")
 def schedule():
-    return fn.PoleSchedule.default(0.0, 20)
+    return fn.PoleSchedule.default()
 
 
 @pytest.fixture(scope="module")
@@ -22,182 +23,120 @@ def f0(schedule):
 
 @pytest.fixture(scope="module")
 def f1(schedule):
-    return fn.DampedPoleFunction(fn.RationalPoleFunction(schedule))
+    return fn.RationalPoleFunction(schedule, damped=True)
 
 
-# PoleSchedule.default(theta, 20) with float.hex, recorded from the scalar
-# bisection that ran one pole at a time: per pole, the real and imaginary
-# parts of the pole point, its axial coordinates (s, t) and its radius eps_k
-POLE_PINS = {
-    0.0: [
-        ("0x1.87eb1990b696dp-27", "-0x1.ffffffffffffcp-2",
-         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
-        ("0x1.61c5f7b5331ffp-1", "0x1.2aaaaaaaaaaa8p-2",
-         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
-        ("0x1.8dfa17bdf5a1dp-1", "-0x1.9b6db6db6db74p-2",
-         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
-        ("0x1.d415b32395381p-1", "0x1.a92492492492ap-3",
-         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
-        ("0x1.e1db6937bcbc4p-1", "-0x1.d66666666665bp-3",
-         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
-        ("0x1.f480d24e2299cp-1", "0x1.da22222222215p-4",
-         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
-        ("0x1.f83d6bfe25761p-1", "-0x1.ed8c6318c62a7p-4",
-         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
-        ("0x1.fd10073db71afp-1", "0x1.ee84210842098p-5",
-         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
-        ("0x1.fe07d3abd48d0p-1", "-0x1.f76186186196fp-5",
-         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
-        ("0x1.ff42003cdcaa1p-1", "0x1.f7a082082092ep-6",
-         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
-        ("0x1.ff80fd1ea6098p-1", "-0x1.fbd83060c1848p-6",
-         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
-        ("0x1.ffd04001f33a9p-1", "0x1.fbe810204082cp-7",
-         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
-        ("0x1.ffe01fd0fa847p-1", "-0x1.fdf606060600cp-7",
-         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
-        ("0x1.fff408000fcc8p-1", "0x1.fdfa020201fc3p-8",
-         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
-        ("0x1.fff803fd07ea0p-1", "-0x1.fefd80c05fedap-8",
-         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
-        ("0x1.fffd0100007f4p-1", "0x1.fefe80401fce3p-9",
-         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
-        ("0x1.fffe007fd03fbp-1", "-0x1.ff7f601801ed7p-9",
-         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
-        ("0x1.ffff402000040p-1", "0x1.ff7fa007fdebdp-10",
-         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
-        ("0x1.ffff800ffd020p-1", "-0x1.ffbfd802fff87p-10",
-         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
-        ("0x1.ffffd00400004p-1", "0x1.ffbfe800ffb91p-11",
-         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
-    ],
-    0.3: [
-        ("0x1.2e9cdad215990p-3", "-0x1.e921dd0907ac6p-2",
-         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
-        ("0x1.25d76edbdc55ap-1", "0x1.ee6be6aed026fp-2",
-         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
-        ("0x1.b8fe9e84a3f9dp-1", "-0x1.3baa20b6f2510p-3",
-         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
-        ("0x1.9fc4d548ddba7p-1", "0x1.dfbbf823a6f34p-2",
-         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
-        ("0x1.ef16bd07bf9a6p-1", "0x1.e0d09d1134058p-5",
-         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
-        ("0x1.cca26d572a6b5p-1", "0x1.990e8d330176dp-2",
-         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
-        ("0x1.f3f3538e236c5p-1", "0x1.684cca36a96cdp-3",
-         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
-        ("0x1.dd313f0376791p-1", "0x1.67ee241cb259ep-2",
-         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
-        ("0x1.f08c5b6fe239cp-1", "0x1.e2ac3d8bc10acp-3",
-         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
-        ("0x1.e3c5b2165918bp-1", "0x1.4c3eaf05d7bdep-2",
-         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
-        ("0x1.ed5926fc22c54p-1", "0x1.0fff2eae479bdp-2",
-         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
-        ("0x1.e69bdc489d767p-1", "0x1.3daa6656dc991p-2",
-         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
-        ("0x1.eb5e3a3851565p-1", "0x1.1f5088c02cca0p-2",
-         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
-        ("0x1.e7e9036a7c066p-1", "0x1.36329270bcc43p-2",
-         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
-        ("0x1.ea48409c05c8cp-1", "0x1.26f7759d379dcp-2",
-         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
-        ("0x1.e887fe30a67edp-1", "0x1.326b6bc324a93p-2",
-         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
-        ("0x1.e9b71d04ff725p-1", "0x1.2aca5d124d508p-2",
-         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
-        ("0x1.e8d591b6749aep-1", "0x1.30850f2ce0d9bp-2",
-         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
-        ("0x1.e96d00c546ff4p-1", "0x1.2cb3a92b14edbp-2",
-         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
-        ("0x1.e8fbe08ca3e9bp-1", "0x1.2f912f5061cf8p-2",
-         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
-    ],
-    -1.2: [
-        ("-0x1.dd3439daa37bcp-2", "-0x1.730deab1001ecp-3",
-         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
-        ("0x1.0b60837821a34p-1", "-0x1.139e53879a55ap-1",
-         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
-        ("-0x1.7c30995f12674p-4", "-0x1.bd78e3231da65p-1",
-         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
-        ("0x1.0cad349fd4100p-1", "-0x1.8dc2851a2d3a8p-1",
-         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
-        ("0x1.03fcc67af7397p-3", "-0x1.ebb90fe835de0p-1",
-         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
-        ("0x1.d9333c3619b9ap-2", "-0x1.bd0347fcd577cp-1",
-         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
-        ("0x1.f4db98c617918p-3", "-0x1.ec5392c4ffdd3p-1",
-         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
-        ("0x1.aa8a035f671dfp-2", "-0x1.cf444abf49454p-1",
-         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
-        ("0x1.36fb10e258651p-2", "-0x1.e6c4c827546b2p-1",
-         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
-        ("0x1.8fda9dd043ef2p-2", "-0x1.d6cf3203cf494p-1",
-         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
-        ("0x1.551c91cefde7ap-2", "-0x1.e27e04cba60b3p-1",
-         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
-        ("0x1.81b66a6b13069p-2", "-0x1.da278bfb96a62p-1",
-         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
-        ("0x1.641c61a7f15e6p-2", "-0x1.dff9abc658562p-1",
-         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
-        ("0x1.7a72827d2ac18p-2", "-0x1.dbb77bd982fa1p-1",
-         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
-        ("0x1.6b9712bf2d24ep-2", "-0x1.de9f1b9b69f8dp-1",
-         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
-        ("0x1.76c445dd1362cp-2", "-0x1.dc78459bcf2dap-1",
-         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
-        ("0x1.6f52fde25ce2ap-2", "-0x1.ddebb5bd7f019p-1",
-         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
-        ("0x1.74ea1ac951ca4p-2", "-0x1.dcd6db13d3b19p-1",
-         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
-        ("0x1.7130941d7e782p-2", "-0x1.dd907abe20951p-1",
-         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
-        ("0x1.73fc42bbee494p-2", "-0x1.dd05b179b5fdap-1",
-         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
-    ],
-    2.5: [
-        ("0x1.326af03ffedb9p-2", "0x1.9a2f7f6d9f66dp-2",
-         "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
-        ("-0x1.74cb89aec7409p-1", "0x1.70581707dfd1ep-3",
-         "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
-        ("-0x1.8771dec6c1426p-2", "0x1.92fc1b343b56ap-1",
-         "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
-        ("-0x1.b69cb685fbfc4p-1", "0x1.85f89cce01fd4p-2",
-         "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
-        ("-0x1.3ba8097827c89p-1", "0x1.7e97afc15ce82p-1",
-         "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
-        ("-0x1.b471c42adc45dp-1", "0x1.f81cbb5e556dfp-2",
-         "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
-        ("-0x1.6f0bf67a7baaap-1", "0x1.5f32edfd0a076p-1",
-         "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
-        ("-0x1.aa54531eb5f3bp-1", "0x1.17e60d3d2d46bp-1",
-         "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
-        ("-0x1.85c76de193b46p-1", "0x1.4a71b1bafae09p-1",
-         "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
-        ("-0x1.a302887ff0055p-1", "0x1.255d694ffd6a8p-1",
-         "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
-        ("-0x1.904a4ba4fdaddp-1", "0x1.3ed5c77528b75p-1",
-         "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
-        ("-0x1.9ec91cea6bb76p-1", "0x1.2bf2bd5a41b94p-1",
-         "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
-        ("-0x1.95512b47f4451p-1", "0x1.38ba127df6ed8p-1",
-         "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
-        ("-0x1.9c885223e7611p-1", "0x1.2f32a61fff57bp-1",
-         "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
-        ("-0x1.97c578f2b6df1p-1", "0x1.3598ea62776dfp-1",
-         "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
-        ("-0x1.9b5ee953ed22bp-1", "0x1.30cfc4a200877p-1",
-         "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
-        ("-0x1.98fbc738d1a57p-1", "0x1.3403873186f52p-1",
-         "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
-        ("-0x1.9ac7f44e84d62p-1", "0x1.319d99b4edfcbp-1",
-         "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
-        ("-0x1.9995f6337fe71p-1", "0x1.3337a25851967p-1",
-         "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
-        ("-0x1.9a7be9ac61cd7p-1", "0x1.3204551be7294p-1",
-         "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
-    ],
-}
+# PoleSchedule.default(52) with float.hex: the first 20 poles recorded from
+# the scalar bisection that ran one pole at a time, all 52 from the
+# bisection in lockstep with one strip_to_disk call a pole.  Per pole: the
+# real and imaginary parts of the pole point, its axial coordinates (s, t)
+# and its radius eps_k
+POLE_PINS = [
+    ("0x1.87eb1990b696dp-27", "-0x1.ffffffffffffcp-2",
+     "0x1.3988e14092126p-26", "-0x1.193ea7aad030ap+0", "0x1.0000000000000p-2"),
+    ("0x1.61c5f7b5331ffp-1", "0x1.2aaaaaaaaaaa8p-2",
+     "0x1.6550ff7356acep+0", "0x1.193ea7aad030ap+0", "0x1.0000000000000p-4"),
+    ("0x1.8dfa17bdf5a1dp-1", "-0x1.9b6db6db6db74p-2",
+     "0x1.60bdfc8a8735ep+0", "-0x1.f2272ae325a57p+0", "0x1.0000000000000p-6"),
+    ("0x1.d415b32395381p-1", "0x1.a92492492492ap-3",
+     "0x1.130387bdbaacap+1", "0x1.f2272ae325a57p+0", "0x1.0000000000000p-8"),
+    ("0x1.e1db6937bcbc4p-1", "-0x1.d66666666665bp-3",
+     "0x1.0e022b062b464p+1", "-0x1.5aa16394d481ep+1", "0x1.0000000000000p-10"),
+    ("0x1.f480d24e2299cp-1", "0x1.da22222222215p-4",
+     "0x1.6922cdaa6e4ccp+1", "0x1.5aa16394d481ep+1", "0x1.0000000000000p-12"),
+    ("0x1.f83d6bfe25761p-1", "-0x1.ed8c6318c62a7p-4",
+     "0x1.65d8b4806e4a4p+1", "-0x1.b78ce48912b5ap+1", "0x1.0000000000000p-14"),
+    ("0x1.fd10073db71afp-1", "0x1.ee84210842098p-5",
+     "0x1.bf2d4e0ece188p+1", "0x1.b78ce48912b5ap+1", "0x1.0000000000000p-16"),
+    ("0x1.fe07d3abd48d0p-1", "-0x1.f76186186196fp-5",
+     "0x1.bd59e8981b2d8p+1", "-0x1.09291e8e3181bp+2", "0x1.0000000000000p-18"),
+    ("0x1.ff42003cdcaa1p-1", "0x1.f7a082082092ep-6",
+     "0x1.0b1d2724c03c2p+2", "0x1.09291e8e3181bp+2", "0x1.0000000000000p-20"),
+    ("0x1.ff80fd1ea6098p-1", "-0x1.fbd83060c1848p-6",
+     "0x1.0aa2afaa20914p+2", "-0x1.3607294602e42p+2", "0x1.0000000000000p-22"),
+    ("0x1.ffd04001f33a9p-1", "0x1.fbe810204082cp-7",
+     "0x1.37042a79b9580p+2", "0x1.3607294602e42p+2", "0x1.0000000000000p-24"),
+    ("0x1.ffe01fd0fa847p-1", "-0x1.fdf606060600cp-7",
+     "0x1.36c58b779b314p+2", "-0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-26"),
+    ("0x1.fff408000fcc8p-1", "0x1.fdfa020201fc3p-8",
+     "0x1.63235002cbf96p+2", "0x1.62a40fda3e3ccp+2", "0x1.0000000000000p-28"),
+    ("0x1.fff803fd07ea0p-1", "-0x1.fefd80c05fedap-8",
+     "0x1.6303a821568aep+2", "-0x1.8f20adeaec67cp+2", "0x1.0000000000000p-30"),
+    ("0x1.fffd0100007f4p-1", "0x1.fefe80401fce3p-9",
+     "0x1.8f607df01fde0p+2", "0x1.8f20adeaec67cp+2", "0x1.0000000000000p-32"),
+    ("0x1.fffe007fd03fbp-1", "-0x1.ff7f601801ed7p-9",
+     "0x1.8f5093f3de64ap+2", "-0x1.bb8d39eb37215p+2", "0x1.0000000000000p-34"),
+    ("0x1.ffff402000040p-1", "0x1.ff7fa007fdebdp-10",
+     "0x1.bbad2debe02f8p+2", "0x1.bb8d39eb37215p+2", "0x1.0000000000000p-36"),
+    ("0x1.ffff800ffd020p-1", "-0x1.ffbfd802fff87p-10",
+     "0x1.bba5336c5645ap+2", "-0x1.e7f1c169764eep+2", "0x1.0000000000000p-38"),
+    ("0x1.ffffd00400004p-1", "0x1.ffbfe800ffb91p-11",
+     "0x1.e801be698b8f2p+2", "0x1.e7f1c169764eep+2", "0x1.0000000000000p-40"),
+    ("0x1.ffffe001ffd04p-1", "-0x1.ffdff6006012ep-11",
+     "0x1.e7fdbfc99a3ecp+2", "-0x1.0a2923e3ba0c8p+3", "0x1.0000000000000p-42"),
+    ("0x1.fffff40080000p-1", "0x1.ffdffa00200eap-12",
+     "0x1.0a2d2383bb600p+3", "0x1.0a2923e3ba0c8p+3", "0x1.0000000000000p-44"),
+    ("0x1.fffff8003ffd0p-1", "-0x1.ffeffd800cc95p-12",
+     "0x1.0a2c23afbc3f8p+3", "-0x1.205866eeb4dbdp+3", "0x1.0000000000000p-46"),
+    ("0x1.fffffd0010000p-1", "0x1.ffeffe8004c8bp-13",
+     "0x1.205a66d6b4f9ep+3", "0x1.205866eeb4dbdp+3", "0x1.0000000000000p-48"),
+    ("0x1.fffffe0007ffep-1", "-0x1.fff7ff4002babp-13",
+     "0x1.2059e6e3b5182p+3", "-0x1.368729f0af286p+3", "0x1.0000000000000p-50"),
+    ("0x1.ffffff4002002p-1", "0x1.fff7ff8001ba1p-14",
+     "0x1.368829ecaf222p+3", "0x1.368729f0af286p+3", "0x1.0000000000000p-52"),
+    ("0x1.ffffff8000ffep-1", "-0x1.fffbffe003308p-14",
+     "0x1.3687e9ecef006p+3", "-0x1.4cb5acf06964bp+3", "0x1.0000000000000p-54"),
+    ("0x1.ffffffd000402p-1", "0x1.fffbfff003118p-15",
+     "0x1.4cb62cee69344p+3", "0x1.4cb5acf06964bp+3", "0x1.0000000000000p-56"),
+    ("0x1.ffffffe000202p-1", "-0x1.fffdfff800ed1p-15",
+     "0x1.4cb60cef79574p+3", "-0x1.62e40fef939eep+3", "0x1.0000000000000p-58"),
+    ("0x1.fffffff40007ep-1", "0x1.fffdfffc00e9dp-16",
+     "0x1.62e44fef13906p+3", "0x1.62e40fef939eep+3", "0x1.0000000000000p-60"),
+    ("0x1.fffffff800040p-1", "-0x1.fffefffe0c832p-16",
+     "0x1.62e43fef56d6ep+3", "-0x1.791262ee99d8ep+3", "0x1.0000000000000p-62"),
+    ("0x1.fffffffd00012p-1", "0x1.fffeffff0c824p-17",
+     "0x1.791282ee7910cp+3", "0x1.791262ee99d8ep+3", "0x1.0000000000000p-64"),
+    ("0x1.fffffffe00008p-1", "-0x1.ffff7fff63ae7p-17",
+     "0x1.79127aee8c9e0p+3", "-0x1.8f40aded9712dp+3", "0x1.0000000000000p-66"),
+    ("0x1.ffffffff3ffffp-1", "0x1.ffff7fffa3aefp-18",
+     "0x1.8f40bded90d7ep+3", "0x1.8f40aded9712dp+3", "0x1.0000000000000p-68"),
+    ("0x1.ffffffff7ffffp-1", "-0x1.ffffffffb208fp-18",
+     "0x1.8f40b5ed95f24p+3", "-0x1.a56ef4ec920ccp+3", "0x1.0000000000000p-70"),
+    ("0x1.ffffffffd0003p-1", "0x1.ffffffffc20a3p-19",
+     "0x1.a56ef8ec92ac2p+3", "0x1.a56ef4ec920ccp+3", "0x1.0000000000000p-72"),
+    ("0x1.ffffffffe0000p-1", "-0x1.ffffffffaebc1p-19",
+     "0x1.a56ef8ec95a10p+3", "-0x1.bb9d39eb8c76bp+3", "0x1.0000000000000p-74"),
+    ("0x1.fffffffff4000p-1", "0x1.ffffffffb2bcfp-20",
+     "0x1.bb9d3beb907aep+3", "0x1.bb9d39eb8c76bp+3", "0x1.0000000000000p-76"),
+    ("0x1.fffffffff8000p-1", "-0x1.ffffffff70250p-20",
+     "0x1.bb9d3beb95146p+3", "-0x1.d1cb7dea86bcap+3", "0x1.0000000000000p-78"),
+    ("0x1.fffffffffd002p-1", "0x1.ffffffff71242p-21",
+     "0x1.d1cb7eea8f766p+3", "0x1.d1cb7dea86bcap+3", "0x1.0000000000000p-80"),
+    ("0x1.fffffffffe000p-1", "-0x1.fffffffee4f40p-21",
+     "0x1.d1cb7eea98556p+3", "-0x1.e7f9c16980f99p+3", "0x1.0000000000000p-82"),
+    ("0x1.ffffffffff400p-1", "0x1.fffffffee532ep-22",
+     "0x1.e7f9c1e992996p+3", "0x1.e7f9c16980f99p+3", "0x1.0000000000000p-84"),
+    ("0x1.ffffffffff802p-1", "-0x1.fffffffdcb10fp-22",
+     "0x1.e7f9c1e9a4428p+3", "-0x1.fe2804a87b344p+3", "0x1.0000000000000p-86"),
+    ("0x1.ffffffffffd00p-1", "0x1.fffffffdcb1fdp-23",
+     "0x1.fe2804e89e7f0p+3", "0x1.fe2804a87b344p+3", "0x1.0000000000000p-88"),
+    ("0x1.ffffffffffe00p-1", "-0x1.fffffffb966bfp-23",
+     "0x1.fe2804e8c1cc0p+3", "-0x1.0a2b23e3bab73p+4", "0x1.0000000000000p-90"),
+    ("0x1.fffffffffff42p-1", "0x1.fffffffb9670fp-24",
+     "0x1.0a2b23f3de034p+4", "0x1.0a2b23e3bab73p+4", "0x1.0000000000000p-92"),
+    ("0x1.fffffffffff84p-1", "-0x1.fffffff72cebfp-24",
+     "0x1.0a2b23f4014fap+4", "-0x1.1542456b37d42p+4", "0x1.0000000000000p-94"),
+    ("0x1.fffffffffffd0p-1", "0x1.fffffff72cea3p-25",
+     "0x1.154245737e6ccp+4", "0x1.1542456b37d42p+4", "0x1.0000000000000p-96"),
+    ("0x1.fffffffffffdep-1", "-0x1.ffffffee59d7ep-25",
+     "0x1.15424573c5056p+4", "-0x1.205966eeb4f12p+4", "0x1.0000000000000p-98"),
+    ("0x1.ffffffffffff4p-1", "0x1.ffffffee59d7ep-26",
+     "0x1.205966f342226p+4", "0x1.205966eeb4f12p+4", "0x1.0000000000000p-100"),
+    ("0x1.ffffffffffffap-1", "-0x1.ffffffdcb3b46p-26",
+     "0x1.205966f3cf538p+4", "-0x1.2b708870320e1p+4", "0x1.0000000000000p-102"),
+    ("0x1.ffffffffffffcp-1", "0x1.ffffffdcb3b36p-27",
+     "0x1.2b7088734c708p+4", "0x1.2b708870320e1p+4", "0x1.0000000000000p-104"),
+]
 
 
 def sample_disk(rng, n, radius=0.9):
@@ -314,19 +253,18 @@ class TestPoleSchedule:
             assert (t > 0) == (k % 2 == 0)
 
     def test_rejects_bad_schedule(self):
-        sch = fn.PoleSchedule.default(0.0, 12)
+        sch = fn.PoleSchedule.default(12)
         with pytest.raises(ValueError):
-            fn.PoleSchedule(sch.theta, sch.pole_points, sch.radii[::-1],
-                            sch.deflections, sch.pole_strip)
+            fn.PoleSchedule(sch.pole_points, sch.radii[::-1], sch.deflections,
+                            sch.pole_strip)
 
-    @pytest.mark.parametrize("theta", list(POLE_PINS))
-    @pytest.mark.parametrize("count", [10, 20])
-    def test_default_schedule_pinned(self, theta, count):
+    @pytest.mark.parametrize("count", [10, 20, 52])
+    def test_default_schedule_pinned(self, count):
         # pole k does not depend on the count, so count 10 is the first ten rows
-        sch = fn.PoleSchedule.default(theta, count)
+        sch = fn.PoleSchedule.default(count)
         rows = [(z.real.hex(), z.imag.hex(), float(s).hex(), float(t).hex(), float(e).hex())
                 for z, (s, t), e in zip(sch.pole_points, sch.pole_strip, sch.radii)]
-        assert rows == POLE_PINS[theta][:count]
+        assert rows == POLE_PINS[:count]
 
 
 class TestPoleSeries:
@@ -399,6 +337,51 @@ class TestDampedSeries:
     def test_pole_residues_shifted(self, schedule, f0, f1):
         expect = f0.coeffs * (f0.pole_points - 1.0)
         assert np.allclose(f1.pole_residues, expect)
+
+
+def _hex(a):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return [(float(x.real).hex(), float(x.imag).hex()) for x in a]
+    return [float(x).hex() for x in a]
+
+
+class TestOneClassSeries:
+    """RationalPoleFunction(schedule, damped) forms z - z_k once per call;
+    every value must match, to the last bit, the two classes it replaced
+    (tests/reference.py), which formed it once per value and again for the
+    pole snap."""
+
+    @staticmethod
+    def points(sch):
+        z, eps = sch.pole_points, sch.radii
+        s = np.linspace(4.0, 36.0, 17)
+        deep = np.concatenate([1.0 - 2.0 ** -np.arange(1.0, 53.0),
+                               ge.strip_to_disk(s, np.full_like(s, 0.3)),
+                               ge.strip_to_disk(s, np.full_like(s, -0.3))])
+        return np.concatenate([sample_disk(np.random.default_rng(67), 300, 0.99),
+                               z, z + eps, z + eps ** 2 * 1e-3,
+                               z + 0.5j * fn.POLE_SNAP, [0.0], deep])
+
+    @pytest.mark.parametrize("method", ["eval_array", "deriv_array", "sph_array",
+                                        "log_sph_array"])
+    @pytest.mark.parametrize("damped", [False, True])
+    @pytest.mark.parametrize("count", [10, 20, 52])
+    def test_bit_identical_to_two_classes(self, count, damped, method):
+        sch = fn.PoleSchedule.default(count)
+        new = fn.RationalPoleFunction(sch, damped=damped)
+        old = reference.RationalPoleFunction(sch)
+        if damped:
+            old = reference.DampedPoleFunction(old)
+        z = self.points(sch)
+        assert new.label == old.label
+        assert _hex(getattr(new, method)(z)) == _hex(getattr(old, method)(z))
+
+    def test_pole_points_snap(self, schedule, f0, f1):
+        # the snap points above do reach it: 1/|residue| at every pole
+        z = schedule.pole_points + 0.5j * fn.POLE_SNAP
+        for f in (f0, f1):
+            assert np.array_equal(f.sph_array(z), 1.0 / np.abs(f.pole_residues))
 
 
 class TestGallery:

@@ -196,7 +196,7 @@ class TestDecayMargin:
         assert rep.verdict == "satisfied"
 
     def test_pole_on_curve_violates(self, ):
-        sch = fn.PoleSchedule.default(0.0, 12)
+        sch = fn.PoleSchedule.default(12)
         f0 = fn.RationalPoleFunction(sch)
         pole = sch.pole_points[1]
         samples = [0.1, pole, 0.9, 0.99, 0.999, 1 - 2e-4]
