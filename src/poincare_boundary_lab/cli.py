@@ -101,9 +101,6 @@ def parse_function(spec: str) -> fn.FunctionHandle:
         return fn.gallery(name)
     if name in ("pole_series", "damped_pole_series"):
         k = int(parts[1]) if len(parts) > 1 else 20
-        if k < 10:
-            # PoleSchedule's own checks reject every schedule of 4 to 9 poles
-            raise CliError(f"{name} needs K >= 10")
         return fn.RationalPoleFunction(fn.PoleSchedule.default(k),
                                        damped=name == "damped_pole_series")
     raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
@@ -268,8 +265,9 @@ def cmd_pseq(args):
                 raise CliError(f"pseq --mode {args.mode} does not read --{option}")
     if args.delta is None:
         args.delta = PSEQ_DELTA  # reports echo delta in every mode
-    sch = fn.PoleSchedule.default()
     f = parse_function(args.function)
+    # the pole sequences follow the function's own poles where it has them
+    sch = f.schedule if isinstance(f, fn.RationalPoleFunction) else fn.PoleSchedule.default()
     kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
     if args.mode == "pointwise":
         seq, _ = _build_sequence(kind, n, sch)

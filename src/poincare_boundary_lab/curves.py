@@ -55,10 +55,14 @@ CELL_BUDGET = 20_000_000
 _PRODUCT_BLOCK_CELLS = 1 << 16
 # half-width of ParametricCurve._step's rounding band, in units of
 # 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
-# [lo, u] is trusted to within half of it (an mpmath oracle puts the worst
-# error there at 0.64 of those units, and tests/test_curves.py checks that
-# it stays below 1)
-GAP_ERROR_ULPS = 64.0
+# [lo, u] is trusted to within half of it, 8 units (an mpmath oracle puts the
+# worst error there at 0.64 of those units, and tests/test_curves.py checks
+# that it stays below 1, an 8x margin)
+GAP_ERROR_ULPS = 16.0
+# the smallest double d whose evaluated log1p(d) - log1p(-d) reaches
+# HYP_MESH, so that for d < 1 the gap is below HYP_MESH exactly when d is
+# below this (tests/test_curves.py pins it)
+_MESH_PH = math.tanh(HYP_MESH / 2)
 
 # verdict thresholds (recorded in every EquivalenceVerdict)
 PLATEAU_RATIO = 1.05       # last three levels within 5% => bounded
@@ -175,6 +179,13 @@ class BoundaryCurve:
         raise NotImplementedError
 
 
+def _ph_gap(z, p) -> float:
+    """Pseudo-hyperbolic distance d from the numpy complex z to the point p,
+    in numpy's scalar complex arithmetic; the hyperbolic gap is
+    log1p(d) - log1p(-d), and log1p(-d) raises ValueError for d >= 1."""
+    return abs((z - p) / (1.0 - z * p.conjugate()))
+
+
 class ParametricCurve(BoundaryCurve):
     """Curve given by a parameter u decreasing to 0 as the point approaches
     the endpoint; samples are stepped in hyperbolic arclength by bisection.
@@ -187,16 +198,18 @@ class ParametricCurve(BoundaryCurve):
       line in the upper half-plane, where the distance between two of its
       points grows with their Euclidean gap.
     - a rounding bound: on a bracket [lo, u], with
-      tau = GAP_ERROR_ULPS * 2^-52 / (1 - |point(lo)|), the evaluated gap
-      `_dh(point(u), point(v))` clipped to the band HYP_MESH +- tau is
-      within tau/2 of the exact gap clipped the same way.  Inside the band
-      that is the plain error; an exact gap outside the band is never
-      evaluated more than tau/2 into it.  The error comes from the
-      cancellation in 1 - a conj(b) (Higham 2002, ch. 3), so it scales with
-      one over the depth of the deepest point, point(lo).  It also grows
-      with the gap, like sinh(gap), which is why only the band is bounded.
-    Both hold for the chords and horocycles of canonical_curve;
-    tests/test_curves.py checks the bound against mpmath.
+      tau = GAP_ERROR_ULPS * 2^-52 / (1 - |point(lo)|) and GAP_ERROR_ULPS
+      = 16, the evaluated gap log1p(d) - log1p(-d) of d = `_ph_gap(point(u),
+      point(v))` clipped to the band HYP_MESH +- tau is within tau/2 of the
+      exact gap clipped the same way.  Inside the band that is the plain
+      error; an exact gap outside the band is never evaluated more than
+      tau/2 into it.  The error comes from the cancellation in
+      1 - a conj(b) (Higham 2002, ch. 3), so it scales with one over the
+      depth of the deepest point, point(lo).  It also grows with the gap,
+      like sinh(gap), which is why only the band is bounded.  tau/2 is 8 of
+      the units above, 8 times the error bound tests/test_curves.py checks
+      against mpmath.
+    Both hold for the chords and horocycles of canonical_curve.
 
     `sample_bound` maps a level to an upper bound on its sample count.
     """
@@ -207,10 +220,6 @@ class ParametricCurve(BoundaryCurve):
         self._u = [float(u_start)]
         self._pts = [complex(point_fn(u_start))]
         self._bound = sample_bound
-
-    def _dh(self, a: complex, b: complex) -> float:
-        d = abs((a - b) / (1.0 - a * np.conj(b)))
-        return math.log1p(d) - math.log1p(-d)
 
     def _step(self, u: float, z: complex) -> float:
         """Parameter of the next sample after the sample z = point(u).
@@ -227,22 +236,28 @@ class ParametricCurve(BoundaryCurve):
           again, evaluating such a mid would give at least HYP_MESH (move
           lo) or less than HYP_MESH (move hi).  So it is moved without an
           evaluation, and only mids in (a, b) are evaluated.
+        - A mid in (a, b) compares d = `_ph_gap` with `_MESH_PH` instead of
+          the gap with HYP_MESH, which gives the same outcome without the
+          two log1p: d >= 1, where log1p(-d) would raise, raises ValueError,
+          and a NaN d moves lo, as a NaN gap does.
         - Once mid rounds to lo or hi, every later mid does too and repeats
           an outcome already taken there, so the loop stops.
         Without a certificate, a = lo and b = hi, and every mid is
         evaluated.
         """
+        z = np.complex128(z)
         hi, g_hi = u, 0.0                 # the gap from z to itself
         lo = u * 0.5
-        p = self._point(lo)
-        g_lo = self._dh(z, p)
-        while g_lo < HYP_MESH:
+        while True:
+            p = self._point(lo)
+            d = _ph_gap(z, p)
+            g_lo = math.log1p(d) - math.log1p(-d)
+            if not g_lo < HYP_MESH:
+                break
             hi, g_hi = lo, g_lo
             lo *= 0.5
             if lo < 1e-300:
                 raise RuntimeError("curve parametrization does not reach the boundary")
-            p = self._point(lo)
-            g_lo = self._dh(z, p)
         a, b = lo, hi
         depth = 1.0 - abs(p)
         if depth > 0.0:
@@ -254,10 +269,16 @@ class ParametricCurve(BoundaryCurve):
                 break
             if mid <= a:
                 lo = mid
-            elif mid >= b or self._dh(z, self._point(mid)) < HYP_MESH:
+            elif mid >= b:
                 hi = mid
             else:
-                lo = mid
+                d = _ph_gap(z, self._point(mid))
+                if d < _MESH_PH:
+                    hi = mid
+                elif d >= 1.0:
+                    raise ValueError("pseudo-hyperbolic distance rounds to 1")
+                else:
+                    lo = mid
         return lo
 
     def _certified_bracket(self, z, lo, g_lo, hi, g_hi, tau):
@@ -272,7 +293,7 @@ class ParametricCurve(BoundaryCurve):
         cot(v/2), which is close to 2/v.  The probing stops once both a and
         b have gaps within 4 tau of HYP_MESH, after 8 probes, or when a
         probe leaves (a, b).  A probe only narrows (a, b): one whose gap
-        falls in the band, or whose evaluation raises (d >= 1 in `_dh`),
+        falls in the band, or whose evaluation raises (d >= 1 in log1p(-d)),
         certifies nothing.
         """
         a, b = lo, hi
@@ -288,7 +309,8 @@ class ParametricCurve(BoundaryCurve):
             if not a < x < b:
                 break
             try:
-                g = self._dh(z, self._point(x))
+                d = _ph_gap(z, self._point(x))
+                g = math.log1p(d) - math.log1p(-d)
             except ValueError:
                 break
             if g >= HYP_MESH + tau:
@@ -315,7 +337,7 @@ class ParametricCurve(BoundaryCurve):
                 us.append(u)
                 pts.append(z)
         except ValueError:
-            # `_dh` met a rounded pseudo-hyperbolic distance >= 1
+            # `_step` met a rounded pseudo-hyperbolic distance >= 1
             raise ValueError(
                 f"curve {self.label} at level {level}: depth 2^-{level} is "
                 f"below what complex-double samples resolve") from None
@@ -378,7 +400,8 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
     if kind == "horocycle":
         side = 1.0 if parameter is None or parameter >= 0 else -1.0
         rot = complex(np.exp(1j * theta))
-        fn = lambda phi: rot * (1.0 + cmath.exp(1j * side * phi)) / 2.0
+        turn = 1j * side
+        fn = lambda phi: rot * (1.0 + cmath.exp(turn * phi)) / 2.0
         return ParametricCurve(theta, fn, math.pi, _horocycle_bound,
                                f"horocycle:{theta:g}")
     raise ValueError(f"unknown curve kind {kind!r}")

@@ -151,6 +151,7 @@ def log_lehto_virtanen_array(f: FunctionHandle, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pole schedules and the constructed series
 
+MIN_POLES = 10   # the smallest count whose default schedule passes validate
 MAX_POLES = 52   # the largest count whose default schedule passes validate
 
 
@@ -217,8 +218,8 @@ class PoleSchedule:
     def default(cls, count: int = 20) -> "PoleSchedule":
         """r_m = 1 - 2^{-m}, eps_k = 4^{-k}, pole k at depth ~2^{-k} on the
         upper arc for even k, lower for odd k."""
-        if count < 4:
-            raise ValueError("need at least 4 poles")
+        if count < MIN_POLES:
+            raise ValueError(f"pole schedule needs K >= {MIN_POLES}, got K = {count}")
         if count > MAX_POLES:
             raise ValueError(f"pole schedule needs K <= {MAX_POLES}, got K = {count}")
         ks = np.arange(1, count + 1)
@@ -245,6 +246,7 @@ class RationalPoleFunction(FunctionHandle):
 
     def __init__(self, schedule: PoleSchedule, damped: bool = False):
         self.damped = damped
+        self.schedule = schedule
         label = f"pole-series:K={len(schedule.pole_points)}"
         self.label = f"damped-{label}" if damped else label
         self.pole_points = schedule.pole_points

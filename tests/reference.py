@@ -1,9 +1,11 @@
 """Reference implementations that only the tests read: cross-checks of
 the package's own paths, kept out of the package because no run uses them."""
 
+import math
+
 import numpy as np
 
-from poincare_boundary_lab.curves import _frechet_dp
+from poincare_boundary_lab.curves import HYP_MESH, _frechet_dp
 from poincare_boundary_lab.functions import (
     POLE_SNAP,
     CallableFunction,
@@ -44,6 +46,42 @@ def curve_frechet(c1, c2, level: int) -> float:
     """`curves.curve_frechet` on the distance matrix."""
     return _frechet_dp(strip_distance_matrix(*c1.strip_refine(level),
                                              *c2.strip_refine(level)))
+
+
+def dh(a: complex, b: complex) -> float:
+    """Hyperbolic distance between two disk points, as
+    `ParametricCurve._dh` evaluated it before `_step` moved to
+    `curves._ph_gap`: numpy's scalar complex arithmetic on np.conj(b)."""
+    d = abs((a - b) / (1.0 - a * np.conj(b)))
+    return math.log1p(d) - math.log1p(-d)
+
+
+def bisection_step(point, u: float, z: complex, gap=dh) -> float:
+    """The step `ParametricCurve._step` stands for: halve u until the gap
+    from z = point(u) reaches HYP_MESH, then bisect 60 times, evaluating
+    every midpoint; a gap below HYP_MESH moves hi, any other moves lo."""
+    hi, lo = u, u * 0.5
+    while gap(z, point(lo)) < HYP_MESH:
+        hi, lo = lo, lo * 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gap(z, point(mid)) < HYP_MESH:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def bisection_samples(curve, level: int):
+    """Parameters and disk points of a ParametricCurve stepped from its
+    first sample with `bisection_step` through depth 2^-level, as
+    `_build_strip` steps them."""
+    us, pts = curve._u[:1], curve._pts[:1]
+    while 1.0 - abs(pts[-1]) > 2.0 ** -level:
+        u = bisection_step(curve._point, us[-1], pts[-1])
+        us.append(u)
+        pts.append(complex(curve._point(u)))
+    return us, pts
 
 
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:

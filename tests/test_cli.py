@@ -133,6 +133,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
+    def test_sequence_follows_the_function_poles(self, tmp_path, capsys, name):
+        # the pole sequences come from the schedule of the function's K
+        assert run(["pseq", "--function", f"{name}:10", "--mode", "pointwise",
+                    "--sequence", "poles:20"], tmp_path) == 2
+        assert ("error: sequence 'poles:20' asks for 20 poles; the schedule has 10"
+                in capsys.readouterr().err)
+        assert not os.listdir(tmp_path)
+        assert run(["pseq", "--function", f"{name}:52", "--mode", "pointwise",
+                    "--sequence", "poles:30"], tmp_path) == 0
+        report = json.loads(latest_report(tmp_path, "pseq"))
+        f = cli.parse_function(f"{name}:52")
+        poles = fn.PoleSchedule.default(52).pole_points[:30]
+        assert report["values"] == list(an.pseq_indicator_pointwise(f, poles).values)
+
     @pytest.mark.parametrize("mode", ["pointwise", "local-sup", "split-pair"])
     def test_twenty_poles_are_accepted(self, tmp_path, mode):
         assert run(["pseq", "--function", "pole_series", "--mode", mode,
@@ -245,7 +260,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
     def test_pole_series_needs_ten_poles(self, tmp_path, capsys, name):
         assert run(["gallery", "--name", f"{name}:8", "--at", "0.2,0.1"], tmp_path) == 2
-        assert f"error: {name} needs K >= 10" in capsys.readouterr().err
+        assert "error: pole schedule needs K >= 10, got K = 8" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
         assert run(["gallery", "--name", f"{name}:10", "--at", "0.2,0.1"], tmp_path) == 0
 

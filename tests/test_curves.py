@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import geometry as ge
 
@@ -170,7 +171,7 @@ def _case_id(x):
 
 def _halving_bracket(curve, u, z):
     hi, lo = u, u * 0.5
-    while curve._dh(z, curve._point(lo)) < cv.HYP_MESH:
+    while ref.dh(z, curve._point(lo)) < cv.HYP_MESH:
         hi, lo = lo, lo * 0.5
     return lo, hi
 
@@ -198,7 +199,7 @@ class TestCertifiedBisection:
             assert (lo, hi) == (lo0, hi0)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                close = curve._dh(z, curve._point(mid)) < cv.HYP_MESH
+                close = ref.dh(z, curve._point(mid)) < cv.HYP_MESH
                 if lo < mid < hi and not a < mid < b:
                     assert close == (mid >= b)
                     skipped += 1
@@ -234,40 +235,132 @@ class TestCertifiedBisection:
                         for x in (curve._u, s, t))
         assert digests == self.SHA256[(spec, level)]
 
-    def test_evaluations_per_horocycle_step(self):
+    SAMPLES = [(("chord", th, a), level) for th, a in
+               ((0.0, 0.5), (2.5, -0.4), (-1.3, -1.55), (0.0, 1.5))
+               for level in (14, 22, 45)]
+    SAMPLES += [(("horocycle", th, side), level) for th, side in ((0.0, 1), (2.5, -1))
+                for level in (14, 22)]
+
+    @pytest.mark.parametrize("spec,level", SAMPLES, ids=_case_id)
+    def test_samples_match_bisection_of_every_midpoint(self, spec, level):
+        # _u, s and t bit for bit against a shadow that evaluates every
+        # midpoint with the reference gap
+        curve = cv.canonical_curve(*spec)
+        s, t = curve.strip_refine(level)
+        us, pts = ref.bisection_samples(cv.canonical_curve(*spec), level)
+        assert curve._u == us
+        arr = np.asarray(pts, dtype=complex)
+        keep = cv._level_end(1.0 - np.abs(arr), level)
+        s_ref, t_ref = ge.disk_to_strip(arr[:keep], spec[1])
+        assert np.array_equal(s, s_ref) and np.array_equal(t, t_ref)
+
+    def test_evaluations_per_horocycle_step(self, monkeypatch):
         # evaluating every midpoint costs 61 a step (one halving, 60
-        # bisections); the certified bisection spends 22.7
+        # bisections); the certified bisection spends 20.7
         curve = cv.canonical_curve("horocycle", 0.0, 1)
         count = [0]
-        dh = curve._dh
+        ph_gap = cv._ph_gap
 
-        def counted(a, b):
+        def counted(z, p):
             count[0] += 1
-            return dh(a, b)
+            return ph_gap(z, p)
 
-        curve._dh = counted
+        monkeypatch.setattr(cv, "_ph_gap", counted)
         curve.strip_refine(18)
-        assert count[0] / (len(curve._u) - 1) <= 35
+        assert count[0] / (len(curve._u) - 1) <= 23
 
-    def test_raising_probe_certifies_nothing(self):
+    def test_raising_probe_certifies_nothing(self, monkeypatch):
+        # a distance that rounds to 1 makes log1p(-d) raise
         curve = cv.canonical_curve("chord", 0.0, 0.5)
-
-        def out_of_domain(a, b):
-            raise ValueError("math domain error")
-
-        curve._dh = out_of_domain
-        z = curve._pts[0]
+        monkeypatch.setattr(cv, "_ph_gap", lambda z, p: 1.0)
+        z = np.complex128(curve._pts[0])
         assert curve._certified_bracket(z, 0.25, 1.0, 0.5, 0.0, 1e-12) == (0.25, 0.5)
+
+    @pytest.mark.parametrize("d", [0.0, np.nextafter(cv._MESH_PH, 0.0), cv._MESH_PH,
+                                   0.5, 1.0, 2.0, math.inf, math.nan])
+    def test_distance_at_midpoints_decides_as_the_gap(self, monkeypatch, d):
+        # the bisection compares d with _MESH_PH, and must move lo or hi as
+        # comparing the gap with HYP_MESH does, or raise where the gap raises
+        def fake(z, p):
+            # the halving stops at lo = 0.5, and z is at distance 0 from itself
+            return 0.5 if p == 0.5 else 0.0 if p == z else d
+
+        def gap(z, p):
+            e = fake(z, p)
+            return math.log1p(e) - math.log1p(-e)
+
+        curve = cv.ParametricCurve(0.0, complex, 1.0, lambda level: 2)
+        curve._certified_bracket = lambda z, lo, g_lo, hi, g_hi, tau: (lo, hi)
+        monkeypatch.setattr(cv, "_ph_gap", fake)
+        outcomes = []
+        for step in (curve._step, lambda u, z: ref.bisection_step(complex, u, z, gap)):
+            try:
+                outcomes.append(step(1.0, 1.0 + 0j))
+            except ValueError:
+                outcomes.append("raises")
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "raises") == (d >= 1.0)
+
+    def test_mesh_threshold_pinned(self):
+        # _MESH_PH is the smallest double whose evaluated gap reaches
+        # HYP_MESH, and the two comparisons agree on every double within
+        # 2^18 ulps of it
+        gap = lambda d: math.log1p(d) - math.log1p(-d)
+        mesh_ph = cv._MESH_PH
+        assert gap(mesh_ph) >= cv.HYP_MESH > gap(float(np.nextafter(mesh_ph, 0.0)))
+        bits = np.float64(mesh_ph).view(np.int64) + np.arange(-2 ** 18, 2 ** 18 + 1)
+        for d in bits.view(np.float64).tolist():
+            assert (gap(d) < cv.HYP_MESH) == (d < mesh_ph)
+
+    def test_gap_matches_reference_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        th = rng.uniform(-math.pi, math.pi, n)
+        th2 = th + rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0, n)
+        r = 1.0 - 10.0 ** rng.uniform(-15, 0, n)
+        r2 = 1.0 - 10.0 ** rng.uniform(-15, 0, n)
+        for a, b in zip((r * np.exp(1j * th)).tolist(), (r2 * np.exp(1j * th2)).tolist()):
+            self.assert_gap_matches_reference(np.complex128(a), b)
+
+    def test_gap_matches_reference_on_horocycle_probes(self, monkeypatch):
+        # every point a level-14 horocycle evaluates, halving, probe or mid
+        pairs = []
+        ph_gap = cv._ph_gap
+
+        def recorded(z, p):
+            pairs.append((z, p))
+            return ph_gap(z, p)
+
+        monkeypatch.setattr(cv, "_ph_gap", recorded)
+        cv.canonical_curve("horocycle", 2.5, -1).strip_refine(14)
+        monkeypatch.undo()
+        assert len(pairs) > 10_000
+        for z, p in pairs:
+            self.assert_gap_matches_reference(z, p)
+
+    @staticmethod
+    def assert_gap_matches_reference(z, p):
+        d = cv._ph_gap(z, p)
+        try:
+            want = ref.dh(complex(z), p).hex()
+        except ValueError:
+            want = "raises"
+        try:
+            got = (math.log1p(d) - math.log1p(-d)).hex()
+        except ValueError:
+            got = "raises"
+        assert got == want
 
     ORACLE = [(("horocycle", 0.0, 1), 16), (("horocycle", 2.5, -1), 16),
               (("chord", 0.0, 0.5), 40), (("chord", -1.3, -1.55), 45)]
 
     @pytest.mark.parametrize("spec,level", ORACLE, ids=_case_id)
     def test_gap_error_against_mpmath(self, spec, level):
-        """Inside the band HYP_MESH +- tau, an evaluated gap is within
-        tau/64 of the exact distance between the exact curve points, and an
-        exact gap outside the band is not evaluated more than tau/64 into
-        it: 32 times inside the tau/2 that _step relies on."""
+        """Inside the band HYP_MESH +- tau, an evaluated gap is within one
+        unit 2^-52 / depth(point(lo)) of the exact distance between the
+        exact curve points, and an exact gap outside the band is not
+        evaluated more than one unit into it: with GAP_ERROR_ULPS = 16, 8
+        times inside the tau/2 that _step relies on."""
         import mpmath as mp
 
         kind, theta, par = spec
@@ -288,16 +381,17 @@ class TestCertifiedBisection:
             for i in steps:
                 u, z = curve._u[i], curve._pts[i]
                 lo, _, a, b = calls[i]
-                tau = cv.GAP_ERROR_ULPS * 2.0 ** -52 / (1.0 - abs(curve._point(lo)))
+                unit = 2.0 ** -52 / (1.0 - abs(curve._point(lo)))
+                tau = cv.GAP_ERROR_ULPS * unit
                 band = lambda x: min(max(x, mesh - tau), mesh + tau)
                 vs = np.concatenate([[lo, a, b, curve._u[i + 1]], np.linspace(a, b, 12),
                                      rng.uniform(lo, u, 12)])
                 for v in vs:
-                    g = curve._dh(z, curve._point(float(v)))
+                    g = ref.dh(z, curve._point(float(v)))
                     p, q = point(u), point(v)
                     exact = float(2 * mp.atanh(abs(p - q) / abs(1 - p * mp.conj(q))))
-                    worst = max(worst, abs(band(g) - band(exact)) / tau)
-        assert worst < 1.0 / 64
+                    worst = max(worst, abs(band(g) - band(exact)) / unit)
+        assert worst < 1.0
 
 
 def _strip_digest(curve, level):

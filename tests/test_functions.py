@@ -258,6 +258,12 @@ class TestPoleSchedule:
             fn.PoleSchedule(sch.pole_points, sch.radii[::-1], sch.deflections,
                             sch.pole_strip)
 
+    @pytest.mark.parametrize("count", [3, 5, 9, 53])
+    def test_default_names_the_pole_count_bound(self, count):
+        bound = ">= 10" if count < fn.MIN_POLES else "<= 52"
+        with pytest.raises(ValueError, match=f"pole schedule needs K {bound}, got K = {count}$"):
+            fn.PoleSchedule.default(count)
+
     @pytest.mark.parametrize("count", [10, 20, 52])
     def test_default_schedule_pinned(self, count):
         # pole k does not depend on the count, so count 10 is the first ten rows
