@@ -71,61 +71,77 @@ def parse_complex(text: str) -> complex:
     return v
 
 
+def _real(text: str) -> float:
+    if not math.isfinite(v := float(text)):
+        raise ValueError(text)
+    return v
+
+
+def _count(text: str) -> int:
+    return _positive(int(text), "count")
+
+
+def _usage(grammar: dict) -> str:
+    return " | ".join(row[0] for row in grammar.values())
+
+
+def parse_spec(grammar: dict, what: str, spec: str):
+    """Build kind[:field...] from grammar[kind] = (usage, one parser per field, constructor);
+    the fields before '[' in the usage are required, the constructor's defaults fill the rest."""
+    kind, *fields = spec.split(":")
+    usage, parsers, build = grammar.get(kind) or (_usage(grammar), (), None)
+    try:
+        if build is None or not usage.partition("[")[0].count(":") <= len(fields) <= len(parsers):
+            raise ValueError
+        values = [parse(field) for parse, field in zip(parsers, fields)]
+    except ValueError:
+        raise CliError(f"bad {what} spec {spec!r}; expected {usage}") from None
+    try:
+        return build(*values)
+    except ValueError as exc:  # a range the library refuses
+        raise CliError(f"bad {what} spec {spec!r}: {exc}") from None
+
+
+CURVES = {  # constructors look the library up per call, so later wrappers of it apply
+    "radius": ("radius:theta", (_real,), lambda t: cv.canonical_curve("radius", t)),
+    "chord": ("chord:theta:angle", (_real, _real), lambda t, a: cv.canonical_curve("chord", t, a)),
+    "hypercycle": ("hypercycle:theta:offset", (_real, _real),
+                   lambda t, p: cv.canonical_curve("hypercycle", t, p)),
+    "horocycle": ("horocycle:theta[:side]", (_real, _real),
+                  lambda t, *side: cv.canonical_curve("horocycle", t, *side)),
+}
+FUNCTIONS = {
+    "identity": ("identity", (), lambda: fn.identity_function()),
+    "constant": ("constant[:c]", (parse_complex,), lambda c=0.0: fn.constant_function(c)),
+    "automorphism": ("automorphism[:w]", (parse_complex,),
+                     lambda w=0.3 + 0.0j: fn.automorphism_function(ge.mobius_translation(w))),
+    **{name: (name, (), lambda name=name: fn.gallery(name)) for name in fn.gallery_names()},
+    "pole_series": ("pole_series[:K]", (_count,),
+                    lambda *k: fn.RationalPoleFunction(fn.PoleSchedule.default(*k))),
+    "damped_pole_series": ("damped_pole_series[:K]", (_count,), lambda *k:
+                           fn.RationalPoleFunction(fn.PoleSchedule.default(*k), damped=True)),
+}
+PROFILES = {
+    "log": ("log[:shift[:e]]", (_real, _real), lambda *a: st.DecayProfile.log_form(*a)),
+    "pow": ("pow:s[:e]", (_real, _real), lambda *a: st.DecayProfile.power_form(*a)),
+    "super": ("super:n", (_count,), lambda n: st.DecayProfile.super_exponential(n)),
+}
+REGIONS = {"radius-angle": ("radius-angle:R[:theta]", (_real, _real), lambda r, theta=0.0:
+                            (an.radial_angle_membership(r, theta), theta))}
+SEQUENCES = {kind: (f"{kind}[:N]", (_count,), lambda n=8, kind=kind: (kind, n))
+             for kind in ("radial", "poles", "pole-adjacent", "pole-offset")}
+
+
 def parse_curve(spec: str) -> cv.BoundaryCurve:
-    """kind:theta[:param], or @path to a curve exchange JSON file."""
+    """A CURVES spec, or @path to a curve exchange JSON file."""
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as f:
             return cv.curve_from_exchange(json.load(f))
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind not in ("radius", "chord", "hypercycle", "horocycle"):
-        raise CliError(f"unknown curve kind {kind!r}")
-    if len(parts) < 2:
-        raise CliError(f"curve spec {spec!r} needs kind:theta[:param]")
-    theta = float(parts[1])
-    param = float(parts[2]) if len(parts) > 2 else None
-    return cv.canonical_curve(kind, theta, param)
+    return parse_spec(CURVES, "curve", spec)
 
 
 def parse_function(spec: str) -> fn.FunctionHandle:
-    parts = spec.split(":")
-    name = parts[0]
-    if name == "identity":
-        return fn.identity_function()
-    if name == "constant":
-        return fn.constant_function(parse_complex(parts[1]) if len(parts) > 1 else 0.0)
-    if name == "automorphism":
-        w = parse_complex(parts[1]) if len(parts) > 1 else 0.3 + 0.0j
-        return fn.automorphism_function(ge.mobius_translation(w))
-    if name in fn.gallery_names():
-        return fn.gallery(name)
-    if name in ("pole_series", "damped_pole_series"):
-        k = int(parts[1]) if len(parts) > 1 else 20
-        return fn.RationalPoleFunction(fn.PoleSchedule.default(k),
-                                       damped=name == "damped_pole_series")
-    raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
-                   f"also identity, constant:c, automorphism:w, "
-                   f"pole_series[:K], damped_pole_series[:K]")
-
-
-def parse_profile(spec: str) -> st.DecayProfile:
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind == "log":
-            shift = float(parts[1]) if len(parts) > 1 else math.e
-            expo = float(parts[2]) if len(parts) > 2 else 1.0
-            return st.DecayProfile.log_form(shift, expo)
-        if kind == "pow":
-            s = float(parts[1])
-            expo = float(parts[2]) if len(parts) > 2 else 1.0
-            return st.DecayProfile.power_form(s, expo)
-        if kind == "super":
-            return st.DecayProfile.super_exponential(int(parts[1]))
-    except (IndexError, ValueError) as exc:
-        raise CliError(f"bad profile spec {spec!r}: {exc}") from None
-    raise CliError(f"unknown profile kind {kind!r}; use log[:shift[:e]], "
-                   f"pow:s[:e], super:n")
+    return parse_spec(FUNCTIONS, "function", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +158,8 @@ def _json_default(v):
 
 def write_report(output_dir: str, subcommand: str, report: dict) -> str:
     os.makedirs(output_dir, exist_ok=True)
-    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"{time.time_ns() % 1_000_000_000:09d}"
+    seconds, nanos = divmod(time.time_ns(), 1_000_000_000)  # one reading: bare gmtime() can lag
+    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime(seconds)) + f"{nanos:09d}"
     path = os.path.join(output_dir, f"{subcommand}-{stamp}.json")
     payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     tmp = path + ".tmp"
@@ -232,20 +249,6 @@ def cmd_normality(args):
 
 
 PSEQ_DELTA = 0.5  # split-pair's separation along seq_b without --delta
-SEQUENCE_KINDS = ("radial", "poles", "pole-adjacent", "pole-offset")
-
-
-def _parse_sequence(spec: str, n_poles: int) -> tuple[str, int]:
-    """kind[:N], N >= 1 (default 8); the pole kinds take at most the n_poles
-    scheduled poles."""
-    kind, colon, count = spec.partition(":")
-    if kind not in SEQUENCE_KINDS or (colon and not count.isdecimal()):
-        raise CliError(f"bad sequence spec {spec!r}; expected kind[:N] with kind in "
-                       f"{', '.join(SEQUENCE_KINDS)}")
-    n = _positive(int(count) if colon else 8, f"N of sequence {spec!r}")
-    if kind != "radial" and n > n_poles:
-        raise CliError(f"sequence {spec!r} asks for {n} poles; the schedule has {n_poles}")
-    return kind, n
 
 
 def _build_sequence(kind: str, n: int, sch: fn.PoleSchedule):
@@ -268,7 +271,9 @@ def cmd_pseq(args):
     f = parse_function(args.function)
     # the pole sequences follow the function's own poles where it has them
     sch = f.schedule if isinstance(f, fn.RationalPoleFunction) else fn.PoleSchedule.default()
-    kind, n = _parse_sequence(args.sequence, len(sch.pole_points))
+    kind, n = parse_spec(SEQUENCES, "sequence", args.sequence)
+    if kind != "radial" and n > (k := len(sch.pole_points)):
+        raise CliError(f"sequence {args.sequence!r} asks for {n} poles; the schedule has {k}")
     if args.mode == "pointwise":
         seq, _ = _build_sequence(kind, n, sch)
         rep = an.pseq_indicator_pointwise(f, seq)
@@ -289,15 +294,6 @@ def cmd_pseq(args):
         f"{args.mode}: {rep.verdict}"
 
 
-def _parse_region(spec: str):
-    parts = spec.split(":")
-    if parts[0] != "radius-angle" or len(parts) < 2:
-        raise CliError("region spec must be radius-angle:R[:theta]")
-    r = float(parts[1])
-    theta = float(parts[2]) if len(parts) > 2 else 0.0
-    return an.radial_angle_membership(r, theta), theta
-
-
 def _parse_range(spec: str, what: str) -> range:
     """lo:hi, both ends included; an empty range is an error."""
     try:
@@ -311,7 +307,7 @@ def _parse_range(spec: str, what: str) -> range:
 
 def cmd_cluster(args):
     f = parse_function(args.function)
-    member, theta = _parse_region(args.region)
+    member, theta = parse_spec(REGIONS, "region", args.region)
     rep = an.cluster_estimate(f, member, theta, _parse_range(args.shells, "shell"),
                               seed=_seed(args), record_values=not args.no_values)
     d = {**vars(rep), "function": f.label, "region": args.region}
@@ -373,7 +369,7 @@ def cmd_lemma6(args):
 def cmd_decay(args):
     f = parse_function(args.function)
     curve = parse_curve(args.curve)
-    profile = parse_profile(args.profile)
+    profile = parse_spec(PROFILES, "profile", args.profile)
     rep = st.decay_margin(f, curve, profile, _level(args.level))
     d = {**vars(rep), "function": f.label, "curve": curve.label}
     return VERDICT_EXIT[rep.verdict], d, \
@@ -426,7 +422,7 @@ SUBCOMMANDS = {
         ("--delta", {"type": float, "help": f"split-pair only (default {PSEQ_DELTA})"})]),
     "cluster": ("cluster-set estimate on boundary shells", cmd_cluster, [
         ("--function", _REQUIRED),
-        ("--region", {"required": True, "help": "radius-angle:R[:theta]"}),
+        ("--region", {"required": True, "help": _usage(REGIONS)}),
         ("--shells", {"default": "2:14", "help": "lo:hi shell levels"}),
         ("--no-values", {"action": "store_true"})]),
     "family": ("renormalized family convergence", cmd_family, [
@@ -443,7 +439,7 @@ SUBCOMMANDS = {
         ("--samples", {"type": int, "default": 10000})]),
     "decay": ("decay-bound margin table", cmd_decay, [
         ("--function", _REQUIRED), ("--curve", _REQUIRED),
-        ("--profile", {"required": True, "help": "log[:shift[:e]] | pow:s[:e] | super:n"}),
+        ("--profile", {"required": True, "help": _usage(PROFILES)}),
         _LEVEL]),
     "gallery": ("evaluate a gallery function", cmd_gallery, [
         ("--name", _REQUIRED),

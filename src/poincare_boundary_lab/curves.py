@@ -367,13 +367,15 @@ class HypercycleCurve(BoundaryCurve):
 def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> BoundaryCurve:
     """Canonical curve families ending at e^{i theta}.
 
-    kind = "radius"                     parameter unused
+    kind = "radius"                     no parameter (or offset 0)
     kind = "chord"      parameter = angle to the radius, in (-pi/2, pi/2)
     kind = "hypercycle" parameter = signed pseudo-hyperbolic offset in (-1, 1)
     kind = "horocycle"  parameter = side (+1 upper / -1 lower), default +1
     """
     theta = float(theta)
     if kind == "radius":
+        if parameter not in (None, 0):  # the offset of the radius is 0
+            raise ValueError(f"a radius takes no parameter, got {parameter!r}")
         return HypercycleCurve(theta, 0.0, HYP_MESH, f"radius:{theta:g}")
     if kind == "chord":
         if parameter is None or not -math.pi / 2 < parameter < math.pi / 2:
@@ -386,11 +388,9 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
                                lambda level: _chord_bound(alpha, level),
                                f"chord:{theta:g}:{alpha:g}")
     if kind == "hypercycle":
-        if parameter is None:
-            raise ValueError("hypercycle needs a pseudo-hyperbolic offset")
-        offset = float(parameter)
-        if not -1.0 < offset < 1.0:
+        if parameter is None or not -1.0 < parameter < 1.0:
             raise ValueError("hypercycle offset must be in (-1, 1)")
+        offset = float(parameter)
         t0 = radius_convert(abs(offset), "ph_to_h") * (1.0 if offset >= 0 else -1.0)
         # arclength step producing chordal hyperbolic gaps of HYP_MESH; the
         # radius passes HYP_MESH itself, which this rounds to 0.25000000000000006
@@ -398,9 +398,10 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         return HypercycleCurve(theta, t0, math.acosh(max(c, 1.0)),
                                f"hypercycle:{theta:g}:{offset:g}")
     if kind == "horocycle":
-        side = 1.0 if parameter is None or parameter >= 0 else -1.0
+        if parameter not in (None, 1, -1):
+            raise ValueError(f"horocycle side must be 1 or -1, got {parameter!r}")
         rot = complex(np.exp(1j * theta))
-        turn = 1j * side
+        turn = -1j if parameter == -1 else 1j
         fn = lambda phi: rot * (1.0 + cmath.exp(turn * phi)) / 2.0
         return ParametricCurve(theta, fn, math.pi, _horocycle_bound,
                                f"horocycle:{theta:g}")
@@ -476,7 +477,7 @@ def _check_cells(c1: BoundaryCurve, c2: BoundaryCurve, level: int, n1: int, n2: 
 
 def _check_same_endpoint(c1: BoundaryCurve, c2: BoundaryCurve):
     d = (c1.endpoint_angle - c2.endpoint_angle) % (2.0 * math.pi)
-    if min(d, 2.0 * math.pi - d) > 1e-9:
+    if not min(d, 2.0 * math.pi - d) <= 1e-9:  # a NaN angle fails too
         raise CurveEndpointMismatch(
             f"curves end at different boundary points: "
             f"{c1.endpoint_angle!r} vs {c2.endpoint_angle!r}")
@@ -866,7 +867,8 @@ def curve_to_exchange(curve: BoundaryCurve, level: int) -> dict:
 def curve_from_exchange(payload: dict) -> BoundaryCurve:
     try:
         samples = [complex(re, im) for re, im in payload["samples"]]
-        theta = float(payload["endpoint_angle"])
+        if not math.isfinite(theta := float(payload["endpoint_angle"])):
+            raise ValueError(f"endpoint_angle {theta!r} is not finite")
     except KeyError as exc:
         raise ValueError(f"curve exchange payload lacks {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -217,6 +217,8 @@ class DecayProfile:
 
     @classmethod
     def log_form(cls, shift: float = math.e, exponent: float = 1.0) -> "DecayProfile":
+        if not shift > -1.0:  # else p(t) = log(shift + 1/t) is not finite at t = 1
+            raise ValueError(f"log profile needs shift > -1, got {shift:g}")
         return cls(f"log:{shift:g}:{exponent:g}",
                    lambda t: np.log(shift + 1.0 / t), exponent)
 

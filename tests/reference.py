@@ -1,10 +1,17 @@
 """Reference implementations that only the tests read: cross-checks of
 the package's own paths, kept out of the package because no run uses them."""
 
+import json
 import math
 
 import numpy as np
 
+from poincare_boundary_lab import analysis as an
+from poincare_boundary_lab import curves as cv
+from poincare_boundary_lab import functions as fn
+from poincare_boundary_lab import geometry as ge
+from poincare_boundary_lab import stolz as st
+from poincare_boundary_lab.cli import CliError, _positive, parse_complex
 from poincare_boundary_lab.curves import HYP_MESH, _frechet_dp
 from poincare_boundary_lab.functions import (
     POLE_SNAP,
@@ -209,3 +216,91 @@ class DampedPoleFunction(SnappingHandle):
         bad = ~(np.isfinite(v) & np.isfinite(d))
         out[bad] = np.inf + 0j
         return out
+
+
+# ---------------------------------------------------------------------------
+# the CLI's five hand spec parsers as they stood before the spec grammar
+# (`cli.parse_spec` over its tables), copied unchanged: the record of what
+# they accepted and built
+
+
+def parse_curve(spec: str) -> cv.BoundaryCurve:
+    """kind:theta[:param], or @path to a curve exchange JSON file."""
+    if spec.startswith("@"):
+        with open(spec[1:], "r", encoding="utf-8") as f:
+            return cv.curve_from_exchange(json.load(f))
+    parts = spec.split(":")
+    kind = parts[0]
+    if kind not in ("radius", "chord", "hypercycle", "horocycle"):
+        raise CliError(f"unknown curve kind {kind!r}")
+    if len(parts) < 2:
+        raise CliError(f"curve spec {spec!r} needs kind:theta[:param]")
+    theta = float(parts[1])
+    param = float(parts[2]) if len(parts) > 2 else None
+    return cv.canonical_curve(kind, theta, param)
+
+
+def parse_function(spec: str) -> fn.FunctionHandle:
+    parts = spec.split(":")
+    name = parts[0]
+    if name == "identity":
+        return fn.identity_function()
+    if name == "constant":
+        return fn.constant_function(parse_complex(parts[1]) if len(parts) > 1 else 0.0)
+    if name == "automorphism":
+        w = parse_complex(parts[1]) if len(parts) > 1 else 0.3 + 0.0j
+        return fn.automorphism_function(ge.mobius_translation(w))
+    if name in fn.gallery_names():
+        return fn.gallery(name)
+    if name in ("pole_series", "damped_pole_series"):
+        k = int(parts[1]) if len(parts) > 1 else 20
+        return fn.RationalPoleFunction(fn.PoleSchedule.default(k),
+                                       damped=name == "damped_pole_series")
+    raise CliError(f"unknown function {spec!r}; gallery: {fn.gallery_names()}, "
+                   f"also identity, constant:c, automorphism:w, "
+                   f"pole_series[:K], damped_pole_series[:K]")
+
+
+def parse_profile(spec: str) -> st.DecayProfile:
+    parts = spec.split(":")
+    kind = parts[0]
+    try:
+        if kind == "log":
+            shift = float(parts[1]) if len(parts) > 1 else math.e
+            expo = float(parts[2]) if len(parts) > 2 else 1.0
+            return st.DecayProfile.log_form(shift, expo)
+        if kind == "pow":
+            s = float(parts[1])
+            expo = float(parts[2]) if len(parts) > 2 else 1.0
+            return st.DecayProfile.power_form(s, expo)
+        if kind == "super":
+            return st.DecayProfile.super_exponential(int(parts[1]))
+    except (IndexError, ValueError) as exc:
+        raise CliError(f"bad profile spec {spec!r}: {exc}") from None
+    raise CliError(f"unknown profile kind {kind!r}; use log[:shift[:e]], "
+                   f"pow:s[:e], super:n")
+
+
+SEQUENCE_KINDS = ("radial", "poles", "pole-adjacent", "pole-offset")
+
+
+def _parse_sequence(spec: str, n_poles: int) -> tuple[str, int]:
+    """kind[:N], N >= 1 (default 8); the pole kinds take at most the n_poles
+    scheduled poles."""
+    kind, colon, count = spec.partition(":")
+    if kind not in SEQUENCE_KINDS or (colon and not count.isdecimal()):
+        raise CliError(f"bad sequence spec {spec!r}; expected kind[:N] with kind in "
+                       f"{', '.join(SEQUENCE_KINDS)}")
+    n = _positive(int(count) if colon else 8, f"N of sequence {spec!r}")
+    if kind != "radial" and n > n_poles:
+        raise CliError(f"sequence {spec!r} asks for {n} poles; the schedule has {n_poles}")
+    return kind, n
+
+
+def _parse_region(spec: str):
+    parts = spec.split(":")
+    if parts[0] != "radius-angle" or len(parts) < 2:
+        raise CliError("region spec must be radius-angle:R[:theta]")
+    r = float(parts[1])
+    theta = float(parts[2]) if len(parts) > 2 else 0.0
+    return an.radial_angle_membership(r, theta), theta

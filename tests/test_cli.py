@@ -47,6 +47,54 @@ class TestMetric:
                    tmp_path) == 2
 
 
+# malformed specs and the message each ends with; most of them exited 0, or
+# exited 2 without naming the spec, before one grammar read every spec
+MALFORMED_SPECS = [
+    (["curve-dist", "--curve1", "radius:0:5", "--curve2", "radius:0"],
+     "bad curve spec 'radius:0:5'; expected radius:theta"),
+    (["curve-dist", "--curve1", "horocycle:0:1:9", "--curve2", "radius:0"],
+     "bad curve spec 'horocycle:0:1:9'; expected horocycle:theta[:side]"),
+    (["curve-dist", "--curve1", "radius:0", "--curve2", "horocycle:0:0.3"],
+     "bad curve spec 'horocycle:0:0.3': horocycle side must be 1 or -1, got 0.3"),
+    (["frechet", "--curve1", "radius:nan", "--curve2", "radius:0"],
+     "bad curve spec 'radius:nan'; expected radius:theta"),
+    (["equiv", "--curve1", "radius:0", "--curve2", "chord:0"],
+     "bad curve spec 'chord:0'; expected chord:theta:angle"),
+    (["curve-dist", "--curve1", "lemniscate:0", "--curve2", "radius:0"],
+     "bad curve spec 'lemniscate:0'; expected radius:theta | chord:theta:angle | "
+     "hypercycle:theta:offset | horocycle:theta[:side]"),
+    (["gallery", "--name", "identity:5"], "bad function spec 'identity:5'; expected identity"),
+    (["gallery", "--name", "pole_series:12:7"],
+     "bad function spec 'pole_series:12:7'; expected pole_series[:K]"),
+    (["gallery", "--name", "pole_series:x"],
+     "bad function spec 'pole_series:x'; expected pole_series[:K]"),
+    (["gallery", "--name", "constant:1,2:3"],
+     "bad function spec 'constant:1,2:3'; expected constant[:c]"),
+    (["gallery", "--name", "automorphism:2"],
+     "bad function spec 'automorphism:2'; expected automorphism[:w]"),
+    (["decay", "--function", "saginjan_h", "--curve", "radius:0", "--profile", "log:2:1:7"],
+     "bad profile spec 'log:2:1:7'; expected log[:shift[:e]]"),
+    (["decay", "--function", "saginjan_h", "--curve", "radius:0",
+      "--profile", "log:0.3:inf:x"], "bad profile spec 'log:0.3:inf:x'; expected log"),
+    (["decay", "--function", "saginjan_h", "--curve", "radius:0", "--profile", "pow:inf"],
+     "bad profile spec 'pow:inf'; expected pow:s[:e]"),
+    (["decay", "--function", "saginjan_h", "--curve", "radius:0", "--profile", "pow"],
+     "bad profile spec 'pow'; expected pow:s[:e]"),
+    (["decay", "--function", "saginjan_h", "--curve", "radius:0", "--profile", "log:-1"],
+     "bad profile spec 'log:-1': log profile needs shift > -1, got -1"),
+    (["cluster", "--function", "identity", "--region", "radius-angle:0.5:0:9"],
+     "bad region spec 'radius-angle:0.5:0:9'; expected radius-angle:R[:theta]"),
+    (["cluster", "--function", "identity", "--region", "radius-angle:0.5:nan"],
+     "bad region spec 'radius-angle:0.5:nan'; expected radius-angle:R[:theta]"),
+    (["cluster", "--function", "identity", "--region", "radius-angle:0.5:inf"],
+     "bad region spec 'radius-angle:0.5:inf'; expected radius-angle:R[:theta]"),
+    (["cluster", "--function", "identity", "--region", "radius-angle:2"],
+     "bad region spec 'radius-angle:2': pseudo-hyperbolic radius 2.0 not in [0, 1)"),
+    (["pseq", "--function", "identity", "--mode", "pointwise", "--sequence", "radial:2:3"],
+     "bad sequence spec 'radial:2:3'; expected radial[:N]"),
+]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -117,13 +165,14 @@ class TestExitCodes:
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("mode,sequence,message", [
-        ("split-pair", "poles:0", "N of sequence 'poles:0' must be >= 1, got 0"),
+        ("split-pair", "poles:0", "bad sequence spec 'poles:0'; expected poles[:N]"),
         ("split-pair", "radial:8", "split-pair takes --sequence poles:N, got 'radial:8'"),
-        ("split-pair", "nonsense:8", "bad sequence spec 'nonsense:8'; expected kind[:N]"),
+        ("split-pair", "nonsense:8", "bad sequence spec 'nonsense:8'; expected radial[:N] | "
+         "poles[:N] | pole-adjacent[:N] | pole-offset[:N]"),
         ("pointwise", "poles:30", "sequence 'poles:30' asks for 30 poles; the schedule has 20"),
         ("local-sup", "pole-offset:21", "asks for 21 poles; the schedule has 20"),
-        ("pointwise", "radial:0", "N of sequence 'radial:0' must be >= 1, got 0"),
-        ("pointwise", "poles:x", "bad sequence spec 'poles:x'; expected kind[:N]"),
+        ("pointwise", "radial:0", "bad sequence spec 'radial:0'; expected radial[:N]"),
+        ("pointwise", "poles:x", "bad sequence spec 'poles:x'; expected poles[:N]"),
     ], ids=["split-pair-zero", "split-pair-radial", "split-pair-unknown-kind",
             "too-many-poles", "too-many-offset-poles", "radial-zero", "count-not-integer"])
     def test_bad_sequence_spec_is_2(self, tmp_path, capsys, mode, sequence, message):
@@ -176,7 +225,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["cluster", "--function", "identity", "--region", "radius-angle"],
-         "region spec must be radius-angle:R[:theta]"),
+         "bad region spec 'radius-angle'; expected radius-angle:R[:theta]"),
         (["cluster", "--function", "identity", "--region", "radius-angle:0.4",
           "--shells", "8:2"], "empty shell range '8:2'"),
         (["family", "--function", "identity", "--target", "1,0",
@@ -190,6 +239,33 @@ class TestExitCodes:
     def test_bad_range_or_region_is_2(self, tmp_path, capsys, argv, message):
         assert run(argv, tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(argv, message, id=message.split("'")[1])
+        for argv, message in MALFORMED_SPECS])
+    def test_malformed_spec_is_2(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not caught
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("sub", ["curve-dist", "frechet"])
+    def test_curve_file_with_nan_endpoint_is_2(self, tmp_path, capsys, sub):
+        # it used to exit 0 and print nan distances with a RuntimeWarning
+        curve = tmp_path / "nan-end.json"
+        curve.write_text(json.dumps({"endpoint_angle": math.nan,
+                                     "samples": [[0.5, 0], [0.9, 0]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([sub, "--curve1", f"@{curve}", "--curve2", "radius:0",
+                        "--level", "3"], tmp_path) == 2
+        assert capsys.readouterr().err == \
+            "error: malformed curve exchange payload: endpoint_angle nan is not finite\n"
+        assert not caught
+        assert os.listdir(tmp_path) == ["nan-end.json"]
 
     @pytest.mark.parametrize("payload", [
         None, {"samples": []}, {"endpoint_angle": 0.0},
@@ -260,7 +336,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
     def test_pole_series_needs_ten_poles(self, tmp_path, capsys, name):
         assert run(["gallery", "--name", f"{name}:8", "--at", "0.2,0.1"], tmp_path) == 2
-        assert "error: pole schedule needs K >= 10, got K = 8" in capsys.readouterr().err
+        assert (f"error: bad function spec '{name}:8': pole schedule needs K >= 10, got K = 8"
+                in capsys.readouterr().err)
         assert not os.listdir(tmp_path)
         assert run(["gallery", "--name", f"{name}:10", "--at", "0.2,0.1"], tmp_path) == 0
 
@@ -269,7 +346,8 @@ class TestExitCodes:
     def test_pole_series_refuses_more_than_52_poles(self, tmp_path, capsys, name, k):
         # 53-55 used to fail a schedule check, 56 and up a numpy reduction
         assert run(["gallery", "--name", f"{name}:{k}", "--at", "0.5,0"], tmp_path) == 2
-        assert f"error: pole schedule needs K <= 52, got K = {k}" in capsys.readouterr().err
+        assert (f"error: bad function spec '{name}:{k}': pole schedule needs K <= 52, "
+                f"got K = {k}") in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("name", ["pole_series", "damped_pole_series"])
@@ -306,6 +384,14 @@ class TestExitCodes:
 
 
 class TestReports:
+    def test_report_stamp_reads_one_clock(self, tmp_path, monkeypatch):
+        # the seconds came from gmtime(), a coarse clock that can still read
+        # the old second after time_ns() has passed into the next, so a later
+        # report could sort before an earlier one
+        monkeypatch.setattr(cli.time, "time_ns", lambda: 1_000_000_000_002_966_015)
+        path = cli.write_report(str(tmp_path), "metric", {})
+        assert os.path.basename(path) == "metric-20010909T014640002966015.json"
+
     def test_json_report_written(self, tmp_path):
         run(["metric", "--kind", "h", "--z", "0,0", "--w", "0.5,0"], tmp_path)
         payload = json.loads(latest_report(tmp_path, "metric"))

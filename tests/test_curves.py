@@ -112,6 +112,26 @@ class TestCanonicalCurves:
         with pytest.raises(ValueError):
             cv.canonical_curve("lemniscate", 0.0)
 
+    @pytest.mark.parametrize("kind,parameter,message", [
+        ("radius", 5.0, "a radius takes no parameter, got 5.0"),
+        ("radius", math.nan, "a radius takes no parameter, got nan"),
+        ("horocycle", 0.3, "horocycle side must be 1 or -1, got 0.3"),
+        ("horocycle", -2.0, "horocycle side must be 1 or -1, got -2.0"),
+        ("horocycle", math.nan, "horocycle side must be 1 or -1, got nan"),
+        ("hypercycle", None, "hypercycle offset must be in (-1, 1)"),
+    ])
+    def test_parameter_a_kind_does_not_take_is_refused(self, kind, parameter, message):
+        # a horocycle used to read any side >= 0 as +1 and any other as -1
+        with pytest.raises(ValueError) as exc:
+            cv.canonical_curve(kind, 0.0, parameter)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,parameter", [
+        ("radius", None), ("radius", 0), ("horocycle", None), ("horocycle", 1),
+        ("horocycle", -1.0)])
+    def test_accepted_parameters(self, kind, parameter):
+        assert cv.canonical_curve(kind, 0.0, parameter).endpoint_angle == 0.0
+
     def test_max_gap_near_mesh(self, radius):
         gap = radius.max_gap_hyperbolic(8)
         assert 0 < gap <= cv.HYP_MESH + 1e-9
@@ -582,6 +602,15 @@ class TestDirectedDistance:
         with pytest.raises(cv.CurveEndpointMismatch):
             cv.directed_curve_distance(radius, other, 4)
 
+    def test_nan_endpoint_is_a_mismatch(self, radius):
+        # a NaN angle difference compares false against the tolerance
+        nan_end = cv.SampleBackedCurve(math.nan, [0.5, 0.9])
+        for pair in ((nan_end, radius), (radius, nan_end)):
+            with pytest.raises(cv.CurveEndpointMismatch):
+                cv.directed_curve_distance(*pair, 3)
+            with pytest.raises(cv.CurveEndpointMismatch):
+                cv.curve_frechet(*pair, 3)
+
 
 class TestEquivalence:
     def test_reflexive(self, radius):
@@ -649,6 +678,12 @@ class TestExchangeFormat:
         z = complex(bad)
         payload = {"endpoint_angle": 0.0, "samples": [[0.5, 0.0], [z.real, z.imag]]}
         with pytest.raises(ge.DiskDomainError, match="sample 1 "):
+            cv.curve_from_exchange(payload)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_rejected(self, angle):
+        payload = {"endpoint_angle": angle, "samples": [[0.5, 0.0], [0.9, 0.0]]}
+        with pytest.raises(ValueError, match="endpoint_angle .* is not finite"):
             cv.curve_from_exchange(payload)
 
     def test_payload_shape(self, radius):

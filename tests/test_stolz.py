@@ -157,6 +157,14 @@ class TestDecayProfiles:
         with pytest.raises(ValueError):
             st.DecayProfile.log_form(exponent=0.5)
 
+    @pytest.mark.parametrize("shift", [-1.0, -5.0, float("nan")])
+    def test_log_shift_must_keep_the_profile_finite_on_the_disk(self, shift):
+        # depths t = 1 - |z| reach 1, where log(shift + 1/t) needs shift > -1;
+        # log:-1 used to pass and divide by zero at the centre of the disk
+        with pytest.raises(ValueError, match="log profile needs shift > -1"):
+            st.DecayProfile.log_form(shift)
+        assert np.isfinite(st.DecayProfile.log_form(-0.9).bound(np.array([1.0]))).all()
+
 
 class TestDecayMargin:
     def test_zero_function_satisfies_everything(self):
