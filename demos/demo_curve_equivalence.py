@@ -16,14 +16,15 @@ hypers = [cv.canonical_curve("hypercycle", 0.0, y) for y in (0.5, -0.3)]
 hor = cv.canonical_curve("horocycle", 0.0)
 
 print("directed distance radius -> chord(pi/6) by truncation level")
-ch = chords[0]
+by_level = cv.directed_curve_distance(rad, chords[0], 12)
 for k in range(2, 13, 2):
-    print(f"  level {k:2d}: {cv.directed_curve_distance(rad, ch, k):.6f}")
+    print(f"  level {k:2d}: {by_level[k - 1]:.6f}")
 print("The sequence settles: the chord lives in a fixed inflation of the radius.\n")
 
 print("directed distance radius -> horocycle by truncation level")
+by_level = cv.directed_curve_distance(rad, hor, 12)
 for k in range(2, 13, 2):
-    print(f"  level {k:2d}: {cv.directed_curve_distance(rad, hor, k):.4f}")
+    print(f"  level {k:2d}: {by_level[k - 1]:.4f}")
 print("Steady growth: no fixed deflection region over the radius contains it.\n")
 
 family = {"radius": rad, "chord(pi/6)": chords[0], "chord(-pi/4)": chords[1],
@@ -39,7 +40,7 @@ for i, a in enumerate(names):
 
 print("\nregion inclusion made quantitative: if the radius sits within r of")
 print("the chord, its r1-angle sits inside the chord's (r1 + r)-angle:")
-r = cv.directed_curve_distance(rad, chords[0], 8)
+r = cv.directed_curve_distance(rad, chords[0], 8)[-1]
 print("  measured r =", round(r, 4))
 print("  inclusion with the full budget:",
       cv.angle_inclusion_check(rad, chords[0], r, 1.0, 800, level=8, seed=3))

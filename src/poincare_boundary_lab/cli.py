@@ -196,8 +196,8 @@ def cmd_curve_dist(args):
     c1 = parse_curve(args.curve1)
     c2 = parse_curve(args.curve2)
     level = _level(args.level)
-    fwd = cv.directed_curve_distance(c1, c2, level)
-    bwd = cv.directed_curve_distance(c2, c1, level)
+    fwd = cv.directed_curve_distance(c1, c2, level)[-1]
+    bwd = cv.directed_curve_distance(c2, c1, level)[-1]
     rep = {"curve1": c1.label, "curve2": c2.label, "level": level,
            "forward": fwd, "backward": bwd}
     return 0, rep, f"forward {fwd:.6g}  backward {bwd:.6g}"

@@ -483,16 +483,26 @@ def _check_same_endpoint(c1: BoundaryCurve, c2: BoundaryCurve):
             f"{c1.endpoint_angle!r} vs {c2.endpoint_angle!r}")
 
 
-def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
-    """sup over refine(level) samples of c1 of the hyperbolic distance to
-    c2's refine(level+2) samples: a directed Hausdorff distance at truncation
-    `level`."""
+def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve,
+                            max_level: int) -> list[float]:
+    """Directed Hausdorff distances at truncation levels 1..max_level: at
+    level k, the sup over c1's refine(k) samples of the hyperbolic distance
+    to c2's refine(k+2) samples.  Levels are nested prefixes, so each
+    level's matrix is a corner of the one at max_level, the only one built
+    and budget-checked: a row's running minimum is read where each of c2's
+    levels ends (deduplicated: an import stops growing past its last
+    sample), and level k takes the max over its rows.  Only min and max of
+    the same cells are taken, so every value is the one its own matrix gives."""
     _check_same_endpoint(c1, c2)
-    s1, t1 = c1.strip_refine(level)
-    s2, t2 = c2.strip_refine(level + 2)
-    _check_cells(c1, c2, level, len(s1), len(s2))
-    c = _strip_distance_matrix(s1, t1, s2, t2)
-    return _distance_of_cosh(np.max(np.min(c, axis=1)))
+    s1, t1 = c1.strip_refine(max_level)
+    s2, t2 = c2.strip_refine(max_level + 2)
+    _check_cells(c1, c2, max_level, len(s1), len(s2))
+    cols = [len(c2.strip_refine(k + 2)[0]) for k in range(1, max_level + 1)]
+    ends = np.unique(cols)
+    run = np.minimum.accumulate(np.minimum.reduceat(
+        _strip_distance_matrix(s1, t1, s2, t2), np.r_[0, ends[:-1]], axis=1), axis=1)
+    return [_distance_of_cosh(np.max(run[:len(c1.strip_refine(k)[0]), j]))
+            for k, j in enumerate(np.searchsorted(ends, cols), 1)]
 
 
 @dataclass
@@ -534,12 +544,11 @@ def are_equivalent(c1: BoundaryCurve, c2: BoundaryCurve,
                    max_level: int = 12) -> EquivalenceVerdict:
     """Run the directed distance both ways over levels 1..max_level and judge
     whether the two curves are at finite distance (same equivalence class)."""
-    _check_same_endpoint(c1, c2)
-    levels = list(range(1, max_level + 1))
-    fwd = [directed_curve_distance(c1, c2, k) for k in levels]
-    bwd = [directed_curve_distance(c2, c1, k) for k in levels]
+    fwd = directed_curve_distance(c1, c2, max_level)
+    bwd = directed_curve_distance(c2, c1, max_level)
     values = [max(f, b) for f, b in zip(fwd, bwd)]
-    return EquivalenceVerdict(levels, fwd, bwd, values, _trend_verdict(values))
+    return EquivalenceVerdict(list(range(1, max_level + 1)), fwd, bwd, values,
+                              _trend_verdict(values))
 
 
 def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
@@ -584,8 +593,8 @@ def _frechet_dp(dist: np.ndarray) -> float:
 
     The DP takes only max and min, so dist may hold any nondecreasing function
     of the leg distances and the value is that function of the Frechet
-    distance: discrete_frechet_strip passes cosh d from
-    _strip_distance_matrix and converts the value once.
+    distance: curve_frechet passes cosh d from _strip_distance_matrix and
+    converts the value once.
 
     The recurrence D[i, j] = max(dist[i, j], min(D[i-1, j], D[i, j-1],
     D[i-1, j-1])) runs one anti-diagonal i + j = k at a time: every cell of a
@@ -617,22 +626,13 @@ def _frechet_dp(dist: np.ndarray) -> float:
     return float(prev[n])
 
 
-def discrete_frechet_strip(s1, t1, s2, t2) -> float:
-    """Discrete Frechet distance on axial-coordinate samples (exact deep)."""
-    if len(s1) == 0 or len(s2) == 0:
-        raise ValueError("sample lists must be non-empty")
-    return _distance_of_cosh(_frechet_dp(_strip_distance_matrix(
-        np.asarray(s1, float), np.asarray(t1, float),
-        np.asarray(s2, float), np.asarray(t2, float))))
-
-
 def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
     """Discrete Frechet distance between two curves truncated at `level`."""
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(level)
     s2, t2 = c2.strip_refine(level)
     _check_cells(c1, c2, level, len(s1), len(s2))
-    return discrete_frechet_strip(s1, t1, s2, t2)
+    return _distance_of_cosh(_frechet_dp(_strip_distance_matrix(s1, t1, s2, t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +687,8 @@ class StripPolylineCurve(BoundaryCurve):
         """The polyline densified at HYP_MESH; the same for every level."""
         vs = np.asarray(self.vertices, dtype=float)
         out_s, out_t = [vs[0, 0]], [vs[0, 1]]
-        for (s0, t0), (s1, t1) in zip(vs[:-1], vs[1:]):
-            d = float(strip_distance(s0, t0, s1, t1))
+        edges = strip_distance(vs[:-1, 0], vs[:-1, 1], vs[1:, 0], vs[1:, 1])
+        for (s0, t0), (s1, t1), d in zip(vs[:-1], vs[1:], edges):
             pieces = max(1, int(math.ceil(d / HYP_MESH)))
             frac = np.arange(1, pieces + 1) / pieces
             out_s.extend(s0 + (s1 - s0) * frac)

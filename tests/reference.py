@@ -44,7 +44,8 @@ def strip_distance_matrix(s1, t1, s2, t2):
 
 
 def directed_curve_distance(c1, c2, level: int) -> float:
-    """`curves.directed_curve_distance` on the distance matrix."""
+    """One level of `curves.directed_curve_distance`, on that level's own
+    distance matrix."""
     d = strip_distance_matrix(*c1.strip_refine(level), *c2.strip_refine(level + 2))
     return float(np.max(np.min(d, axis=1)))
 

@@ -372,6 +372,17 @@ class TestExitCodes:
                 "predicted, above the budget of 100000") in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_equiv_over_sample_budget_names_its_deepest_level(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # every level is read from the deepest one, whose budgets are checked
+        # first: the horocycle at level 52, not the first level over budget
+        monkeypatch.setattr(cv.ParametricCurve, "_step", None)
+        assert run(["equiv", "--curve1", "radius:0", "--curve2", "horocycle:0",
+                    "--max-level", "50"], tmp_path) == 2
+        assert ("error: curve horocycle:0 at level 52: 379625064 samples "
+                "predicted, above the budget of 100000") in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_matrix_over_cell_budget_is_2(self, tmp_path, capsys, monkeypatch):
         # 8,172 samples a curve, far under the sample budget
         monkeypatch.setattr(cv, "_strip_distance_matrix", None)

@@ -585,16 +585,16 @@ class TestCurvilinearAngle:
 class TestDirectedDistance:
     def test_reflexive_within_slack(self, radius, chord):
         for curve in (radius, chord):
-            assert cv.directed_curve_distance(curve, curve, 6) <= \
+            assert cv.directed_curve_distance(curve, curve, 6)[-1] <= \
                 curve.max_gap_hyperbolic(8) + 1e-9
 
     def test_radius_chord_bounded(self, radius, chord):
-        vals = [cv.directed_curve_distance(radius, chord, k) for k in range(1, 13)]
+        vals = cv.directed_curve_distance(radius, chord, 12)
         assert max(vals) - min(vals[3:]) < 1.2  # settles quickly
         assert max(vals[-3:]) / min(vals[-3:]) <= 1.05
 
     def test_radius_horocycle_strictly_increasing(self, radius, horocycle):
-        vals = [cv.directed_curve_distance(radius, horocycle, k) for k in range(4, 13)]
+        vals = cv.directed_curve_distance(radius, horocycle, 12)[3:]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_endpoint_mismatch_rejected(self, radius):
@@ -631,6 +631,20 @@ class TestEquivalence:
         assert v.verdict == "equivalent"
         assert len(v.forward) == len(v.backward) == 10
 
+    def test_swapping_the_curves_swaps_the_directions(self, radius, chord, horocycle):
+        for c1, c2 in ((radius, chord), (radius, horocycle), (chord, horocycle)):
+            v, w = cv.are_equivalent(c1, c2, 12), cv.are_equivalent(c2, c1, 12)
+            assert [x.hex() for x in w.forward] == [x.hex() for x in v.backward]
+            assert [x.hex() for x in w.backward] == [x.hex() for x in v.forward]
+
+    def test_one_matrix_per_direction(self, radius, horocycle, monkeypatch):
+        built = []
+        matrix = cv._strip_distance_matrix
+        monkeypatch.setattr(cv, "_strip_distance_matrix",
+                            lambda *a: built.append(a) or matrix(*a))
+        cv.are_equivalent(radius, horocycle, 12)
+        assert len(built) == 2   # one a level and direction would be 24
+
     def test_relation_properties_on_family(self):
         fam = [cv.canonical_curve("radius", 0.0),
                cv.canonical_curve("chord", 0.0, 0.4),
@@ -657,11 +671,11 @@ class TestAngleInclusion:
         assert cv.angle_inclusion_check(radius, radius, 0.3, 1.0, 300, level=8, seed=1)
 
     def test_radius_into_chord_inflated(self, radius, chord):
-        r = cv.directed_curve_distance(radius, chord, 8)
+        r = cv.directed_curve_distance(radius, chord, 8)[-1]
         assert cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, level=8, seed=2)
 
     def test_shrunk_target_fails(self, radius, chord):
-        r = cv.directed_curve_distance(radius, chord, 8)
+        r = cv.directed_curve_distance(radius, chord, 8)[-1]
         assert not cv.angle_inclusion_check(radius, chord, r, 1.0, 1000, level=8,
                                             seed=3, r2=1.0 + r / 2.0)
 

@@ -148,8 +148,8 @@ class TestDiscreteFrechet:
         t1, t2 = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 6)
         z1 = ge.strip_to_disk(s1, t1)
         z2 = ge.strip_to_disk(s2, t2)
-        assert cv.discrete_frechet_strip(s1, t1, s2, t2) == pytest.approx(
-            discrete_frechet(z1, z2), abs=1e-9)
+        value = cv._distance_of_cosh(cv._frechet_dp(cv._strip_distance_matrix(s1, t1, s2, t2)))
+        assert value == pytest.approx(discrete_frechet(z1, z2), abs=1e-9)
 
 
 class TestZigzagPair:
@@ -278,10 +278,14 @@ class TestCoshDomain:
     result once; the reference converts every cell first.  Compared as
     float.hex."""
 
-    def assert_matches_reference(self, c1, c2, level):
+    def assert_matches_reference(self, c1, c2, level, every_level=True):
+        # the directed distances of all levels come from one matrix; the
+        # reference builds each level's own
         for a, b in ((c1, c2), (c2, c1)):
-            assert cv.directed_curve_distance(a, b, level).hex() == \
-                ref.directed_curve_distance(a, b, level).hex()
+            values = cv.directed_curve_distance(a, b, level)
+            assert len(values) == level
+            for k in range(1, level + 1) if every_level else (level,):
+                assert values[k - 1].hex() == ref.directed_curve_distance(a, b, k).hex()
         value = cv.curve_frechet(c1, c2, level).hex()
         assert value == ref.curve_frechet(c1, c2, level).hex()
         assert value == cv.curve_frechet(c2, c1, level).hex()  # swapping the curves
@@ -301,8 +305,18 @@ class TestCoshDomain:
 
     @pytest.mark.parametrize("r", [0.4, 0.5])
     def test_zigzag_pairs_bit_identical(self, r):
+        # every level up to n = 4 (level 40); past it only the deepest, as the
+        # reference builds one matrix a level
         for n in range(1, 13):
-            self.assert_matches_reference(*zigzag(r, n))
+            self.assert_matches_reference(*zigzag(r, n), every_level=n <= 4)
+
+    def test_import_read_past_its_export_level(self):
+        # the import keeps all its samples from level 8 on, so its levels 10
+        # to 16 end at the same sample: column blocks with the same end
+        chord = cv.canonical_curve("chord", 0.0, 0.5)
+        imported = cv.curve_from_exchange(cv.curve_to_exchange(chord, 8))
+        assert len(imported.strip_refine(16)[0]) == len(imported.strip_refine(8)[0])
+        self.assert_matches_reference(imported, cv.canonical_curve("radius", 0.0), 14)
 
     def test_matrix_rows_span_several_product_blocks(self):
         # rows of 1,000 cells: two whole blocks of rows and a partial third
