@@ -42,16 +42,17 @@ from .geometry import (
 HYP_MESH = 0.25       # target hyperbolic gap between consecutive samples
 # most samples a level may be predicted to hold before it is built.  A
 # horocycle passes it at level 29 (131,073); every job the README, the CI
-# and the benchmark run predicts under 6,000.  A distance matrix of 100,000
-# samples against a few hundred is a few hundred MB a temporary.
+# and the benchmark run predicts under 6,000.
 SAMPLE_BUDGET = 100_000
-# most cells a curve distance matrix may hold; it takes about 8.2 B a cell at
-# its peak (tracemalloc, lemma4's 692 x 3,641 pair).  The largest of any
-# benchmark job holds 2.6M; two horocycles at level 21 would ask for 67M,
-# though each has only 8,172 samples.
+# most cells a curve distance may read.  The cells are computed a block at a
+# time, so a distance's memory no longer grows with them and the budget
+# bounds its run time: the largest of any benchmark job reads 2.6M; two
+# horocycles at level 21 would ask for 67M, though each has only 8,172
+# samples.
 CELL_BUDGET = 20_000_000
-# cells of the scratch that _strip_distance_matrix multiplies a block of rows
-# in (512 KiB), or one row where a row is longer
+# cells a curve distance computes at a time (512 KiB): a block of rows of the
+# directed distance or a band of anti-diagonals of the Frechet DP, or one
+# row where a row is longer
 _PRODUCT_BLOCK_CELLS = 1 << 16
 # half-width of ParametricCurve._step's rounding band, in units of
 # 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
@@ -438,27 +439,21 @@ def angle_contains(angle: CurvilinearAngle, z, level: int) -> bool:
 # directed curve distance and equivalence
 
 
-def _strip_distance_matrix(s1, t1, s2, t2):
-    """cosh of the hyperbolic distance between every sample (s1, t1) and every
-    sample (s2, t2), as one (n1, n2) matrix, unclamped: a cell may round
-    below 1.  Each cell is cosh(s1 - s2) * (cosh t1 cosh t2) - sinh t1 sinh t2
-    in that order.  The matrix is the only (n1, n2) buffer: the cosh t and
-    sinh t products go through one scratch of _PRODUCT_BLOCK_CELLS cells, a
-    block of rows at a time."""
-    c = np.subtract.outer(s1, s2)
-    ct1, st1, ct2, st2 = np.cosh(t1), np.sinh(t1), np.cosh(t2), np.sinh(t2)
-    rows = max(1, _PRODUCT_BLOCK_CELLS // len(s2))
-    scratch = np.empty((min(rows, len(s1)), len(s2)))
+def _strip_distance_matrix(s1, ct1, st1, s2, ct2, st2, out, scratch):
+    """cosh of the hyperbolic distance between samples (s1, t1) and samples
+    (s2, t2), given as s, cosh t and sinh t and broadcast to out's shape,
+    written into out and returned, unclamped: a cell may round below 1.
+    Each cell is cosh(s1 - s2) * (cosh t1 cosh t2) - sinh t1 sinh t2 in that
+    order, with cosh taken in place on out; scratch has out's shape.  A cell
+    against padding (s2 = +inf, cosh t2 = 1, sinh t2 = 0) is +inf."""
+    np.subtract(s1, s2, out=out)
     with np.errstate(over="ignore"):
-        np.cosh(c, out=c)
-        for i in range(0, len(s1), rows):
-            block = c[i:i + rows]
-            p = scratch[:len(block)]
-            np.multiply(ct1[i:i + rows, None], ct2, out=p)
-            block *= p
-            np.multiply(st1[i:i + rows, None], st2, out=p)
-            block -= p
-    return c
+        np.cosh(out, out=out)
+        np.multiply(ct1, ct2, out=scratch)
+        out *= scratch
+        np.multiply(st1, st2, out=scratch)
+        out -= scratch
+    return out
 
 
 def _distance_of_cosh(c) -> float:
@@ -488,19 +483,35 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve,
     """Directed Hausdorff distances at truncation levels 1..max_level: at
     level k, the sup over c1's refine(k) samples of the hyperbolic distance
     to c2's refine(k+2) samples.  Levels are nested prefixes, so each
-    level's matrix is a corner of the one at max_level, the only one built
-    and budget-checked: a row's running minimum is read where each of c2's
+    level's cells are a corner of the ones at max_level, the only level
+    read and budget-checked.  They are read a block of c1's rows at a time,
+    at most _PRODUCT_BLOCK_CELLS cells (or one row), and each row keeps only
+    its minimum over each block of columns that ends where one of c2's
     levels ends (deduplicated: an import stops growing past its last
-    sample), and level k takes the max over its rows.  Only min and max of
-    the same cells are taken, so every value is the one its own matrix gives."""
+    sample).  The running minimum of those gives a row's minimum at every
+    level, and level k takes the max over its rows.  Only min and max of the
+    same cells are taken, so every value is the one its own matrix gives,
+    and no (n1, n2) array is held."""
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(max_level)
     s2, t2 = c2.strip_refine(max_level + 2)
     _check_cells(c1, c2, max_level, len(s1), len(s2))
     cols = [len(c2.strip_refine(k + 2)[0]) for k in range(1, max_level + 1)]
     ends = np.unique(cols)
-    run = np.minimum.accumulate(np.minimum.reduceat(
-        _strip_distance_matrix(s1, t1, s2, t2), np.r_[0, ends[:-1]], axis=1), axis=1)
+    starts = np.r_[0, ends[:-1]]
+    n1 = len(s1)
+    col1 = [s1[:, None], np.cosh(t1)[:, None], np.sinh(t1)[:, None]]
+    row2 = [s2, np.cosh(t2), np.sinh(t2)]
+    rows = max(1, _PRODUCT_BLOCK_CELLS // len(s2))
+    # one allocation for both buffers, as in _frechet_dp
+    out, scratch = np.empty((2, min(rows, n1), len(s2)))
+    mins = []
+    for i in range(0, n1, rows):
+        j = min(i + rows, n1)
+        block = _strip_distance_matrix(*(x[i:j] for x in col1), *row2,
+                                       out[:j - i], scratch[:j - i])
+        mins.append(np.minimum.reduceat(block, starts, axis=1))
+    run = np.minimum.accumulate(np.concatenate(mins), axis=1)
     return [_distance_of_cosh(np.max(run[:len(c1.strip_refine(k)[0]), j]))
             for k, j in enumerate(np.searchsorted(ends, cols), 1)]
 
@@ -588,12 +599,45 @@ def angle_inclusion_check(c1: BoundaryCurve, c2: BoundaryCurve, r: float,
 # discrete Frechet distance
 
 
-def _frechet_dp(dist: np.ndarray) -> float:
-    """Coupled-traversal DP (Eiter-Mannila) over a ready distance matrix.
+class _CoshCells:
+    """The cosh d cells of samples (s1, t1) against samples (s2, t2), as an
+    (n1, n2) matrix that is never built: `band` computes a band of its
+    anti-diagonals at a time with `_strip_distance_matrix`.
 
-    The DP takes only max and min, so dist may hold any nondecreasing function
-    of the leg distances and the value is that function of the Frechet
-    distance: curve_frechet passes cosh d from _strip_distance_matrix and
+    The columns' s, cosh t and sinh t are reversed, padded with n1 - 1 cells
+    of (+inf, 1, 0) at each end and read through windows of n1: window q
+    holds at index i the column of the cell (i, k - i) on the anti-diagonal
+    k = n1 + n2 - 2 - q, or padding where that cell is off the matrix."""
+
+    def __init__(self, s1, t1, s2, t2):
+        n = len(s1)
+        self.shape, self.size = (n, len(s2)), n * len(s2)
+        self._rows = s1, np.cosh(t1), np.sinh(t1)
+        self._diagonals = []
+        for col, pad in ((s2, np.inf), (np.cosh(t2), 1.0), (np.sinh(t2), 0.0)):
+            edge = np.full(n - 1, pad)
+            self._diagonals.append(np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([edge, col[::-1], edge]), n))
+
+    def band(self, k: int, i: int, out, scratch):
+        """Fill out, of shape (b, w), with the cells (i + r, k + d - i - r)
+        of the anti-diagonals k + d, d < b, for rows i .. i + w - 1: +inf
+        where a cell is off the matrix.  scratch has out's shape."""
+        b, w = out.shape
+        q = sum(self.shape) - 2 - k
+        return _strip_distance_matrix(
+            *(x[i:i + w] for x in self._rows),
+            *(x[q - b + 1:q + 1][::-1, i:i + w] for x in self._diagonals),
+            out, scratch)
+
+
+def _frechet_dp(cells) -> float:
+    """Coupled-traversal DP (Eiter-Mannila) over the cells of a distance
+    matrix that `cells.band` computes a band of anti-diagonals at a time.
+
+    The DP takes only max and min, so the cells may be any nondecreasing
+    function of the leg distances and the value is that function of the
+    Frechet distance: curve_frechet passes the cosh d of _CoshCells and
     converts the value once.
 
     The recurrence D[i, j] = max(dist[i, j], min(D[i-1, j], D[i, j-1],
@@ -601,38 +645,52 @@ def _frechet_dp(dist: np.ndarray) -> float:
     diagonal depends only on the two diagonals before it.  Three rotating
     buffers indexed by i + 1 hold those two and the new one, with +inf at
     index 0 and at every index a diagonal does not reach, which stands in for
-    the missing neighbours on the matrix border.  The cells of dist on a
-    diagonal are a strided basic slice of the raveled matrix.  Only max and
-    min of the same doubles are taken, so the value is bit-identical to the
-    cell-by-cell loop for any NaN-free matrix.
+    the missing neighbours on the matrix border.  The cells come a band of
+    max(1, _PRODUCT_BLOCK_CELLS // n) diagonals at a time, over the rows the
+    band reaches, so no (n, m) array is held.  The band and its scratch are
+    one allocation a call: freed as one block, the allocator keeps it for
+    the next call, where two blocks of 512 KiB were handed back to the
+    system and paged in again on every call (about 240 minor faults).  Only
+    max and min of the same doubles are taken, so the value is
+    bit-identical to the cell-by-cell loop for any NaN-free matrix.
     """
-    n, m = dist.shape
-    if n == 1 or m == 1:
-        return float(np.max(dist))   # a single row or column: its running max
-    flat = np.ascontiguousarray(dist, dtype=float).ravel()
+    n, m = cells.shape
+    diagonals = max(1, _PRODUCT_BLOCK_CELLS // n)
+    buf, scratch = np.empty((2, min(diagonals, n + m - 1) * n))
     older = np.full(n + 1, np.inf)   # diagonal k - 2
     prev = np.full(n + 1, np.inf)    # diagonal k - 1
     cur = np.full(n + 1, np.inf)
-    prev[1] = flat[0]
     mins = np.empty(n)
-    for k in range(1, n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1)
-        w = hi - lo + 1
-        mn = mins[:w]
-        np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=mn)
-        np.minimum(mn, older[lo:hi + 1], out=mn)
-        np.maximum(flat[lo * m + k - lo::m - 1][:w], mn, out=cur[lo + 1:hi + 2])
-        older, prev, cur = prev, cur, older
+    for k0 in range(0, n + m - 1, diagonals):
+        k1 = min(k0 + diagonals, n + m - 1)
+        r0, r1 = max(0, k0 - m + 1), min(k1 - 1, n - 1) + 1
+        used = (k1 - k0) * (r1 - r0)
+        band = cells.band(k0, r0, buf[:used].reshape(k1 - k0, -1),
+                          scratch[:used].reshape(k1 - k0, -1))
+        if k0 == 0:
+            prev[1] = band[0, 0]
+        for k in range(max(k0, 1), k1):
+            lo, hi = max(0, k - m + 1), min(k, n - 1)
+            w = hi - lo + 1
+            mn = mins[:w]
+            np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=mn)
+            np.minimum(mn, older[lo:hi + 1], out=mn)
+            np.maximum(band[k - k0, lo - r0:hi - r0 + 1], mn, out=cur[lo + 1:hi + 2])
+            older, prev, cur = prev, cur, older
     return float(prev[n])
 
 
 def curve_frechet(c1: BoundaryCurve, c2: BoundaryCurve, level: int) -> float:
-    """Discrete Frechet distance between two curves truncated at `level`."""
+    """Discrete Frechet distance between two curves truncated at `level`.
+    The shorter curve gives the DP's rows: the DP of the transposed matrix
+    takes the same max and min, and its cells are the same doubles (s2 - s1
+    is -(s1 - s2) exactly, cosh is even and products commute)."""
     _check_same_endpoint(c1, c2)
-    s1, t1 = c1.strip_refine(level)
-    s2, t2 = c2.strip_refine(level)
-    _check_cells(c1, c2, level, len(s1), len(s2))
-    return _distance_of_cosh(_frechet_dp(_strip_distance_matrix(s1, t1, s2, t2)))
+    a, b = c1.strip_refine(level), c2.strip_refine(level)
+    _check_cells(c1, c2, level, len(a[0]), len(b[0]))
+    if len(b[0]) < len(a[0]):
+        a, b = b, a
+    return _distance_of_cosh(_frechet_dp(_CoshCells(*a, *b)))
 
 
 # ---------------------------------------------------------------------------

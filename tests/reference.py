@@ -22,15 +22,67 @@ from poincare_boundary_lab.functions import (
 from poincare_boundary_lab.geometry import hyperbolic_distance_array
 
 
+def band_cells(k, i, shape, m):
+    """(rows, cols, inside) of a band of `shape` (b, w) that starts at the
+    anti-diagonal k and the row i, in a matrix of m columns: band cell
+    [d, r] is the cell (rows[d, r], cols[d, r]) = (i + r, k + d - i - r),
+    and `inside` marks the ones on the matrix."""
+    b, w = shape
+    rows = np.broadcast_to(np.arange(i, i + w), shape)
+    cols = np.arange(k, k + b)[:, None] - rows
+    return rows, cols, (cols >= 0) & (cols < m)
+
+
+class MatrixCells:
+    """A ready distance matrix behind the interface `curves._frechet_dp`
+    reads its cells through (`curves._CoshCells`): shape, size, and `band`,
+    which fills out with the band's cells, +inf off the matrix."""
+
+    def __init__(self, dist):
+        self.dist = np.asarray(dist, dtype=float)
+        self.shape, self.size = self.dist.shape, self.dist.size
+
+    def band(self, k, i, out, scratch):
+        m = self.shape[1]
+        rows, cols, inside = band_cells(k, i, out.shape, m)
+        out[...] = np.where(inside, self.dist[rows, np.clip(cols, 0, m - 1)], np.inf)
+        return out
+
+
+def frechet_wavefront(dist) -> float:
+    """The Frechet DP over a whole distance matrix, the path
+    `curves._frechet_dp` took before it read its cells a band at a time: the
+    same anti-diagonal wavefront, with the cells of a diagonal a strided
+    slice of the raveled matrix."""
+    n, m = dist.shape
+    if n == 1 or m == 1:
+        return float(np.max(dist))   # a single row or column: its running max
+    flat = np.ascontiguousarray(dist, dtype=float).ravel()
+    older = np.full(n + 1, np.inf)   # diagonal k - 2
+    prev = np.full(n + 1, np.inf)    # diagonal k - 1
+    cur = np.full(n + 1, np.inf)
+    prev[1] = flat[0]
+    mins = np.empty(n)
+    for k in range(1, n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1)
+        w = hi - lo + 1
+        mn = mins[:w]
+        np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=mn)
+        np.minimum(mn, older[lo:hi + 1], out=mn)
+        np.maximum(flat[lo * m + k - lo::m - 1][:w], mn, out=cur[lo + 1:hi + 2])
+        older, prev, cur = prev, cur, older
+    return float(prev[n])
+
+
 def discrete_frechet(p_samples, q_samples) -> float:
     """Discrete Frechet distance between two sample polylines, with
-    hyperbolic leg distance (complex samples)."""
+    hyperbolic leg distance (complex samples), by `curves._frechet_dp`."""
     p = np.atleast_1d(np.asarray(p_samples, dtype=complex))
     q = np.atleast_1d(np.asarray(q_samples, dtype=complex))
     if len(p) == 0 or len(q) == 0:
         raise ValueError("sample lists must be non-empty")
     d = hyperbolic_distance_array(p[:, None], q[None, :])
-    return _frechet_dp(d)
+    return _frechet_dp(MatrixCells(d))
 
 
 def strip_distance_matrix(s1, t1, s2, t2):
@@ -51,9 +103,9 @@ def directed_curve_distance(c1, c2, level: int) -> float:
 
 
 def curve_frechet(c1, c2, level: int) -> float:
-    """`curves.curve_frechet` on the distance matrix."""
-    return _frechet_dp(strip_distance_matrix(*c1.strip_refine(level),
-                                             *c2.strip_refine(level)))
+    """`curves.curve_frechet` on the whole distance matrix."""
+    return frechet_wavefront(strip_distance_matrix(*c1.strip_refine(level),
+                                                   *c2.strip_refine(level)))
 
 
 def dh(a: complex, b: complex) -> float:

@@ -384,8 +384,9 @@ class TestExitCodes:
         assert not os.listdir(tmp_path)
 
     def test_matrix_over_cell_budget_is_2(self, tmp_path, capsys, monkeypatch):
-        # 8,172 samples a curve, far under the sample budget
-        monkeypatch.setattr(cv, "_strip_distance_matrix", None)
+        # 8,172 samples a curve, far under the sample budget; refused before
+        # any cell is computed
+        monkeypatch.setattr(cv, "_CoshCells", None)
         assert run(["frechet", "--curve1", "horocycle:0", "--curve2", "horocycle:0:-1",
                     "--level", "21"], tmp_path) == 2
         assert ("error: curves horocycle:0 and horocycle:0 at level 21: 66781584 "

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 
@@ -638,12 +639,21 @@ class TestEquivalence:
             assert [x.hex() for x in w.backward] == [x.hex() for x in v.forward]
 
     def test_one_matrix_per_direction(self, radius, horocycle, monkeypatch):
-        built = []
-        matrix = cv._strip_distance_matrix
-        monkeypatch.setattr(cv, "_strip_distance_matrix",
-                            lambda *a: built.append(a) or matrix(*a))
+        # each direction reads the cells of its deepest level once, in blocks
+        # of rows against the other curve's samples; one matrix a level and
+        # direction would read each cell up to 12 times
+        cells = collections.Counter()
+        kernel = cv._strip_distance_matrix
+
+        def counting(s1, ct1, st1, s2, *rest):
+            cells[id(s2)] += s1.size * s2.size
+            return kernel(s1, ct1, st1, s2, *rest)
+
+        monkeypatch.setattr(cv, "_strip_distance_matrix", counting)
         cv.are_equivalent(radius, horocycle, 12)
-        assert len(built) == 2   # one a level and direction would be 24
+        assert cells == {
+            id(c2.strip_refine(14)[0]): len(c1.strip_refine(12)[0]) * len(c2.strip_refine(14)[0])
+            for c1, c2 in ((radius, horocycle), (horocycle, radius))}
 
     def test_relation_properties_on_family(self):
         fam = [cv.canonical_curve("radius", 0.0),

@@ -69,41 +69,52 @@ SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 13), (13, 5), (17, 17),
 SHAPE_IDS = [f"{n}x{m}" for n, m in SHAPES]
 
 
+def assert_dp_matches_cell_loop(dist, monkeypatch):
+    """`_frechet_dp` on the matrix, in bands of the default size, of one
+    diagonal and of seven cells (ragged band edges), and the whole-matrix
+    wavefront of tests/reference.py, all against the cell loop as float.hex."""
+    want = cell_loop_frechet(dist).hex()
+    assert ref.frechet_wavefront(dist).hex() == want
+    for block in (cv._PRODUCT_BLOCK_CELLS, 1, 7):
+        monkeypatch.setattr(cv, "_PRODUCT_BLOCK_CELLS", block)
+        assert cv._frechet_dp(ref.MatrixCells(dist)).hex() == want
+
+
 class TestFrechetWavefront:
     """`_frechet_dp` against the cell loop, compared as float.hex."""
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-    def test_random_matrices_bit_identical(self, shape):
+    def test_random_matrices_bit_identical(self, shape, monkeypatch):
         rng = np.random.default_rng(41)
         for _ in range(5):
-            dist = rng.exponential(2.0, shape)
-            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+            assert_dp_matches_cell_loop(rng.exponential(2.0, shape), monkeypatch)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-    def test_ties_bit_identical(self, shape):
+    def test_ties_bit_identical(self, shape, monkeypatch):
         rng = np.random.default_rng(43)
         for decimals in (0, 1):
             dist = np.round(rng.uniform(0.0, 4.0, shape), decimals)
-            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+            assert_dp_matches_cell_loop(dist, monkeypatch)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-    def test_infinite_cells_bit_identical(self, shape):
+    def test_infinite_cells_bit_identical(self, shape, monkeypatch):
         rng = np.random.default_rng(47)
         for frac in (0.1, 0.5, 0.9):
             dist = rng.uniform(0.0, 3.0, shape)
             dist[rng.uniform(size=shape) < frac] = np.inf
-            assert cv._frechet_dp(dist).hex() == cell_loop_frechet(dist).hex()
+            assert_dp_matches_cell_loop(dist, monkeypatch)
         # a coupling must pass both corners and cross every row and column
         for cell in ((0, 0), (-1, -1), (shape[0] // 2, slice(None)),
                      (slice(None), shape[1] // 2)):
             dist = rng.uniform(0.0, 3.0, shape)
             dist[cell] = np.inf
-            assert cv._frechet_dp(dist) == cell_loop_frechet(dist) == np.inf
+            assert cell_loop_frechet(dist) == np.inf
+            assert_dp_matches_cell_loop(dist, monkeypatch)
 
-    def test_non_contiguous_input(self):
+    def test_non_contiguous_input(self, monkeypatch):
         dist = np.random.default_rng(53).exponential(1.0, (30, 70))
         for view in (dist.T, dist[::2, ::3], np.asfortranarray(dist)):
-            assert cv._frechet_dp(view).hex() == cell_loop_frechet(view).hex()
+            assert_dp_matches_cell_loop(view, monkeypatch)
 
 
 class TestDiscreteFrechet:
@@ -148,7 +159,7 @@ class TestDiscreteFrechet:
         t1, t2 = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 6)
         z1 = ge.strip_to_disk(s1, t1)
         z2 = ge.strip_to_disk(s2, t2)
-        value = cv._distance_of_cosh(cv._frechet_dp(cv._strip_distance_matrix(s1, t1, s2, t2)))
+        value = cv._distance_of_cosh(cv._frechet_dp(cv._CoshCells(s1, t1, s2, t2)))
         assert value == pytest.approx(discrete_frechet(z1, z2), abs=1e-9)
 
 
@@ -273,6 +284,54 @@ def zigzag(r, n):
     return g1, g2, cv.zigzag_truncation_level(mk)
 
 
+def dp_cells(s1, t1, s2, t2):
+    """Every cell `_frechet_dp` reads from `_CoshCells(s1, t1, s2, t2)`, put
+    back in its (n1, n2) place from the bands it reads them in; checks that
+    every cell is read and that every band cell off the matrix is +inf."""
+    cells = cv._CoshCells(s1, t1, s2, t2)
+    n, m = cells.shape
+    matrix = np.full((n, m), np.nan)
+
+    class Recording:
+        shape, size = cells.shape, cells.size
+
+        def band(self, k, i, out, scratch):
+            band = cells.band(k, i, out, scratch)
+            rows, cols, inside = ref.band_cells(k, i, band.shape, m)
+            assert np.all(band[~inside] == np.inf)
+            matrix[rows[inside], cols[inside]] = band[inside]
+            return band
+
+    cv._frechet_dp(Recording())
+    assert not np.any(np.isnan(matrix))
+    return matrix
+
+
+def directed_cells(c1, c2, level):
+    """Every cell `directed_curve_distance(c1, c2, level)` reads, its
+    `_strip_distance_matrix` blocks of rows stacked."""
+    blocks = []
+    kernel = cv._strip_distance_matrix
+
+    def recording(*args):
+        blocks.append(kernel(*args).copy())
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cv, "_strip_distance_matrix", recording)
+        cv.directed_curve_distance(c1, c2, level)
+    return np.concatenate(blocks)
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCoshDomain:
     """The curve distances take their max and min on cosh d and convert the
     result once; the reference converts every cell first.  Compared as
@@ -296,12 +355,13 @@ class TestCoshDomain:
             c1, c2 = cv.canonical_curve(*spec1), cv.canonical_curve(*spec2)
             for level in (12, 14, 16):
                 self.assert_matches_reference(c1, c2, level)
-                # every cell, not only the ones the max and min pick
+                # every cell, not only the ones the max and min pick, as
+                # the directed distance's row blocks and the DP's bands
                 s1, t1 = c1.strip_refine(level)
                 s2, t2 = c2.strip_refine(level + 2)
-                c = cv._strip_distance_matrix(s1, t1, s2, t2)
-                assert np.array_equal(np.arccosh(np.maximum(c, 1.0)),
-                                      ref.strip_distance_matrix(s1, t1, s2, t2))
+                want = ref.strip_distance_matrix(s1, t1, s2, t2)
+                for c in (directed_cells(c1, c2, level), dp_cells(s1, t1, s2, t2)):
+                    assert np.array_equal(np.arccosh(np.maximum(c, 1.0)), want)
 
     @pytest.mark.parametrize("r", [0.4, 0.5])
     def test_zigzag_pairs_bit_identical(self, r):
@@ -318,26 +378,106 @@ class TestCoshDomain:
         assert len(imported.strip_refine(16)[0]) == len(imported.strip_refine(8)[0])
         self.assert_matches_reference(imported, cv.canonical_curve("radius", 0.0), 14)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_small_blocks_bit_identical(self, block, monkeypatch):
+        # bands of one diagonal, and of seven cells: ragged band edges, and
+        # a band narrower than a row where 7 // n is 0
+        monkeypatch.setattr(cv, "_PRODUCT_BLOCK_CELLS", block)
+        for spec1, spec2 in (COSH_PAIRS["radius-horocycle"][1], COSH_PAIRS["chord-chord"][0]):
+            self.assert_matches_reference(cv.canonical_curve(*spec1),
+                                          cv.canonical_curve(*spec2), 10)
+        self.assert_matches_reference(*zigzag(0.4, 2))
+        radius, chord = cv.canonical_curve("radius", 0.0), cv.canonical_curve("chord", 0.0, 0.5)
+        s1, t1 = radius.strip_refine(8)
+        s2, t2 = chord.strip_refine(10)
+        want = ref.strip_distance_matrix(s1, t1, s2, t2)
+        for c in (directed_cells(radius, chord, 8), dp_cells(s1, t1, s2, t2),
+                  dp_cells(s2, t2, s1, t1).T):
+            assert np.array_equal(np.arccosh(np.maximum(c, 1.0)), want)
+
     def test_matrix_rows_span_several_product_blocks(self):
-        # rows of 1,000 cells: two whole blocks of rows and a partial third
+        # rows of 133 cells: bands of 492 diagonals over 1,132, two whole
+        # and a partial third; transposed, rows of 1,000 and bands of 65
         n = 2 * (cv._PRODUCT_BLOCK_CELLS // 1000) + 3
         rng = np.random.default_rng(59)
         s1, s2 = rng.uniform(0, 30, n), rng.uniform(0, 30, 1000)
         t1, t2 = rng.uniform(-2, 2, n), rng.uniform(-2, 2, 1000)
-        c = cv._strip_distance_matrix(s1, t1, s2, t2)
-        assert np.array_equal(np.arccosh(np.maximum(c, 1.0)),
-                              ref.strip_distance_matrix(s1, t1, s2, t2))
+        want = ref.strip_distance_matrix(s1, t1, s2, t2)
+        for c in (dp_cells(s1, t1, s2, t2), dp_cells(s2, t2, s1, t1).T):
+            assert np.array_equal(np.arccosh(np.maximum(c, 1.0)), want)
 
-    def test_frechet_peak_memory_per_cell(self):
-        # lemma4's largest pair, 692 x 3,641 cells; the arccosh-per-cell
-        # path peaked at 24 B a cell
+    def test_frechet_peak_memory_does_not_grow_with_cells(self):
+        # lemma4's largest pair, 692 x 3,641 cells: the whole cosh matrix
+        # peaked at 20 MB under tracemalloc, the bands at about 1.3 MB
         g1, g2, level = zigzag(0.4, 12)
         cells = len(g1.strip_refine(level)[0]) * len(g2.strip_refine(level)[0])
-        tracemalloc.start()
-        try:
-            cv.curve_frechet(g1, g2, level)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert cells == 692 * 3641
-        assert peak / cells <= 9.0
+        assert traced_peak(lambda: cv.curve_frechet(g1, g2, level)) <= 4 * 2**20
+
+    def test_directed_peak_memory_does_not_grow_with_cells(self):
+        # 2,044 x 4,088 cells: the whole cosh matrix peaked at 64 MiB under
+        # tracemalloc, the row blocks at about 1.9 MiB
+        c1 = cv.canonical_curve("horocycle", 0.0, 1)
+        c2 = cv.canonical_curve("horocycle", 0.0, -1)
+        cv.directed_curve_distance(c1, c2, 17)   # builds every level first
+        cells = len(c1.strip_refine(17)[0]) * len(c2.strip_refine(19)[0])
+        assert cells >= 5_000_000
+        assert traced_peak(lambda: cv.directed_curve_distance(c1, c2, 17)) <= 4 * 2**20
+
+
+class TestCellOracle:
+    """The streamed cells against cosh d evaluated in 50-digit arithmetic
+    from the same double samples.
+
+    Error model, in units of 2^-53: the rounding of s1 - s2 moves cosh by up
+    to |s1 - s2| units, and cosh, the two products and the difference add a
+    few more, amplified by cancellation in the difference, by
+    cond = cosh(s1 - s2) cosh t1 cosh t2 / cosh d.  So a cell's relative error
+    is read in units of 2^-53 cond (1 + |s1 - s2|).  Measured worst: 4.3 of
+    those units (the horocycle pair at level 14); relative errors up to
+    1.0e-15 on the canonical pairs and 1.4e-14 on the 12-zigzag pair, whose
+    s reaches 170.  Asserted below 16 units, a 3.7x margin."""
+
+    UNITS = 16.0
+
+    @staticmethod
+    def worst_units(s1, t1, s2, t2, rng):
+        import mpmath as mp
+
+        c = dp_cells(s1, t1, s2, t2)
+        # random cells, and each row's nearest, where the difference cancels most
+        rows = np.r_[rng.integers(0, len(s1), 100), np.arange(len(s1))]
+        cols = np.r_[rng.integers(0, len(s2), 100), np.argmin(c, axis=1)]
+        worst = 0.0
+        with mp.workdps(50):
+            for i, j in zip(rows, cols):
+                ds = mp.mpf(s1[i]) - mp.mpf(s2[j])
+                terms = mp.cosh(ds) * mp.cosh(t1[i]) * mp.cosh(t2[j])
+                exact = terms - mp.sinh(t1[i]) * mp.sinh(t2[j])
+                err = abs(mp.mpf(c[i, j]) - exact) / exact
+                units = err / (2.0 ** -53 * (terms / exact) * (1 + abs(ds)))
+                worst = max(worst, float(units))
+        return worst
+
+    @pytest.mark.parametrize("kind", COSH_PAIRS)
+    def test_canonical_pairs(self, kind):
+        rng = np.random.default_rng(61)
+        for spec1, spec2 in COSH_PAIRS[kind]:
+            c1, c2 = cv.canonical_curve(*spec1), cv.canonical_curve(*spec2)
+            for level in (12, 14, 16):
+                units = self.worst_units(*c1.strip_refine(level), *c2.strip_refine(level), rng)
+                assert units < self.UNITS
+
+    def test_horocycle_pair(self):
+        rng = np.random.default_rng(67)
+        c1 = cv.canonical_curve("horocycle", 0.0, 1)
+        c2 = cv.canonical_curve("horocycle", 0.0, -1)
+        for level in (12, 14, 16):
+            assert self.worst_units(*c1.strip_refine(level), *c2.strip_refine(level), rng) < self.UNITS
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_zigzag_pairs(self, n):
+        g1, g2, level = zigzag(0.4, n)
+        units = self.worst_units(*g1.strip_refine(level), *g2.strip_refine(level),
+                                 np.random.default_rng(71))
+        assert units < self.UNITS
