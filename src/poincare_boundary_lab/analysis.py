@@ -415,6 +415,9 @@ def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,
     """Checks the split-pair hypotheses: f converges to alpha along seq_a,
     stays spherically delta-away along seq_b, and the two sequences merge in
     the hyperbolic metric.  All three holding flags both sequences."""
+    if not 0.0 < delta <= 2.0:  # spherical distances are at most 2; NaN fails too
+        raise ValueError(f"split-pair delta must be a spherical distance in "
+                         f"(0, 2], got {delta!r}")
     za = np.asarray([as_complex(p) for p in seq_a], dtype=complex)
     zb = np.asarray([as_complex(p) for p in seq_b], dtype=complex)
     if len(za) != len(zb):

@@ -55,10 +55,12 @@ CELL_BUDGET = 20_000_000
 # row where a row is longer
 _PRODUCT_BLOCK_CELLS = 1 << 16
 # half-width of ParametricCurve._step's rounding band, in units of
-# 2^-52 / depth(point(lo)); inside the band a gap evaluated on the bracket
-# [lo, u] is trusted to within half of it, 8 units (an mpmath oracle puts the
-# worst error there at 0.64 of those units, and tests/test_curves.py checks
-# that it stays below 1, an 8x margin)
+# 2^-52 / depth(point(u/2)), the deepest point a step from u may evaluate;
+# inside the band a gap from point(u) to a point of [u/2, u] is trusted to
+# within half of it, 8 units (an mpmath oracle puts the worst error there at
+# 0.64 of those units, and tests/test_curves.py checks that it stays below
+# 1, an 8x margin).  The closed-form bracket of a step sits 1.25 of it either
+# side of HYP_MESH
 GAP_ERROR_ULPS = 16.0
 # the smallest double d whose evaluated log1p(d) - log1p(-d) reaches
 # HYP_MESH, so that for d < 1 the gap is below HYP_MESH exactly when d is
@@ -191,80 +193,96 @@ class ParametricCurve(BoundaryCurve):
     """Curve given by a parameter u decreasing to 0 as the point approaches
     the endpoint; samples are stepped in hyperbolic arclength by bisection.
 
-    `_step` skips the bisection evaluations whose outcome is already known,
-    and relies on two properties of point_fn for that:
+    `beyond(u, g)` is the parameter at hyperbolic distance g past point(u),
+    in closed form.  `_step` takes from it only a bracket of outcomes it
+    need not evaluate, so the samples are the bisection's bit for bit.  The
+    skipping relies on two properties of point_fn:
     - monotone gaps: the exact hyperbolic distance from point(u) to point(v)
       grows as v decreases from u.  Hyperbolic disks are Euclidean disks, so
       they are convex, which settles the chords; a horocycle is a horizontal
       line in the upper half-plane, where the distance between two of its
       points grows with their Euclidean gap.
-    - a rounding bound: on a bracket [lo, u], with
-      tau = GAP_ERROR_ULPS * 2^-52 / (1 - |point(lo)|) and GAP_ERROR_ULPS
-      = 16, the evaluated gap log1p(d) - log1p(-d) of d = `_ph_gap(point(u),
-      point(v))` clipped to the band HYP_MESH +- tau is within tau/2 of the
-      exact gap clipped the same way.  Inside the band that is the plain
-      error; an exact gap outside the band is never evaluated more than
-      tau/2 into it.  The error comes from the cancellation in
-      1 - a conj(b) (Higham 2002, ch. 3), so it scales with one over the
-      depth of the deepest point, point(lo).  It also grows with the gap,
-      like sinh(gap), which is why only the band is bounded.  tau/2 is 8 of
-      the units above, 8 times the error bound tests/test_curves.py checks
-      against mpmath.
-    Both hold for the chords and horocycles of canonical_curve.
+    - a rounding bound: for v in [u/2, u], with tau = GAP_ERROR_ULPS * 2^-52
+      / (1 - |point(u/2)|) and GAP_ERROR_ULPS = 16, the evaluated gap
+      log1p(d) - log1p(-d) of d = `_ph_gap(point(u), point(v))` clipped to
+      the band HYP_MESH +- tau is within tau/2 of the exact gap clipped the
+      same way.  Inside the band that is the plain error; an exact gap
+      outside the band is never evaluated more than tau/2 into it.  The
+      error comes from the cancellation in 1 - a conj(b) (Higham 2002, ch.
+      3), so it scales with one over the depth of the deepest point the step
+      may evaluate, point(u/2), where its halving starts.  It also grows with
+      the gap, like sinh(gap), which is why only the band is bounded.  tau/2
+      is 8 of the units above, 8 times the error bound tests/test_curves.py
+      checks against mpmath.
+    Both hold for the chords and horocycles of canonical_curve, whose
+    `beyond` tests/test_curves.py checks against mpmath too.
 
     `sample_bound` maps a level to an upper bound on its sample count.
     """
 
-    def __init__(self, endpoint_angle, point_fn, u_start, sample_bound, label="curve"):
+    def __init__(self, endpoint_angle, point_fn, beyond, u_start, sample_bound,
+                 label="curve"):
         super().__init__(endpoint_angle, label)
         self._point = point_fn          # u -> complex disk point
+        self._beyond = beyond           # (u, gap) -> parameter
         self._u = [float(u_start)]
         self._pts = [complex(point_fn(u_start))]
         self._bound = sample_bound
+
+    def _bracket(self, u: float, z) -> tuple[float, float]:
+        """(a, b) = beyond(u, HYP_MESH +- 1.25 tau) if a >= u/2, the
+        evaluated gap at a is at least HYP_MESH + tau and the one at b at
+        most HYP_MESH - tau, which leaves tau/4 (4 units) for the error of
+        either; else (0, inf).  An evaluation that raises (d >= 1 in
+        log1p(-d)) or gives NaN certifies nothing."""
+        def gap(v):
+            d = _ph_gap(z, self._point(v))
+            return math.log1p(d) - math.log1p(-d)
+
+        depth = 1.0 - abs(self._point(0.5 * u))
+        if depth > 0.0:
+            tau = GAP_ERROR_ULPS * 2.0 ** -52 / depth
+            a = self._beyond(u, HYP_MESH + 1.25 * tau)
+            b = self._beyond(u, HYP_MESH - 1.25 * tau)
+            try:
+                if 0.5 * u <= a and gap(a) >= HYP_MESH + tau and gap(b) <= HYP_MESH - tau:
+                    return a, b
+            except ValueError:
+                pass
+        return 0.0, math.inf
 
     def _step(self, u: float, z: complex) -> float:
         """Parameter of the next sample after the sample z = point(u).
 
         Halve u until the gap reaches HYP_MESH, then bisect the bracket
-        [lo, hi] 60 times at mid = 0.5 * (lo + hi): a gap below HYP_MESH
-        moves hi, any other moves lo.  The result is the one of evaluating
-        every mid, with fewer evaluations:
-        - `_certified_bracket` finds a < b with the evaluated gap at a at
-          least HYP_MESH + tau and the one at b at most HYP_MESH - tau.  By
-          the rounding bound, the clipped exact gap is above HYP_MESH + tau/2
-          at a and below HYP_MESH - tau/2 at b; by monotonicity the same
-          holds at every mid <= a and every mid >= b; by the rounding bound
-          again, evaluating such a mid would give at least HYP_MESH (move
-          lo) or less than HYP_MESH (move hi).  So it is moved without an
-          evaluation, and only mids in (a, b) are evaluated.
+        [lo, hi] at mid = 0.5 * (lo + hi): a gap below HYP_MESH moves hi, any
+        other moves lo.  One loop does both: while lo is 0, mid halves hi.
+        The result is the one of evaluating every mid, with fewer
+        evaluations:
+        - `_bracket` certifies a >= u/2 with an evaluated gap of at least
+          HYP_MESH + tau and b with one of at most HYP_MESH - tau.  By the
+          rounding bound, the clipped exact gap is above HYP_MESH + tau/2 at
+          a and below HYP_MESH - tau/2 at b; by monotonicity the same holds
+          at every mid <= a and every mid >= b; by the rounding bound again,
+          evaluating such a mid would give at least HYP_MESH (move lo) or
+          less than HYP_MESH (move hi).  So it is moved without an
+          evaluation, and only mids in (a, b) are evaluated.  The halving
+          stops at u/2 <= a, so every mid lies in [u/2, u], where the bound
+          holds.  Uncertified, (a, b) is (0, inf): every mid is evaluated.
         - A mid in (a, b) compares d = `_ph_gap` with `_MESH_PH` instead of
           the gap with HYP_MESH, which gives the same outcome without the
           two log1p: d >= 1, where log1p(-d) would raise, raises ValueError,
           and a NaN d moves lo, as a NaN gap does.
         - Once mid rounds to lo or hi, every later mid does too and repeats
-          an outcome already taken there, so the loop stops.
-        Without a certificate, a = lo and b = hi, and every mid is
-        evaluated.
+          an outcome already taken there, so the loop stops.  The halving
+          leaves hi = 2 lo, and the 2^52 doubles of [lo, 2 lo] are about
+          halved by each mid, so that is within about 54 bisections: the cap
+          of 60 that the bisection is defined with never binds.
         """
         z = np.complex128(z)
-        hi, g_hi = u, 0.0                 # the gap from z to itself
-        lo = u * 0.5
+        a, b = self._bracket(u, z)
+        lo, hi = 0.0, u
         while True:
-            p = self._point(lo)
-            d = _ph_gap(z, p)
-            g_lo = math.log1p(d) - math.log1p(-d)
-            if not g_lo < HYP_MESH:
-                break
-            hi, g_hi = lo, g_lo
-            lo *= 0.5
-            if lo < 1e-300:
-                raise RuntimeError("curve parametrization does not reach the boundary")
-        a, b = lo, hi
-        depth = 1.0 - abs(p)
-        if depth > 0.0:
-            a, b = self._certified_bracket(
-                z, lo, g_lo, hi, g_hi, GAP_ERROR_ULPS * 2.0 ** -52 / depth)
-        for _ in range(60):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
@@ -280,48 +298,9 @@ class ParametricCurve(BoundaryCurve):
                     raise ValueError("pseudo-hyperbolic distance rounds to 1")
                 else:
                     lo = mid
+        if not lo:
+            raise RuntimeError("curve parametrization does not reach the boundary")
         return lo
-
-    def _certified_bracket(self, z, lo, g_lo, hi, g_hi, tau):
-        """(a, b) with lo <= a < b <= hi: a is lo or a probe whose gap is at
-        least HYP_MESH + tau, b is hi or one whose gap is at most
-        HYP_MESH - tau.
-
-        Each probe is a secant step through the last two points, aimed at a
-        gap 2 tau past HYP_MESH on the side opposite the last point, so the
-        probes close in on the crossing from both sides.  The secant runs in
-        (1/v, sinh(gap/2)): along a horocycle sinh(gap/2) is linear in
-        cot(v/2), which is close to 2/v.  The probing stops once both a and
-        b have gaps within 4 tau of HYP_MESH, after 8 probes, or when a
-        probe leaves (a, b).  A probe only narrows (a, b): one whose gap
-        falls in the band, or whose evaluation raises (d >= 1 in log1p(-d)),
-        certifies nothing.
-        """
-        a, b = lo, hi
-        w0, g0, w1, g1 = 1.0 / lo, g_lo, 1.0 / hi, g_hi
-        a_close = b_close = False
-        for _ in range(8):
-            q0, q1 = math.sinh(0.5 * g0), math.sinh(0.5 * g1)
-            if q0 == q1:
-                break
-            y = HYP_MESH + 2.0 * tau if g1 < HYP_MESH else HYP_MESH - 2.0 * tau
-            w = w1 + (math.sinh(0.5 * y) - q1) * (w0 - w1) / (q0 - q1)
-            x = 1.0 / w if w > 0.0 else 0.0
-            if not a < x < b:
-                break
-            try:
-                d = _ph_gap(z, self._point(x))
-                g = math.log1p(d) - math.log1p(-d)
-            except ValueError:
-                break
-            if g >= HYP_MESH + tau:
-                a, a_close = x, g <= HYP_MESH + 4.0 * tau
-            elif g <= HYP_MESH - tau:
-                b, b_close = x, g >= HYP_MESH - 4.0 * tau
-            if a_close and b_close:
-                break
-            w0, g0, w1, g1 = w1, g1, w, g
-        return a, b
 
     def _sample_bound(self, level):
         return self._bound(level)
@@ -385,7 +364,16 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         rot = complex(np.exp(1j * theta))
         lean = complex(np.exp(-1j * alpha))
         fn = lambda u: rot * (1.0 - u * lean)
-        return ParametricCurve(theta, fn, math.cos(alpha),
+        c = math.cos(alpha)
+
+        def beyond(u, g):
+            # in the upper half-plane the chord is a Euclidean ray, point(u)
+            # at rho = (2c/u - 1)/c from its foot: r = sqrt(rho'/rho) solves
+            # r - 1/r = 2 c sinh(gap/2)
+            r = (q := c * math.sinh(0.5 * g)) + math.hypot(1.0, q)
+            return 2.0 * c / ((2.0 * c / u - 1.0) * r * r + 1.0)
+
+        return ParametricCurve(theta, fn, beyond, c,
                                lambda level: _chord_bound(alpha, level),
                                f"chord:{theta:g}:{alpha:g}")
     if kind == "hypercycle":
@@ -396,15 +384,22 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         # arclength step producing chordal hyperbolic gaps of HYP_MESH; the
         # radius passes HYP_MESH itself, which this rounds to 0.25000000000000006
         c = (math.cosh(HYP_MESH) + math.sinh(t0) ** 2) / math.cosh(t0) ** 2
-        return HypercycleCurve(theta, t0, math.acosh(max(c, 1.0)),
-                               f"hypercycle:{theta:g}:{offset:g}")
+        ds = math.acosh(max(c, 1.0))
+        if not ds > 0.0:
+            raise ValueError(f"hypercycle offset {offset!r} is too close to "
+                             f"the boundary: its arclength step rounds to 0")
+        return HypercycleCurve(theta, t0, ds, f"hypercycle:{theta:g}:{offset:g}")
     if kind == "horocycle":
         if parameter not in (None, 1, -1):
             raise ValueError(f"horocycle side must be 1 or -1, got {parameter!r}")
         rot = complex(np.exp(1j * theta))
         turn = -1j if parameter == -1 else 1j
         fn = lambda phi: rot * (1.0 + cmath.exp(turn * phi)) / 2.0
-        return ParametricCurve(theta, fn, math.pi, _horocycle_bound,
+        # in the upper half-plane the horocycle is the line y = 1, point(phi)
+        # at x = -+2 cot(phi/2), and sinh(gap/2) = |dx|/2 on it
+        beyond = lambda phi, g: 2.0 * math.atan2(
+            1.0, 1.0 / math.tan(0.5 * phi) + math.sinh(0.5 * g))
+        return ParametricCurve(theta, fn, beyond, math.pi, _horocycle_bound,
                                f"horocycle:{theta:g}")
     raise ValueError(f"unknown curve kind {kind!r}")
 

@@ -63,6 +63,21 @@ MALFORMED_SPECS = [
     (["curve-dist", "--curve1", "lemniscate:0", "--curve2", "radius:0"],
      "bad curve spec 'lemniscate:0'; expected radius:theta | chord:theta:angle | "
      "hypercycle:theta:offset | horocycle:theta[:side]"),
+    # an offset this close to +-1 rounds the arclength step to 0, which raised
+    # ZeroDivisionError with a traceback
+    (["curve-dist", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.999999999"],
+     "bad curve spec 'hypercycle:0:0.999999999': hypercycle offset 0.999999999 is "
+     "too close to the boundary: its arclength step rounds to 0"),
+    (["equiv", "--curve1", "hypercycle:0:-0.999999999", "--curve2", "radius:0"],
+     "bad curve spec 'hypercycle:0:-0.999999999': hypercycle offset -0.999999999 is "
+     "too close to the boundary"),
+    (["frechet", "--curve1", "radius:0", "--curve2", "hypercycle:0:0.9999999999"],
+     "bad curve spec 'hypercycle:0:0.9999999999': hypercycle offset 0.9999999999 is "
+     "too close to the boundary"),
+    (["normality", "--function", "identity", "--curve", "hypercycle:0:0.99999999999",
+      "--deflection", "0.5"],
+     "bad curve spec 'hypercycle:0:0.99999999999': hypercycle offset 0.99999999999 is "
+     "too close to the boundary"),
     (["gallery", "--name", "identity:5"], "bad function spec 'identity:5'; expected identity"),
     (["gallery", "--name", "pole_series:12:7"],
      "bad function spec 'pole_series:12:7'; expected pole_series[:K]"),
@@ -222,6 +237,19 @@ class TestExitCodes:
             report = json.loads(latest_report(tmp_path, "pseq"))
             assert report["arguments"]["delta"] == report["details"]["delta"] == \
                 float(delta or cli.PSEQ_DELTA)
+
+    @pytest.mark.parametrize("delta", ["nan", "-1", "5", "inf", "0"])
+    def test_split_pair_refuses_a_delta_outside_0_2(self, tmp_path, capsys, delta):
+        # spherical distances are at most 2: these exited 0 with a
+        # separated_along_b that meant nothing
+        assert run(["pseq", "--function", "pole_series", "--mode", "split-pair",
+                    "--sequence", "poles:4", "--delta", delta], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: split-pair delta must be a spherical distance in "
+                       f"(0, 2], got {float(delta)!r}\n")
+        assert not os.listdir(tmp_path)
+        assert run(["pseq", "--function", "pole_series", "--mode", "split-pair",
+                    "--sequence", "poles:4", "--delta", "2"], tmp_path) == 0
 
     @pytest.mark.parametrize("argv,message", [
         (["cluster", "--function", "identity", "--region", "radius-angle"],

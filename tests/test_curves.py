@@ -120,6 +120,8 @@ class TestCanonicalCurves:
         ("horocycle", -2.0, "horocycle side must be 1 or -1, got -2.0"),
         ("horocycle", math.nan, "horocycle side must be 1 or -1, got nan"),
         ("hypercycle", None, "hypercycle offset must be in (-1, 1)"),
+        ("hypercycle", -0.999999999, "hypercycle offset -0.999999999 is too close to "
+         "the boundary: its arclength step rounds to 0"),
     ])
     def test_parameter_a_kind_does_not_take_is_refused(self, kind, parameter, message):
         # a horocycle used to read any side >= 0 as +1 and any other as -1
@@ -172,17 +174,18 @@ class TestParametricSampling:
                 assert np.array_equal(a, b)
 
 
-def _recording_certificates(curve):
-    """Make `curve` record (lo, hi, a, b) of each certified bracket."""
+def _recording_brackets(curve):
+    """Make `curve` record (u, a, b) of each step's bracket, (0, inf) where
+    it is not certified."""
     calls = []
-    certify = type(curve)._certified_bracket
+    bracket = type(curve)._bracket
 
-    def record(z, lo, g_lo, hi, g_hi, tau):
-        a, b = certify(curve, z, lo, g_lo, hi, g_hi, tau)
-        calls.append((lo, hi, a, b))
+    def record(u, z):
+        a, b = bracket(curve, u, z)
+        calls.append((u, a, b))
         return a, b
 
-    curve._certified_bracket = record
+    curve._bracket = record
     return calls
 
 
@@ -190,16 +193,18 @@ def _case_id(x):
     return "%s:%g:%g" % x if isinstance(x, tuple) else str(x)
 
 
-def _halving_bracket(curve, u, z):
-    hi, lo = u, u * 0.5
+def _halvings(curve, u, z):
+    """How many times the halving of a step from z = point(u) halves u."""
+    n, lo = 1, u * 0.5
     while ref.dh(z, curve._point(lo)) < cv.HYP_MESH:
-        hi, lo = lo, lo * 0.5
-    return lo, hi
+        n, lo = n + 1, lo * 0.5
+    return n
 
 
 class TestCertifiedBisection:
-    """ParametricCurve._step skips the bisection midpoints whose outcome the
-    rounding band decides; these tests evaluate what it skips."""
+    """ParametricCurve._step skips the halving and bisection points whose
+    outcome its closed-form bracket decides; these tests evaluate what it
+    skips."""
 
     SHADOW = [(("chord", th, a), 22) for th in (0.0, 2.5, -1.3)
               for a in (0.5, -0.4, -1.55)]
@@ -209,16 +214,15 @@ class TestCertifiedBisection:
     @pytest.mark.parametrize("spec,level", SHADOW, ids=_case_id)
     def test_skipped_midpoints_agree_with_evaluation(self, spec, level):
         curve = cv.canonical_curve(*spec)
-        calls = _recording_certificates(curve)
+        calls = _recording_brackets(curve)
         curve.strip_refine(level)
         us, pts = curve._u, curve._pts
-        assert len(calls) == len(us) - 1
+        assert [u for u, _, _ in calls] == us[:-1]
         skipped = 0
-        for u, z, u_next, (lo0, hi0, a, b) in zip(us, pts, us[1:], calls):
-            # the bisection of every midpoint, 60 times
-            lo, hi = _halving_bracket(curve, u, z)
-            assert (lo, hi) == (lo0, hi0)
-            for _ in range(60):
+        for z, u_next, (u, a, b) in zip(pts, us[1:], calls):
+            # the halving, then the bisection of every midpoint, 60 times
+            lo, hi = 0.0, u
+            for _ in range(_halvings(curve, u, z) + 60):
                 mid = 0.5 * (lo + hi)
                 close = ref.dh(z, curve._point(mid)) < cv.HYP_MESH
                 if lo < mid < hi and not a < mid < b:
@@ -275,10 +279,9 @@ class TestCertifiedBisection:
         s_ref, t_ref = ge.disk_to_strip(arr[:keep], spec[1])
         assert np.array_equal(s, s_ref) and np.array_equal(t, t_ref)
 
-    def test_evaluations_per_horocycle_step(self, monkeypatch):
-        # evaluating every midpoint costs 61 a step (one halving, 60
-        # bisections); the certified bisection spends 20.7
-        curve = cv.canonical_curve("horocycle", 0.0, 1)
+    @staticmethod
+    def evaluations_per_step(monkeypatch, spec, level):
+        curve = cv.canonical_curve(*spec)
         count = [0]
         ph_gap = cv._ph_gap
 
@@ -287,15 +290,45 @@ class TestCertifiedBisection:
             return ph_gap(z, p)
 
         monkeypatch.setattr(cv, "_ph_gap", counted)
-        curve.strip_refine(18)
-        assert count[0] / (len(curve._u) - 1) <= 23
+        curve.strip_refine(level)
+        return count[0] / (len(curve._u) - 1)
+
+    def test_evaluations_per_horocycle_step(self, monkeypatch):
+        # evaluating every midpoint costs about 54 a step (one halving, 53
+        # bisections); the closed-form bracket spends 17.92
+        assert self.evaluations_per_step(monkeypatch, ("horocycle", 0.0, 1), 18) <= 18
+
+    @pytest.mark.parametrize("spec", [("chord", 0.0, 0.5), ("chord", 2.5, -1.55)],
+                             ids=_case_id)
+    def test_evaluations_per_chord_step(self, monkeypatch, spec):
+        # 20.26 and 20.40, about as many as a horocycle step
+        assert self.evaluations_per_step(monkeypatch, spec, 22) <= 21
 
     def test_raising_probe_certifies_nothing(self, monkeypatch):
         # a distance that rounds to 1 makes log1p(-d) raise
         curve = cv.canonical_curve("chord", 0.0, 0.5)
         monkeypatch.setattr(cv, "_ph_gap", lambda z, p: 1.0)
         z = np.complex128(curve._pts[0])
-        assert curve._certified_bracket(z, 0.25, 1.0, 0.5, 0.0, 1e-12) == (0.25, 0.5)
+        assert curve._bracket(curve._u[0], z) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("case", ["nan", "a below u/2", "no margin", "sides swapped"])
+    def test_failed_certification_certifies_nothing(self, case):
+        # a bracket its evaluations do not certify is (0, inf), and the step
+        # still evaluates its way to the bisection's sample
+        good = cv.canonical_curve("horocycle", 0.0)
+        mesh, beyond = cv.HYP_MESH, good._beyond
+        curve = cv.canonical_curve("horocycle", 0.0)
+        curve._beyond = {
+            "nan": lambda u, g: math.nan,
+            "a below u/2": lambda u, g: 0.4 * u if g > mesh else beyond(u, g),
+            "no margin": lambda u, g: beyond(u, mesh),
+            "sides swapped": lambda u, g: beyond(u, 2.0 * mesh - g),
+        }[case]
+        u, z = good._u[0], np.complex128(good._pts[0])
+        assert good._bracket(u, z) != (0.0, math.inf)
+        assert curve._bracket(u, z) == (0.0, math.inf)
+        assert curve.strip_refine(6)[0].tobytes() == good.strip_refine(6)[0].tobytes()
+        assert curve._u == good._u
 
     @pytest.mark.parametrize("d", [0.0, np.nextafter(cv._MESH_PH, 0.0), cv._MESH_PH,
                                    0.5, 1.0, 2.0, math.inf, math.nan])
@@ -310,8 +343,8 @@ class TestCertifiedBisection:
             e = fake(z, p)
             return math.log1p(e) - math.log1p(-e)
 
-        curve = cv.ParametricCurve(0.0, complex, 1.0, lambda level: 2)
-        curve._certified_bracket = lambda z, lo, g_lo, hi, g_hi, tau: (lo, hi)
+        curve = cv.ParametricCurve(0.0, complex, None, 1.0, lambda level: 2)
+        curve._bracket = lambda u, z: (0.0, math.inf)
         monkeypatch.setattr(cv, "_ph_gap", fake)
         outcomes = []
         for step in (curve._step, lambda u, z: ref.bisection_step(complex, u, z, gap)):
@@ -377,21 +410,22 @@ class TestCertifiedBisection:
 
     @pytest.mark.parametrize("spec,level", ORACLE, ids=_case_id)
     def test_gap_error_against_mpmath(self, spec, level):
-        """Inside the band HYP_MESH +- tau, an evaluated gap is within one
-        unit 2^-52 / depth(point(lo)) of the exact distance between the
-        exact curve points, and an exact gap outside the band is not
-        evaluated more than one unit into it: with GAP_ERROR_ULPS = 16, 8
-        times inside the tau/2 that _step relies on."""
+        """Inside the band HYP_MESH +- tau, an evaluated gap from point(u) to
+        a point of [u/2, u] is within one unit 2^-52 / depth(point(u/2)) of
+        the exact distance between the exact curve points, and an exact gap
+        outside the band is not evaluated more than one unit into it: with
+        GAP_ERROR_ULPS = 16, 8 times inside the tau/2 that _step relies on."""
         import mpmath as mp
 
         kind, theta, par = spec
         curve = cv.canonical_curve(*spec)
-        calls = _recording_certificates(curve)
+        calls = _recording_brackets(curve)
         curve.strip_refine(level)
         rng = np.random.default_rng(7)
         steps = np.unique(np.linspace(0, len(calls) - 1, 40).astype(int))
         mesh = cv.HYP_MESH
         worst = 0.0
+        certified = 0
         with mp.workprec(200):
             rot = mp.expj(mp.mpf(theta))
             if kind == "chord":
@@ -400,19 +434,64 @@ class TestCertifiedBisection:
             else:
                 point = lambda v: rot * (1 + mp.expj(par * mp.mpf(v))) / 2
             for i in steps:
-                u, z = curve._u[i], curve._pts[i]
-                lo, _, a, b = calls[i]
+                u, a, b = calls[i]
+                z, lo = curve._pts[i], 0.5 * u
                 unit = 2.0 ** -52 / (1.0 - abs(curve._point(lo)))
                 tau = cv.GAP_ERROR_ULPS * unit
                 band = lambda x: min(max(x, mesh - tau), mesh + tau)
-                vs = np.concatenate([[lo, a, b, curve._u[i + 1]], np.linspace(a, b, 12),
-                                     rng.uniform(lo, u, 12)])
+                vs = [lo, curve._u[i + 1], *rng.uniform(lo, u, 12)]
+                if a:
+                    certified += 1
+                    vs += [a, b, *np.linspace(a, b, 12)]
                 for v in vs:
                     g = ref.dh(z, curve._point(float(v)))
                     p, q = point(u), point(v)
                     exact = float(2 * mp.atanh(abs(p - q) / abs(1 - p * mp.conj(q))))
                     worst = max(worst, abs(band(g) - band(exact)) / unit)
+        assert certified > len(steps) // 2
         assert worst < 1.0
+
+
+class TestClosedFormSteps:
+    """The closed forms a chord or horocycle step brackets its bisection
+    with: `beyond(u, g)` is the parameter at hyperbolic distance g past
+    point(u).  They do not depend on the endpoint, so they are checked at
+    theta = 0."""
+
+    @pytest.mark.parametrize("spec", [
+        ("horocycle", 0.0, 1), ("horocycle", 0.0, -1), ("chord", 0.0, 0.0),
+        ("chord", 0.0, 0.5), ("chord", 0.0, -1.55), ("chord", 0.0, 1.55)], ids=_case_id)
+    def test_beyond_against_mpmath(self, spec):
+        """Stepped from the first sample by beyond(u, HYP_MESH) for
+        SAMPLE_BUDGET steps, or until u passes 1e-290, the exact distance
+        from point(u) to point(beyond(u, g)) is g to within 4 units: 2^-52 /
+        sqrt(depth(point(beyond(u, g)))) along a horocycle, whose x = -+2
+        cot(phi/2) in the upper half-plane rounds relative to its size,
+        2^-52 / cos(alpha) along a chord, whose distance from its foot does.
+        The worst seen is 1.85 and 2.92 units (alpha = +-1.55)."""
+        import mpmath as mp
+
+        kind, _, par = spec
+        curve = cv.canonical_curve(*spec)
+        us = [curve._u[0]]
+        while len(us) < cv.SAMPLE_BUDGET and us[-1] > 1e-290:
+            us.append(curve._beyond(us[-1], cv.HYP_MESH))
+        assert len(us) == cv.SAMPLE_BUDGET or kind == "chord"
+        worst = 0.0
+        with mp.workprec(1200):   # resolves 1 - |z| down to 1e-290
+            if kind == "chord":
+                lean = mp.expj(-mp.mpf(par))
+                point = lambda v: 1 - mp.mpf(v) * lean
+            else:
+                point = lambda v: (1 + mp.expj(par * mp.mpf(v))) / 2
+            for i in np.unique(np.geomspace(1, len(us), 30).astype(int) - 1):
+                for g in (0.5 * cv.HYP_MESH, cv.HYP_MESH, 1.5 * cv.HYP_MESH):
+                    v = curve._beyond(us[i], g)
+                    p, q = point(us[i]), point(v)
+                    exact = 2 * mp.atanh(abs(p - q) / abs(1 - p * mp.conj(q)))
+                    scale = mp.sqrt(1 - abs(q)) if kind == "horocycle" else math.cos(par)
+                    worst = max(worst, float(abs(exact - g) * scale) / 2.0 ** -52)
+        assert worst <= 4.0
 
 
 def _strip_digest(curve, level):
