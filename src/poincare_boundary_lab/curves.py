@@ -344,6 +344,12 @@ class HypercycleCurve(BoundaryCurve):
         return _offset_run_length(0.0, self.t0, self._ds, level)
 
 
+def _spec_number(x: float) -> str:
+    """x as a spec field that parses back to x: `:g` where that round-trips,
+    else repr (`hypercycle:0:0.99999999`, not `hypercycle:0:1`)."""
+    return text if float(text := f"{x:g}") == x else repr(x)
+
+
 def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> BoundaryCurve:
     """Canonical curve families ending at e^{i theta}.
 
@@ -356,7 +362,7 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
     if kind == "radius":
         if parameter not in (None, 0):  # the offset of the radius is 0
             raise ValueError(f"a radius takes no parameter, got {parameter!r}")
-        return HypercycleCurve(theta, 0.0, HYP_MESH, f"radius:{theta:g}")
+        return HypercycleCurve(theta, 0.0, HYP_MESH, f"radius:{_spec_number(theta)}")
     if kind == "chord":
         if parameter is None or not -math.pi / 2 < parameter < math.pi / 2:
             raise ValueError("chord angle must be in (-pi/2, pi/2)")
@@ -375,7 +381,7 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
 
         return ParametricCurve(theta, fn, beyond, c,
                                lambda level: _chord_bound(alpha, level),
-                               f"chord:{theta:g}:{alpha:g}")
+                               f"chord:{_spec_number(theta)}:{_spec_number(alpha)}")
     if kind == "hypercycle":
         if parameter is None or not -1.0 < parameter < 1.0:
             raise ValueError("hypercycle offset must be in (-1, 1)")
@@ -388,7 +394,8 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         if not ds > 0.0:
             raise ValueError(f"hypercycle offset {offset!r} is too close to "
                              f"the boundary: its arclength step rounds to 0")
-        return HypercycleCurve(theta, t0, ds, f"hypercycle:{theta:g}:{offset:g}")
+        return HypercycleCurve(theta, t0, ds,
+                               f"hypercycle:{_spec_number(theta)}:{_spec_number(offset)}")
     if kind == "horocycle":
         if parameter not in (None, 1, -1):
             raise ValueError(f"horocycle side must be 1 or -1, got {parameter!r}")
@@ -400,7 +407,7 @@ def canonical_curve(kind: str, theta: float, parameter: float | None = None) -> 
         beyond = lambda phi, g: 2.0 * math.atan2(
             1.0, 1.0 / math.tan(0.5 * phi) + math.sinh(0.5 * g))
         return ParametricCurve(theta, fn, beyond, math.pi, _horocycle_bound,
-                               f"horocycle:{theta:g}")
+                               f"horocycle:{_spec_number(theta)}")
     raise ValueError(f"unknown curve kind {kind!r}")
 
 

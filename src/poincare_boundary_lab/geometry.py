@@ -60,9 +60,8 @@ def pseudo_hyperbolic_distance(z, w) -> float:
 
 
 def hyperbolic_distance(z, w) -> float:
-    """d_h = log((1 + d_ph) / (1 - d_ph)); the Poincare distance."""
-    d = pseudo_hyperbolic_distance(z, w)
-    return math.log1p(d) - math.log1p(-d)
+    """The Poincare distance; `hyperbolic_distance_array` for two points."""
+    return float(hyperbolic_distance_array(as_complex(z), as_complex(w)))
 
 
 def radius_convert(r: float, direction: Literal["ph_to_h", "h_to_ph"]) -> float:
@@ -93,10 +92,11 @@ def spherical_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants, without domain validation.  The scalar forms above
-# stay separate: routed through these numpy kernels they change the last
-# digits of some `pblab metric` values and of the selftest's
-# cluster_candidate_distance.
+# vectorized variants, without domain validation.  The pseudo-hyperbolic and
+# spherical scalar forms above stay separate: routed through these numpy
+# kernels they change the last digits of some `pblab metric` values and of
+# the selftest's cluster_candidate_distance.  `hyperbolic_distance` is this
+# module's kernel read at one point pair.
 
 
 def pseudo_hyperbolic_distance_array(z, w):
@@ -106,8 +106,19 @@ def pseudo_hyperbolic_distance_array(z, w):
 
 
 def hyperbolic_distance_array(z, w):
-    d = pseudo_hyperbolic_distance_array(z, w)
-    return np.log1p(d) - np.log1p(-d)
+    """The Poincare distance d_h = 2 asinh(|z - w| / sqrt(q)), with
+    q = ((1 - |z|)(1 + |z|)) ((1 - |w|)(1 + |w|)).
+
+    It equals log((1 + d_ph) / (1 - d_ph)) but does not go through d_ph:
+    near the boundary 1 - d_ph is tiny, and one ulp of d_ph there is about
+    1e-12 of the distance. Swapping the points only swaps the two factors of
+    q, so the value is bit-for-bit symmetric.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    az, aw = np.abs(z), np.abs(w)
+    q = ((1.0 - az) * (1.0 + az)) * ((1.0 - aw) * (1.0 + aw))
+    return 2.0 * np.arcsinh(np.abs(z - w) / np.sqrt(q))
 
 
 def spherical_distance_array(a, b):

@@ -40,6 +40,39 @@ class TestDistances:
         assert ge.hyperbolic_distance(0.0, math.tanh(0.5)) == pytest.approx(1.0, abs=1e-12)
         assert ge.hyperbolic_distance(0.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-12)
 
+    def test_hyperbolic_distance_against_mpmath_near_the_boundary(self):
+        # the distance is read from each point's 1 - |z|^2, so one ulp of |z|
+        # moves it by about eps / (1 - |z|)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        rng = np.random.default_rng(3)
+        for depth in (1e-1, 1e-3, 1e-6, 1e-9, 1e-12):
+            z, w = ((1 - depth * rng.uniform(0.5, 2, 40))
+                    * np.exp(1j * rng.uniform(0, 2 * math.pi, 40)) for _ in range(2))
+            w[:20] = z[:20] * np.exp(1j * depth * rng.uniform(-3, 3, 20))  # close pairs
+            exact = np.array([float(2 * mp.asinh(abs(mp.mpc(a) - mp.mpc(b)) / mp.sqrt(
+                (1 - abs(mp.mpc(a)) ** 2) * (1 - abs(mp.mpc(b)) ** 2)))) for a, b in zip(z, w)])
+            near = np.minimum(1 - np.abs(z), 1 - np.abs(w))
+            scalar = np.array([ge.hyperbolic_distance(a, b) for a, b in zip(z, w)])
+            # measured: at most 1.03 eps / (1 - |z|); the scalar is the array kernel
+            for got in (ge.hyperbolic_distance_array(z, w), scalar):
+                assert np.max(np.abs(got - exact) * near) <= 4 * np.finfo(float).eps
+
+    def test_hyperbolic_distance_is_bit_symmetric(self):
+        rng = np.random.default_rng(20)
+        z, w = sample_disk(rng, 2000), sample_disk(rng, 2000)
+        assert np.array_equal(ge.hyperbolic_distance_array(z, w),
+                              ge.hyperbolic_distance_array(w, z))
+        assert all(ge.hyperbolic_distance(a, b) == ge.hyperbolic_distance(b, a)
+                   for a, b in zip(z[:200], w[:200]))
+
+    def test_metric_suite_passes_seeds_0_to_199(self):
+        # log1p(d_ph) - log1p(-d_ph) missed the 1e-12 symmetry bound on 19 of
+        # them (11, 20, 37, ...), by up to 2.07e-12
+        from poincare_boundary_lab import selftest as sft
+        failed = [seed for seed in range(200) if not sft.criterion_metric_suite(seed)[0]]
+        assert failed == []
+
     def test_spherical_examples(self):
         inf = complex(math.inf, 0.0)
         assert ge.spherical_distance(1 + 2j, 1 + 2j) == 0.0

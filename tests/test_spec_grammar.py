@@ -1,12 +1,13 @@
 """The spec grammar: `cli.parse_spec` over the CLI's five tables.
 
-Every well-formed spec that the README, the CI examples and the
-`frechet_curves` benchmark catalogue use, and every kind at its shortest and
-longest arity, must build the same object as the hand parsers the grammar
-replaced (kept unchanged in tests/reference.py), compared as float.hex.  The
-demos build their curves and functions directly and use no spec.  A
-derandomised fuzz runs specs drawn from the tables through cheap subcommands:
-each run must exit 0, 2, 3 or 4, without an exception or a RuntimeWarning.
+Every well-formed spec that the README, the CLI contract table in
+tests/test_cli.py and the `frechet_curves` benchmark catalogue use, and every
+kind at its shortest and longest arity, must build the same object as the
+hand parsers the grammar replaced (kept unchanged in tests/reference.py),
+compared as float.hex.  The demos build their curves and functions directly
+and use no spec.  A derandomised fuzz runs specs drawn from the tables
+through cheap subcommands: each run must exit 0, 2, 3 or 4, without an
+exception or a RuntimeWarning.
 """
 
 import contextlib
@@ -23,11 +24,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import reference
+from test_cli import ROWS
 from poincare_boundary_lab import cli
+from poincare_boundary_lab import curves as cv
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-CI = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
 
 TABLES = {"CURVES": "curve", "FUNCTIONS": "function", "PROFILES": "profile",
           "REGIONS": "region", "SEQUENCES": "sequence"}
@@ -44,12 +46,12 @@ def _catalogue() -> list[str]:
 
 
 def _used_specs() -> list[tuple[str, str]]:
-    """(table, spec) for every spec of a README example, of a CI example that
-    is expected to run (exit 0, 3 or 4), of the README text and of the
+    """(table, spec) for every spec of a README example, of a contract row
+    that is expected to run (exit 0, 3 or 4), of the README text and of the
     frechet_curves catalogue, and the default --sequence."""
     commands = [line[len("pblab "):] for line in README.splitlines()
                 if line.startswith("pblab ")]
-    commands += [m.group(1) for m in re.finditer(r"^\s*expect [034] (.*)$", CI, re.M)]
+    commands += [row.argv for row in ROWS if row.code in (0, 3, 4)]
     commands += _catalogue()
     found = {("SEQUENCES", "poles:8")}
     for command in commands:
@@ -151,6 +153,36 @@ class TestSameBuild:
             arities = {spec.count(":") for spec in ARITY_SPECS[table]
                        if spec.split(":")[0] == kind}
             assert {usage.partition("[")[0].count(":"), len(parsers)} <= arities, kind
+
+
+def _samples_or_refusal(curve):
+    try:
+        s, t = curve.strip_refine(4)
+    except ValueError as exc:  # over the sample budget, which names the label
+        return str(exc)
+    return _hex(s), _hex(t)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(hs.sampled_from(["radius", "chord", "hypercycle", "horocycle"]),
+       hs.floats(-4.0, 4.0), hs.floats(-0.9999999999, 0.9999999999))
+# `:g` named these hypercycle:0:1, chord:0.523599:0.3 and horocycle:0.523599,
+# which do not parse back
+@example("hypercycle", 0.0, 0.99999999)
+@example("chord", math.pi / 6, 0.3)
+@example("horocycle", math.pi / 6, 0.0)
+def test_curve_label_parses_back(kind, theta, p):
+    # a horocycle's label names no side, so it is drawn on side 1
+    parameter = {"radius": None, "chord": 1.5 * p, "hypercycle": p, "horocycle": None}[kind]
+    try:
+        built = cv.canonical_curve(kind, theta, parameter)
+    except ValueError:  # an offset whose arclength step rounds to 0
+        return
+    again = cli.parse_spec(cli.CURVES, "curve", built.label)
+    assert again.label == built.label
+    assert again.endpoint_angle.hex() == built.endpoint_angle.hex()
+    assert getattr(again, "t0", 0.0).hex() == getattr(built, "t0", 0.0).hex()
+    assert _samples_or_refusal(again) == _samples_or_refusal(built)
 
 
 class TestTables:
