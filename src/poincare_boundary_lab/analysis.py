@@ -311,21 +311,13 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
         raise ValueError("max_level must be >= 4")
     template = _disk_template(region.deflection, COVER_MESH) if region.deflection > 0 \
         else np.zeros(1, dtype=complex)
-    pts_all: list[np.ndarray] = []
-    intro_all: list[np.ndarray] = []
-    prev_count = 0
-    for k in range(1, max_level + 1):
-        ws = region.curve.refine(k)
-        new_ws = ws[prev_count:]
-        prev_count = len(ws)
-        if len(new_ws):
-            pts = np.concatenate([
-                mobius_translation(w).apply(template) for w in new_ws])
-            pts = pts[np.abs(pts) < 1.0 - DISK_BOUNDARY_MARGIN]
-            pts_all.append(pts)
-            intro_all.append(np.full(len(pts), k))
-    pool = np.concatenate(pts_all)
-    intro = np.concatenate(intro_all)
+    ws = region.curve.refine(max_level)
+    # each sample's level: the first whose prefix of the curve holds it
+    ends = [len(region.curve.strip_refine(k)[0]) for k in range(1, max_level + 1)]
+    first = np.searchsorted(ends, np.arange(len(ws)), side="right") + 1
+    pool = np.concatenate([mobius_translation(w).apply(template) for w in ws])
+    inside = np.abs(pool) < 1.0 - DISK_BOUNDARY_MARGIN
+    pool, intro = pool[inside], np.repeat(first, len(template))[inside]
     vals = lehto_virtanen_array(f, pool)
     bad = ~np.isfinite(vals)
     failures = int(np.sum(bad))

@@ -3,10 +3,10 @@
 A BoundaryCurve is a simple curve in the open disk ending at a unit-modulus
 point e^{i theta}, represented by an ordered sample polyline plus a refinement
 rule: refine(k) samples the curve at hyperbolic gaps of about HYP_MESH
-through the first sample of depth 1 - |z| <= 2^{-k}, a cut `_level_end` makes
-for every curve class, imported samples too.  Refinement is prefix-consistent:
-refine(k+1) extends refine(k).  Each class bounds a level's sample count
-before building it, and a level over SAMPLE_BUDGET is refused.
+through the first sample of depth 1 - |z| <= 2^{-k}, imported samples too.
+A curve keeps one sample run, its deepest level built, and every level is a
+prefix of it, so refine(k+1) extends refine(k).  Each class bounds a level's
+sample count before building it, and a level over SAMPLE_BUDGET is refused.
 
 The module provides the deflection regions Delta_r gamma (unions of closed
 pseudo-hyperbolic disks along the curve), the directed truncated Hausdorff
@@ -83,8 +83,8 @@ def _depth_target(level: int) -> float:
 
 
 def _level_end(depth, level: int) -> int:
-    """How many samples level `level` keeps: every sample through the first
-    one with depth <= 2^-level, or all of them if none is that deep."""
+    """How many samples of a run level `level` keeps: every sample through
+    the first one with depth <= 2^-level, or all of them if none is that deep."""
     deep = depth <= _depth_target(level)
     return int(np.argmax(deep)) + 1 if np.any(deep) else len(deep)
 
@@ -132,38 +132,38 @@ def _chord_bound(alpha: float, level: int) -> int:
 
 
 class BoundaryCurve:
-    """Base class: subclasses fill _build_strip, cut with `_level_end`."""
+    """Base class: subclasses fill _build_strip(level) with (s, t, depth) of
+    an uncut sample run through that level; every level is the prefix of the
+    deepest run built that `_cut` keeps."""
 
     def __init__(self, endpoint_angle: float, label: str = "curve"):
         self.endpoint_angle = float(endpoint_angle)
         self.label = label
-        self._levels: dict[int, np.ndarray] = {}
-        self._strip_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._run = None        # (s, t, depth) of the deepest level built
+        self._run_level = 0
 
     # -- public surface ----------------------------------------------------
 
     def refine(self, level: int) -> np.ndarray:
-        """Complex samples out to depth 2^{-level}; memoized and nested."""
-        if level not in self._levels:
-            s, t = self.strip_refine(level)
-            self._levels[level] = strip_to_disk(s, t, self.endpoint_angle)
-        return self._levels[level]
+        """Complex samples out to depth 2^{-level}; nested."""
+        return strip_to_disk(*self.strip_refine(level), self.endpoint_angle)
 
     def strip_refine(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Axial-coordinate samples (s, t); exact arbitrarily deep.  Every
-        truncated view of a curve comes through here, so the level is
-        checked here once: a level predicted to hold more than SAMPLE_BUDGET
-        samples is refused before any of them is built."""
+        truncated view of a curve is a prefix of the run: a level deeper
+        than the run rebuilds it, and is refused, unbuilt, if predicted to
+        hold more than SAMPLE_BUDGET samples."""
         if level < 1:
             raise ValueError("level must be >= 1")
-        if level not in self._strip_levels:
+        if level > self._run_level:
             n = self._sample_bound(level)
             if n > SAMPLE_BUDGET:
                 raise ValueError(
                     f"curve {self.label} at level {level}: {n} samples "
                     f"predicted, above the budget of {SAMPLE_BUDGET}")
-            self._strip_levels[level] = self._build_strip(level)
-        return self._strip_levels[level]
+            self._run, self._run_level = self._build_strip(level), level
+        n = self._cut(level)
+        return self._run[0][:n], self._run[1][:n]
 
     def max_gap(self, level: int) -> float:
         """Max adjacent-sample pseudo-hyperbolic gap (the sampling slack)."""
@@ -176,6 +176,10 @@ class BoundaryCurve:
 
     def _build_strip(self, level):
         raise NotImplementedError
+
+    def _cut(self, level) -> int:
+        """How many samples of the run level `level` keeps."""
+        return _level_end(self._run[2], level)
 
     def _sample_bound(self, level) -> int:
         """An upper bound on len(strip_refine(level)), without building it."""
@@ -306,8 +310,8 @@ class ParametricCurve(BoundaryCurve):
         return self._bound(level)
 
     def _build_strip(self, level):
-        # extends the shared samples in place; a step that raises leaves a
-        # valid prefix, and each level is cut from it by `_level_end`
+        # extends the samples in place; a step that raises leaves a valid
+        # prefix, which a later level extends
         target = _depth_target(level)
         us, pts = self._u, self._pts
         try:
@@ -322,8 +326,7 @@ class ParametricCurve(BoundaryCurve):
                 f"curve {self.label} at level {level}: depth 2^-{level} is "
                 f"below what complex-double samples resolve") from None
         arr = np.asarray(pts, dtype=complex)
-        n = _level_end(1.0 - np.abs(arr), level)
-        return disk_to_strip(arr[:n], self.endpoint_angle)
+        return (*disk_to_strip(arr, self.endpoint_angle), 1.0 - np.abs(arr))
 
 
 class HypercycleCurve(BoundaryCurve):
@@ -337,8 +340,7 @@ class HypercycleCurve(BoundaryCurve):
 
     def _build_strip(self, level):
         s, t = _offset_run(0.0, self.t0, self._ds, level)
-        keep = _level_end(strip_depth(s, t), level)
-        return s[:keep], t[:keep]
+        return s, t, strip_depth(s, t)
 
     def _sample_bound(self, level):
         return _offset_run_length(0.0, self.t0, self._ds, level)
@@ -761,10 +763,15 @@ class StripPolylineCurve(BoundaryCurve):
         # (keeps truncation ends of different curves aligned to within one
         # mesh step)
         tail_s, tail_t = _offset_run(s[-1], self.tail_offset, self._tail_ds, level)
-        tail_s, tail_t = tail_s[1:], tail_t[1:]
-        keep = _level_end(strip_depth(tail_s, tail_t), level)
-        return (np.concatenate([s, tail_s[:keep]]),
-                np.concatenate([t, tail_t[:keep]]))
+        s, t = np.concatenate([s, tail_s[1:]]), np.concatenate([t, tail_t[1:]])
+        return s, t, strip_depth(s, t)
+
+    def _cut(self, level):
+        # the polyline whole, then the tail through its first sample at depth
+        # <= 2^-level, but none past the level's own run (none at all where
+        # the polyline ends past that run's s_end)
+        p = len(self._dense[0])
+        return min(p + _level_end(self._run[2][p:], level), self._sample_bound(level))
 
     def _sample_bound(self, level):
         s = self._dense[0]
@@ -909,8 +916,8 @@ class SampleBackedCurve(BoundaryCurve):
                 f"not inside the unit disk")
 
     def _build_strip(self, level):
-        keep = _level_end(1.0 - np.abs(self._fixed), level)
-        return disk_to_strip(self._fixed[:keep], self.endpoint_angle)
+        return (*disk_to_strip(self._fixed, self.endpoint_angle),
+                1.0 - np.abs(self._fixed))
 
     def _sample_bound(self, level):
         return len(self._fixed)

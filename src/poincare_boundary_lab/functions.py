@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import _spec_number
 from .geometry import (
     MobiusAutomorphism,
     as_complex,
@@ -112,7 +113,7 @@ def identity_function() -> FunctionHandle:
 
 def constant_function(c) -> FunctionHandle:
     cv = complex(c)
-    return CallableFunction(f"constant:{cv}",
+    return CallableFunction(f"constant:{_spec_number(cv.real)},{_spec_number(cv.imag)}",
                             lambda z: np.full_like(z, cv),
                             lambda z: np.zeros_like(z))
 
@@ -125,7 +126,8 @@ def automorphism_function(m: MobiusAutomorphism) -> FunctionHandle:
     def dfn(z):
         return scale / (1.0 + z * np.conj(w)) ** 2
 
-    return CallableFunction(f"automorphism:{w}", m.apply, dfn)
+    return CallableFunction(f"automorphism:{_spec_number(w.real)},{_spec_number(w.imag)}",
+                            m.apply, dfn)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +249,8 @@ class RationalPoleFunction(FunctionHandle):
     def __init__(self, schedule: PoleSchedule, damped: bool = False):
         self.damped = damped
         self.schedule = schedule
-        label = f"pole-series:K={len(schedule.pole_points)}"
-        self.label = f"damped-{label}" if damped else label
+        label = f"pole_series:{len(schedule.pole_points)}"
+        self.label = f"damped_{label}" if damped else label
         self.pole_points = schedule.pole_points
         self.coeffs = (schedule.radii ** 2).astype(float)
         self.pole_residues = self.coeffs * (self.pole_points - 1.0) if damped \

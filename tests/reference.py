@@ -144,6 +144,33 @@ def bisection_samples(curve, level: int):
     return us, pts
 
 
+def level_strip(curve, level: int):
+    """(s, t) of `curve` at `level` as each curve class built and cut every
+    level on its own, before each level became a prefix of one sample run
+    (`BoundaryCurve._cut`).  A ParametricCurve's samples are stepped in place
+    on `curve`, so pass one that the code under test does not read."""
+    if isinstance(curve, cv.ParametricCurve):
+        us, pts = curve._u, curve._pts
+        while 1.0 - abs(pts[-1]) > 2.0 ** -level:
+            us.append(curve._step(us[-1], pts[-1]))
+            pts.append(complex(curve._point(us[-1])))
+        arr = np.asarray(pts, dtype=complex)
+        keep = cv._level_end(1.0 - np.abs(arr), level)
+        return ge.disk_to_strip(arr[:keep], curve.endpoint_angle)
+    if isinstance(curve, cv.HypercycleCurve):
+        s, t = cv._offset_run(0.0, curve.t0, curve._ds, level)
+        keep = cv._level_end(ge.strip_depth(s, t), level)
+        return s[:keep], t[:keep]
+    if isinstance(curve, cv.StripPolylineCurve):
+        s, t = curve._dense
+        tail_s, tail_t = cv._offset_run(s[-1], curve.tail_offset, curve._tail_ds, level)
+        tail_s, tail_t = tail_s[1:], tail_t[1:]
+        keep = cv._level_end(ge.strip_depth(tail_s, tail_t), level)
+        return np.concatenate([s, tail_s[:keep]]), np.concatenate([t, tail_t[:keep]])
+    keep = cv._level_end(1.0 - np.abs(curve._fixed), level)   # SampleBackedCurve
+    return ge.disk_to_strip(curve._fixed[:keep], curve.endpoint_angle)
+
+
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:
     """1/f; since (1/f)# = f#, an independent cross-check of sph_array."""
 

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -584,6 +585,66 @@ class TestLevelEnd:
                 cv.curve_frechet(radius, chord, level)
 
 
+def _run_case(case):
+    """A fresh curve for a case id: a canonical spec, `zigzag:r:n` (gamma2
+    of the pair) or `import` (a chord exported at level 12)."""
+    kind, *rest = case.split(":")
+    if kind == "zigzag":
+        return cv.build_zigzag_pair(float(rest[0]), int(rest[1]))[1]
+    if kind == "import":
+        return cv.curve_from_exchange(
+            cv.curve_to_exchange(cv.canonical_curve("chord", 0.0, 0.5), 12))
+    return cv.canonical_curve(kind, *map(float, rest))
+
+
+def _run_levels(case):
+    if case.startswith("zigzag"):
+        _, r, n = case.split(":")
+        mk = cv.build_zigzag_pair(float(r), int(n))[2]
+        return [*range(1, 41), cv.zigzag_truncation_level(mk)]
+    return [*range(1, 25), *((30, 40, 45) if case.startswith("chord") else ())]
+
+
+_RUN_CASES = ["radius:0", "radius:2.5", "chord:0:0.5", "chord:2.5:-0.4", "chord:-1.3:-1.55",
+              "chord:0:1.5", "hypercycle:0:0.5", "hypercycle:2.5:-0.95", "horocycle:0:1",
+              "horocycle:2.5:-1", "import",
+              *(f"zigzag:{r}:{n}" for r in (0.3, 0.5) for n in (0, 1, 2, 3, 5, 8))]
+
+
+@pytest.fixture(scope="module", params=_RUN_CASES)
+def run_case(request):
+    """A case id, and its levels as the per-level builders give them."""
+    stepper = _run_case(request.param)
+    return request.param, {k: ref.level_strip(stepper, k) for k in _run_levels(request.param)}
+
+
+class TestLevelsAreOneRun:
+    """Every level is a prefix of one sample run, cut by `_cut`: the bytes of
+    strip_refine and refine are those of the per-level builders it replaced
+    (`reference.level_strip`), whatever order the levels are asked in."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_levels_match_per_level_builders(self, run_case, order):
+        case, want = run_case
+        levels = sorted(want, reverse=order == "descending")
+        if order == "shuffled":
+            random.Random(case).shuffle(levels)
+        curve = _run_case(case)
+        for k in levels:
+            s, t = curve.strip_refine(k)
+            disk = ge.strip_to_disk(*want[k], curve.endpoint_angle)
+            assert (s.tobytes(), t.tobytes()) == (want[k][0].tobytes(), want[k][1].tobytes())
+            assert curve.refine(k).tobytes() == disk.tobytes()
+
+    def test_lemma4_export_has_no_tail_sample(self):
+        # `lemma4 --r 0.5 --n-zigzags 8` reads gamma2 at level 121, then
+        # exports level 12, where the polyline ends past that level's own
+        # run: the deeper run's first tail sample must not join it
+        _, g2, mk = cv.build_zigzag_pair(0.5, 8)
+        g2.strip_refine(cv.zigzag_truncation_level(mk))
+        assert len(cv.curve_to_exchange(g2, 12)["samples"]) == len(g2._dense[0]) == 1856
+
+
 class TestSampleBudget:
     """strip_refine predicts a level's sample count before building it."""
 
@@ -615,7 +676,7 @@ class TestSampleBudget:
         assert curve._sample_bound(28) <= cv.SAMPLE_BUDGET < curve._sample_bound(29)
         with pytest.raises(ValueError, match="at level 29: 131073 samples predicted"):
             curve.strip_refine(29)
-        assert len(curve._u) == 1 and not curve._strip_levels
+        assert len(curve._u) == 1 and curve._run is None
         wide = cv.canonical_curve("hypercycle", 0.0, 0.999999)
         with pytest.raises(ValueError, match="above the budget of 100000"):
             wide.strip_refine(1)
@@ -720,18 +781,19 @@ class TestEquivalence:
     def test_one_matrix_per_direction(self, radius, horocycle, monkeypatch):
         # each direction reads the cells of its deepest level once, in blocks
         # of rows against the other curve's samples; one matrix a level and
-        # direction would read each cell up to 12 times
+        # direction would read each cell up to 12 times.  The cells are keyed
+        # by the other curve's sample count, which differs between the two
         cells = collections.Counter()
         kernel = cv._strip_distance_matrix
 
         def counting(s1, ct1, st1, s2, *rest):
-            cells[id(s2)] += s1.size * s2.size
+            cells[s2.size] += s1.size * s2.size
             return kernel(s1, ct1, st1, s2, *rest)
 
         monkeypatch.setattr(cv, "_strip_distance_matrix", counting)
         cv.are_equivalent(radius, horocycle, 12)
         assert cells == {
-            id(c2.strip_refine(14)[0]): len(c1.strip_refine(12)[0]) * len(c2.strip_refine(14)[0])
+            len(c2.strip_refine(14)[0]): len(c1.strip_refine(12)[0]) * len(c2.strip_refine(14)[0])
             for c1, c2 in ((radius, horocycle), (horocycle, radius))}
 
     def test_relation_properties_on_family(self):
@@ -753,6 +815,53 @@ class TestEquivalence:
                     ik = verdicts.get((min(i, k), max(i, k)))
                     if ij == "equivalent" and jk == "equivalent":
                         assert ik == "equivalent"
+
+
+# six catalogue pairs, as (kind, parameter) at a common endpoint angle
+_PAIRS = [(("radius", None), ("hypercycle", 0.5)), (("radius", None), ("chord", 0.5)),
+          (("radius", None), ("horocycle", 1)), (("chord", 0.5), ("horocycle", -1)),
+          (("hypercycle", -0.3), ("chord", -0.4)), (("chord", 0.3), ("chord", -0.4))]
+
+
+class TestMetamorphicRelations:
+    """Relations between curve distances that need no reference value."""
+
+    @staticmethod
+    def values(pair, theta, level, reflect=False, swap=False):
+        """curve_frechet and both directed distances of a pair of fresh
+        curves ending at e^{i theta}.  Reflected, every angle and parameter
+        changes sign.  Swapped, the second curve is passed first (and built
+        first), and its directions are read back in the first curve's order."""
+        sign = -1.0 if reflect else 1.0
+        c1, c2 = (cv.canonical_curve(kind, sign * theta, None if p is None else sign * p)
+                  for kind, p in pair)
+        if swap:
+            c1, c2 = c2, c1
+        v = cv.are_equivalent(c1, c2, level)
+        fwd, bwd = (v.backward, v.forward) if swap else (v.forward, v.backward)
+        return [cv.curve_frechet(c1, c2, level), *fwd, *bwd]
+
+    @pytest.mark.parametrize("level", [12, 14])
+    @pytest.mark.parametrize("theta", [0.0, 2.5])
+    @pytest.mark.parametrize("pair", _PAIRS, ids=lambda p: "-".join(k for k, _ in p))
+    def test_reflection_and_swap_are_exact(self, pair, theta, level):
+        # (theta, p) -> (-theta, -p) conjugates every sample, which flips t
+        # and keeps s: cosh t and sinh t1 sinh t2 are unchanged bit for bit
+        want = [x.hex() for x in self.values(pair, theta, level)]
+        assert [x.hex() for x in self.values(pair, theta, level, reflect=True)] == want
+        assert [x.hex() for x in self.values(pair, theta, level, swap=True)] == want
+
+    @pytest.mark.parametrize("level", [12, 14])
+    @pytest.mark.parametrize("pair", _PAIRS, ids=lambda p: "-".join(k for k, _ in p))
+    def test_rotation_moves_only_last_bits(self, pair, level):
+        # chords and horocycles are stepped in disk coordinates, so rotating
+        # the endpoint moves their last bits.  Measured at levels 12 and 14:
+        # the Frechet values move by 2.75e-13 relative at most, the directed
+        # distances by 2.24e-12 (0.2386 from hypercycle:-0.3 back to
+        # chord:-0.4, 5.3e-13 absolute)
+        turned, rest = self.values(pair, 2.5, level), self.values(pair, 0.0, level)
+        assert turned[0] == pytest.approx(rest[0], rel=1e-12, abs=0.0)
+        assert turned[1:] == pytest.approx(rest[1:], rel=4e-12, abs=0.0)
 
 
 class TestAngleInclusion:

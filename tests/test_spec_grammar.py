@@ -185,6 +185,33 @@ def test_curve_label_parses_back(kind, theta, p):
     assert _samples_or_refusal(again) == _samples_or_refusal(built)
 
 
+# the point a function is compared at: inside, near the boundary, near 1
+_LABEL_POINTS = np.array([0.0, 0.5, -0.3 + 0.4j, 0.9 + 0.05j, 0.999, 1.0 - 1e-9j])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(hs.sampled_from(sorted(cli.FUNCTIONS)), hs.complex_numbers(allow_nan=False),
+       hs.complex_numbers(max_magnitude=0.99, allow_nan=False),
+       hs.integers(10, 52))
+# str() named these constant:(1+2j), automorphism:(0.3+0j) and
+# pole-series:K=20, which do not parse back
+@example("constant", 1 + 2j, 0j, 10)
+@example("automorphism", 0j, 0.3 + 0j, 10)
+@example("pole_series", 0j, 0j, 20)
+@example("damped_pole_series", 0j, 0j, 52)
+@example("constant", complex(math.inf, -0.0), 0j, 10)
+def test_function_label_parses_back(kind, c, w, k):
+    fields = {"constant": f"{c.real!r},{c.imag!r}", "automorphism": f"{w.real!r},{w.imag!r}",
+              "pole_series": str(k), "damped_pole_series": str(k)}
+    built = cli.parse_function(f"{kind}:{fields[kind]}" if kind in fields else kind)
+    again = cli.parse_function(built.label)
+    assert again.label == built.label
+    for method in ("eval_array", "sph_array"):
+        with np.errstate(all="ignore"):
+            assert getattr(again, method)(_LABEL_POINTS).tobytes() == \
+                getattr(built, method)(_LABEL_POINTS).tobytes()
+
+
 class TestTables:
     @pytest.mark.parametrize("table", TABLES)
     def test_readme_names_every_usage(self, table):
