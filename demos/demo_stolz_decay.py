@@ -60,4 +60,4 @@ g = st.GRegion(0.3, math.pi / 6, 0.5)
 for label, p in [("radius point", 1 - g.rho / 2),
                  ("tangent-curve point", complex(g.curve.refine(6)[8])),
                  ("far point", -0.5 + 0.5j)]:
-    print(f"  {label:<20} -> {st.g_region_contains(g, p, 8)}")
+    print(f"  {label:<20} -> {g.contains(p, 8)}")

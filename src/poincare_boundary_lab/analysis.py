@@ -50,6 +50,13 @@ from .geometry import (
 )
 
 COVER_MESH = 0.1          # hyperbolic sub-sampling mesh inside disk covers
+# most disk-cover points normality_sup may pool, counted from the ring sizes
+# before any is built (about 90 bytes each with their values).  Every job the
+# README, the demos, the selftest and the benchmark run pools at most 20,167
+# (the radius at deflection 0.5, level 14), the CLI tests 339,556 (a
+# horocycle at level 14); the radius at deflection 0.999, level 12, would pool
+# 27,431,174.
+POOL_BUDGET = 4_000_000
 FAMILY_MESH = 0.02        # Euclidean grid step on the compact of a family check
 GROWTH_FACTOR = 2.0       # each of the last three steps >= x2 => diverging
 CONVERGE_TOL = 1e-3       # limit candidates / family convergence
@@ -87,17 +94,21 @@ def sup_trend_verdict(values) -> str:
 # disk-cover templates
 
 
-def _disk_template(r_ph: float, mesh: float) -> np.ndarray:
-    """Sample points of the origin-centered pseudo-hyperbolic disk of radius
-    r_ph, on rings spaced by `mesh` in the hyperbolic metric."""
+def _disk_rings(r_ph: float, mesh: float) -> list[tuple[float, int]]:
+    """(radius, point count) of each ring of _disk_template(r_ph, mesh)."""
     t_max = radius_convert(r_ph, "ph_to_h")
     ts = list(np.arange(mesh, t_max, mesh))
     if not ts or ts[-1] < t_max - 1e-12:
         ts.append(t_max)
+    return [(math.tanh(t / 2.0), max(8, int(math.ceil(2.0 * math.pi * math.sinh(t) / mesh))))
+            for t in ts]
+
+
+def _disk_template(r_ph: float, mesh: float) -> np.ndarray:
+    """Sample points of the origin-centered pseudo-hyperbolic disk of radius
+    r_ph, on rings spaced by `mesh` in the hyperbolic metric."""
     pts = [0.0 + 0.0j]
-    for t in ts:
-        n = max(8, int(math.ceil(2.0 * math.pi * math.sinh(t) / mesh)))
-        rho = math.tanh(t / 2.0)
+    for rho, n in _disk_rings(r_ph, mesh):
         ang = 2.0 * math.pi * np.arange(n) / n
         pts.extend(rho * np.exp(1j * ang))
     return np.asarray(pts, dtype=complex)
@@ -155,7 +166,9 @@ class _LockstepZoom:
         self.r_h = radius_convert(region.deflection, "ph_to_h") \
             if region.deflection > 0 else 0.0
         self.depth_floor = np.array([2.0 ** (-k) for k in levels])
-        self.samples = [region.curve.strip_refine(min(k + 2, 60)) for k in levels]
+        s, t = region.curve.strip_refine(max(levels) + 2)   # level k reads level k + 2
+        ends = region.curve.level_ends(max(levels) + 2)
+        self.samples = [(s[:ends[k + 1]], t[:ends[k + 1]]) for k in levels]
         # region-test blocks: levels whose sample counts n share
         # floor(log2 n), so a block pads each of its levels by less than 2x
         octave = [len(cs).bit_length() for cs, _ in self.samples]
@@ -305,15 +318,23 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     samples with 1 - |z| >= 2^{-k}, and refines the level's sample maximum
     with the cusp zoom (one lockstep batch for all levels).  Sups accumulate,
     so they are non-decreasing in k; the verdict follows the plateau/growth
-    rules.
+    rules.  A cover predicted to pool more than POOL_BUDGET points is
+    refused before it is built.
     """
     if max_level < 4:
         raise ValueError("max_level must be >= 4")
-    template = _disk_template(region.deflection, COVER_MESH) if region.deflection > 0 \
-        else np.zeros(1, dtype=complex)
+    rings = _disk_rings(region.deflection, COVER_MESH) if region.deflection > 0 else []
     ws = region.curve.refine(max_level)
+    n = (1 + sum(count for _, count in rings)) * len(ws)
+    if n > POOL_BUDGET:
+        raise ValueError(
+            f"normality of curve {region.curve.label} at deflection "
+            f"{region.deflection!r}, level {max_level}: {n} cover points, "
+            f"above the budget of {POOL_BUDGET}")
+    template = _disk_template(region.deflection, COVER_MESH) if rings \
+        else np.zeros(1, dtype=complex)
     # each sample's level: the first whose prefix of the curve holds it
-    ends = [len(region.curve.strip_refine(k)[0]) for k in range(1, max_level + 1)]
+    ends = region.curve.level_ends(max_level)
     first = np.searchsorted(ends, np.arange(len(ws)), side="right") + 1
     pool = np.concatenate([mobius_translation(w).apply(template) for w in ws])
     inside = np.abs(pool) < 1.0 - DISK_BOUNDARY_MARGIN
@@ -612,7 +633,7 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
 def radial_angle_membership(r_ph: float, theta: float = 0.0):
     """Vectorized exact membership predicate for the deflection region of the
     radius curve: pseudo-hyperbolic distance to the radius at most r_ph.
-    Cross-checked against the sampled angle_contains in the tests."""
+    Cross-checked against the sampled CurvilinearAngle.contains in the tests."""
     t_max = radius_convert(r_ph, "ph_to_h")
 
     def contains(z):

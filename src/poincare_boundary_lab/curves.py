@@ -4,9 +4,10 @@ A BoundaryCurve is a simple curve in the open disk ending at a unit-modulus
 point e^{i theta}, represented by an ordered sample polyline plus a refinement
 rule: refine(k) samples the curve at hyperbolic gaps of about HYP_MESH
 through the first sample of depth 1 - |z| <= 2^{-k}, imported samples too.
-A curve keeps one sample run, its deepest level built, and every level is a
-prefix of it, so refine(k+1) extends refine(k).  Each class bounds a level's
-sample count before building it, and a level over SAMPLE_BUDGET is refused.
+A curve keeps one sample run, its deepest level built, and the length of
+every level through it; every level is a prefix of the run, so refine(k+1)
+extends refine(k).  Each class bounds a level's sample count before building
+it, and a level over SAMPLE_BUDGET is refused.
 
 The module provides the deflection regions Delta_r gamma (unions of closed
 pseudo-hyperbolic disks along the curve), the directed truncated Hausdorff
@@ -27,9 +28,7 @@ import numpy as np
 
 from .geometry import (
     ALGEBRAIC_TOL,
-    DISK_BOUNDARY_MARGIN,
-    DiskDomainError,
-    as_complex,
+    as_disk_points,
     mobius_translation,
     pseudo_hyperbolic_distance_array,
     radius_convert,
@@ -82,13 +81,6 @@ def _depth_target(level: int) -> float:
     return 2.0 ** (-level)
 
 
-def _level_end(depth, level: int) -> int:
-    """How many samples of a run level `level` keeps: every sample through
-    the first one with depth <= 2^-level, or all of them if none is that deep."""
-    deep = depth <= _depth_target(level)
-    return int(np.argmax(deep)) + 1 if np.any(deep) else len(deep)
-
-
 def _offset_run_length(s0: float, t: float, ds: float, level: int) -> int:
     """Samples of the uncut run (s0 + j ds, t), j = 0, 1, ..., out to s_end =
     log(2 cosh t / 2^-level) + 1.  It ends past depth 2^-level: the depth is
@@ -133,14 +125,14 @@ def _chord_bound(alpha: float, level: int) -> int:
 
 class BoundaryCurve:
     """Base class: subclasses fill _build_strip(level) with (s, t, depth) of
-    an uncut sample run through that level; every level is the prefix of the
-    deepest run built that `_cut` keeps."""
+    an uncut sample run through that level, and `_cut` gives each level's
+    length in it: every level is a prefix of the deepest run built."""
 
     def __init__(self, endpoint_angle: float, label: str = "curve"):
         self.endpoint_angle = float(endpoint_angle)
         self.label = label
-        self._run = None        # (s, t, depth) of the deepest level built
-        self._run_level = 0
+        self._run = None        # (s, t) of the deepest level built
+        self._ends = np.zeros(0, dtype=int)   # its levels' lengths, from level 1
 
     # -- public surface ----------------------------------------------------
 
@@ -150,24 +142,24 @@ class BoundaryCurve:
 
     def strip_refine(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Axial-coordinate samples (s, t); exact arbitrarily deep.  Every
-        truncated view of a curve is a prefix of the run: a level deeper
-        than the run rebuilds it, and is refused, unbuilt, if predicted to
-        hold more than SAMPLE_BUDGET samples."""
+        truncated view of a curve is a prefix of the run."""
+        n = self.level_ends(level)[-1]
+        return self._run[0][:n], self._run[1][:n]
+
+    def level_ends(self, level: int) -> np.ndarray:
+        """The lengths of strip_refine(k), k = 1..level.  A level deeper than
+        the run rebuilds it, refused unbuilt past SAMPLE_BUDGET samples."""
         if level < 1:
             raise ValueError("level must be >= 1")
-        if level > self._run_level:
+        if level > len(self._ends):
             n = self._sample_bound(level)
             if n > SAMPLE_BUDGET:
                 raise ValueError(
                     f"curve {self.label} at level {level}: {n} samples "
                     f"predicted, above the budget of {SAMPLE_BUDGET}")
-            self._run, self._run_level = self._build_strip(level), level
-        n = self._cut(level)
-        return self._run[0][:n], self._run[1][:n]
-
-    def max_gap(self, level: int) -> float:
-        """Max adjacent-sample pseudo-hyperbolic gap (the sampling slack)."""
-        return float(np.tanh(self.max_gap_hyperbolic(level) / 2.0))
+            s, t, depth = self._build_strip(level)
+            self._run, self._ends = (s, t), self._cut(depth, level)
+        return self._ends[:level]
 
     def max_gap_hyperbolic(self, level: int) -> float:
         s, t = self.strip_refine(level)
@@ -177,9 +169,13 @@ class BoundaryCurve:
     def _build_strip(self, level):
         raise NotImplementedError
 
-    def _cut(self, level) -> int:
-        """How many samples of the run level `level` keeps."""
-        return _level_end(self._run[2], level)
+    def _cut(self, depth, level) -> np.ndarray:
+        """Lengths of levels 1..level in a run with these depths: level k keeps
+        every sample through the first with depth <= 2^-k, where the running
+        minimum of depth reaches it, or all of them if none is that deep."""
+        reached = -np.minimum.accumulate(depth)
+        first = np.searchsorted(reached, -np.ldexp(1.0, -np.arange(1, level + 1)))
+        return np.minimum(first + 1, len(depth))
 
     def _sample_bound(self, level) -> int:
         """An upper bound on len(strip_refine(level)), without building it."""
@@ -429,14 +425,14 @@ class CurvilinearAngle:
         if not 0.0 <= self.deflection < 1.0:
             raise ValueError("deflection must be a pseudo-hyperbolic radius in [0, 1)")
 
-
-def angle_contains(angle: CurvilinearAngle, z, level: int) -> bool:
-    """Sampled membership test: min d_ph(z, samples) <= deflection + slack."""
-    zv = as_complex(z)
-    samples = angle.curve.refine(level)
-    d = pseudo_hyperbolic_distance_array(zv, samples)
-    slack = angle.curve.max_gap(level)
-    return bool(np.min(d) <= angle.deflection + slack + ALGEBRAIC_TOL)
+    def contains(self, z, level: int):
+        """Sampled membership of the points z, a bool array of z's shape:
+        min d_ph(z, samples) <= deflection + slack, the slack being the
+        largest pseudo-hyperbolic gap between adjacent samples."""
+        zv = as_disk_points(z)
+        d = pseudo_hyperbolic_distance_array(zv[..., None], self.curve.refine(level))
+        slack = np.tanh(self.curve.max_gap_hyperbolic(level) / 2.0)
+        return np.min(d, axis=-1) <= self.deflection + float(slack) + ALGEBRAIC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve,
     s1, t1 = c1.strip_refine(max_level)
     s2, t2 = c2.strip_refine(max_level + 2)
     _check_cells(c1, c2, max_level, len(s1), len(s2))
-    cols = [len(c2.strip_refine(k + 2)[0]) for k in range(1, max_level + 1)]
+    cols = c2.level_ends(max_level + 2)[2:]
     ends = np.unique(cols)
     starts = np.r_[0, ends[:-1]]
     n1 = len(s1)
@@ -516,8 +512,8 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve,
                                        out[:j - i], scratch[:j - i])
         mins.append(np.minimum.reduceat(block, starts, axis=1))
     run = np.minimum.accumulate(np.concatenate(mins), axis=1)
-    return [_distance_of_cosh(np.max(run[:len(c1.strip_refine(k)[0]), j]))
-            for k, j in enumerate(np.searchsorted(ends, cols), 1)]
+    return [_distance_of_cosh(np.max(run[:n, j]))
+            for n, j in zip(c1.level_ends(max_level), np.searchsorted(ends, cols))]
 
 
 @dataclass
@@ -766,12 +762,13 @@ class StripPolylineCurve(BoundaryCurve):
         s, t = np.concatenate([s, tail_s[1:]]), np.concatenate([t, tail_t[1:]])
         return s, t, strip_depth(s, t)
 
-    def _cut(self, level):
+    def _cut(self, depth, level):
         # the polyline whole, then the tail through its first sample at depth
-        # <= 2^-level, but none past the level's own run (none at all where
-        # the polyline ends past that run's s_end)
+        # <= 2^-k, but none past level k's own run (none at all where the
+        # polyline ends past that run's s_end)
         p = len(self._dense[0])
-        return min(p + _level_end(self._run[2][p:], level), self._sample_bound(level))
+        return np.minimum(p + super()._cut(depth[p:], level),
+                          [self._sample_bound(k) for k in range(1, level + 1)])
 
     def _sample_bound(self, level):
         s = self._dense[0]
@@ -900,20 +897,13 @@ def build_zigzag_pair(r: float, n_zigzags: int):
 class SampleBackedCurve(BoundaryCurve):
     """Curve defined by a fixed sample list (the CLI exchange format); a level
     keeps the samples through the first at depth <= 2^-level, or all of them.
-    Every sample must satisfy as_complex's |z| < 1 - DISK_BOUNDARY_MARGIN."""
+    Every sample must pass as_disk_points."""
 
     def __init__(self, endpoint_angle, samples, label="imported"):
         super().__init__(endpoint_angle, label)
-        self._fixed = np.asarray(samples, dtype=complex)
+        self._fixed = as_disk_points(samples, "curve sample")
         if len(self._fixed) == 0:
             raise ValueError("curve needs at least one sample")
-        radii = np.abs(self._fixed)
-        outside = ~(radii < 1.0 - DISK_BOUNDARY_MARGIN)   # NaN counts as outside
-        if np.any(outside):
-            k = int(np.argmax(outside))
-            raise DiskDomainError(
-                f"curve sample {k} has |z| = {float(radii[k])!r}, "
-                f"not inside the unit disk")
 
     def _build_strip(self, level):
         return (*disk_to_strip(self._fixed, self.endpoint_angle),

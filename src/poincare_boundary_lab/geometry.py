@@ -44,6 +44,18 @@ def as_complex(z) -> complex:
     return v
 
 
+def as_disk_points(z, name: str = "point") -> np.ndarray:
+    """as_complex for an array of points; the first to fail (in flat order) is named."""
+    zv = np.asarray(z, dtype=complex)
+    radii = np.abs(zv)
+    outside = ~(radii < 1.0 - DISK_BOUNDARY_MARGIN)   # NaN counts as outside
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise DiskDomainError(f"{name} {k} has |z| = {float(radii.flat[k])!r}, "
+                              f"not inside the unit disk")
+    return zv
+
+
 # ---------------------------------------------------------------------------
 # distances
 

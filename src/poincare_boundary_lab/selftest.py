@@ -153,7 +153,7 @@ def criterion_zigzag(seed: int):
     region = cv.CurvilinearAngle(g1, r)
     pts = g2.refine(10)
     pts = pts[np.abs(pts) < 0.999]
-    sampled_ok = all(cv.angle_contains(region, p, 10) for p in pts[:: max(1, len(pts) // 50)])
+    sampled_ok = bool(np.all(region.contains(pts[:: max(1, len(pts) // 50)], 10)))
     passed = contained and simple and increasing and crosses and sampled_ok
     return bool(passed), {"frechet_by_prefix": values, "contained": contained,
                           "simple": simple, "strictly_increasing": increasing,

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import BoundaryCurve, CurvilinearAngle, angle_contains, canonical_curve
+from .curves import BoundaryCurve, CurvilinearAngle, canonical_curve
 from .functions import FunctionHandle
-from .geometry import as_complex
+from .geometry import as_disk_points
 
 BOUNDARY_TOL = 1e-12
 MARGIN_REL_TOL = 1e-9
@@ -171,23 +171,18 @@ class GRegion:
             raise ValueError("arc radius must be in (0, 1)")
         self.curve = canonical_curve("horocycle", 0.0)
 
-
-def g_region_contains(region: GRegion, z, level: int) -> bool:
-    """Membership in the extended region: the deflection band of the tangent
-    curve, or the chord-to-curve lens inside the arc."""
-    zv = as_complex(z)
-    w = 1.0 - zv
-    aw = abs(w)
-    if aw <= region.rho + BOUNDARY_TOL:
-        ang = float(np.angle(w))
-        on_chord_side = ang <= region.alpha + BOUNDARY_TOL
+    def contains(self, z, level: int):
+        """Membership of the points z, a bool array of z's shape: the tangent
+        curve's deflection band, or the chord-to-curve lens inside the arc."""
+        zv = as_disk_points(z)
+        w = 1.0 - zv
+        aw = np.hypot(w.real, w.imag)   # abs(w) of a Python complex, to the bit
+        ang = np.angle(w)
         # below the axis the lens is bounded by the chord alone; above it,
         # by the tangent curve (inside its horodisk: |w|^2 <= Re w)
-        in_horodisk = aw * aw <= w.real + BOUNDARY_TOL
-        if on_chord_side and (ang >= -BOUNDARY_TOL or in_horodisk):
-            return True
-    band = CurvilinearAngle(region.curve, region.r)
-    return angle_contains(band, zv, level)
+        lens = ((aw <= self.rho + BOUNDARY_TOL) & (ang <= self.alpha + BOUNDARY_TOL)
+                & ((ang >= -BOUNDARY_TOL) | (aw * aw <= w.real + BOUNDARY_TOL)))
+        return lens | CurvilinearAngle(self.curve, self.r).contains(zv, level)
 
 
 # ---------------------------------------------------------------------------

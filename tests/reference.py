@@ -144,31 +144,74 @@ def bisection_samples(curve, level: int):
     return us, pts
 
 
+def level_end(depth, level: int) -> int:
+    """How many samples of a run level `level` keeps: every sample through
+    the first one with depth <= 2^-level, or all of them if none is that deep
+    (one level of `BoundaryCurve._cut`)."""
+    deep = depth <= cv._depth_target(level)
+    return int(np.argmax(deep)) + 1 if np.any(deep) else len(deep)
+
+
 def level_strip(curve, level: int):
     """(s, t) of `curve` at `level` as each curve class built and cut every
-    level on its own, before each level became a prefix of one sample run
-    (`BoundaryCurve._cut`).  A ParametricCurve's samples are stepped in place
-    on `curve`, so pass one that the code under test does not read."""
+    level on its own, before each level became a prefix of one sample run.
+    A ParametricCurve's samples are stepped in place on `curve`, so pass one
+    that the code under test does not read."""
     if isinstance(curve, cv.ParametricCurve):
         us, pts = curve._u, curve._pts
         while 1.0 - abs(pts[-1]) > 2.0 ** -level:
             us.append(curve._step(us[-1], pts[-1]))
             pts.append(complex(curve._point(us[-1])))
         arr = np.asarray(pts, dtype=complex)
-        keep = cv._level_end(1.0 - np.abs(arr), level)
+        keep = level_end(1.0 - np.abs(arr), level)
         return ge.disk_to_strip(arr[:keep], curve.endpoint_angle)
     if isinstance(curve, cv.HypercycleCurve):
         s, t = cv._offset_run(0.0, curve.t0, curve._ds, level)
-        keep = cv._level_end(ge.strip_depth(s, t), level)
+        keep = level_end(ge.strip_depth(s, t), level)
         return s[:keep], t[:keep]
     if isinstance(curve, cv.StripPolylineCurve):
         s, t = curve._dense
         tail_s, tail_t = cv._offset_run(s[-1], curve.tail_offset, curve._tail_ds, level)
         tail_s, tail_t = tail_s[1:], tail_t[1:]
-        keep = cv._level_end(ge.strip_depth(tail_s, tail_t), level)
+        keep = level_end(ge.strip_depth(tail_s, tail_t), level)
         return np.concatenate([s, tail_s[:keep]]), np.concatenate([t, tail_t[:keep]])
-    keep = cv._level_end(1.0 - np.abs(curve._fixed), level)   # SampleBackedCurve
+    keep = level_end(1.0 - np.abs(curve._fixed), level)   # SampleBackedCurve
     return ge.disk_to_strip(curve._fixed[:keep], curve.endpoint_angle)
+
+
+def max_gap(curve, level: int) -> float:
+    """Max adjacent-sample pseudo-hyperbolic gap (the sampling slack)."""
+    return float(np.tanh(curve.max_gap_hyperbolic(level) / 2.0))
+
+
+def angle_contains(angle: cv.CurvilinearAngle, z, level: int) -> bool:
+    """Sampled membership test: min d_ph(z, samples) <= deflection + slack;
+    one point at a time, as `CurvilinearAngle.contains` tested before it
+    took arrays."""
+    zv = ge.as_complex(z)
+    samples = angle.curve.refine(level)
+    d = ge.pseudo_hyperbolic_distance_array(zv, samples)
+    slack = max_gap(angle.curve, level)
+    return bool(np.min(d) <= angle.deflection + slack + ge.ALGEBRAIC_TOL)
+
+
+def g_region_contains(region: st.GRegion, z, level: int) -> bool:
+    """Membership in the extended region: the deflection band of the tangent
+    curve, or the chord-to-curve lens inside the arc; one point at a time,
+    as `GRegion.contains` tested before it took arrays."""
+    zv = ge.as_complex(z)
+    w = 1.0 - zv
+    aw = abs(w)
+    if aw <= region.rho + st.BOUNDARY_TOL:
+        ang = float(np.angle(w))
+        on_chord_side = ang <= region.alpha + st.BOUNDARY_TOL
+        # below the axis the lens is bounded by the chord alone; above it,
+        # by the tangent curve (inside its horodisk: |w|^2 <= Re w)
+        in_horodisk = aw * aw <= w.real + st.BOUNDARY_TOL
+        if on_chord_side and (ang >= -st.BOUNDARY_TOL or in_horodisk):
+            return True
+    band = cv.CurvilinearAngle(region.curve, region.r)
+    return angle_contains(band, zv, level)
 
 
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:

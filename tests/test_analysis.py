@@ -38,6 +38,18 @@ def f1(schedule):
 
 
 class TestNormalitySup:
+    def test_cover_pool_over_budget_is_refused_unbuilt(self, monkeypatch):
+        # 38 radius samples at level 12, each covered by 721,873 points
+        def build(w):
+            raise AssertionError("the cover pool was built")
+
+        monkeypatch.setattr(an, "mobius_translation", build)
+        band = cv.CurvilinearAngle(cv.canonical_curve("radius", 0.0), 0.999)
+        with pytest.raises(ValueError, match=r"^normality of curve radius:0 at deflection "
+                           r"0\.999, level 12: 27431174 cover points, above the budget "
+                           r"of 4000000$"):
+            an.normality_sup(fn.identity_function(), band, 12)
+
     def test_identity_sup_is_one_at_origin(self, band):
         rep = an.normality_sup(fn.identity_function(), band, 8)
         assert rep.verdict == "bounded"
@@ -305,13 +317,13 @@ class TestRadialMembership:
         pts = 0.95 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(
             1j * rng.uniform(-math.pi, math.pi, 300))
         closed = member(pts)
-        for p, m in zip(pts, closed):
-            sampled = cv.angle_contains(region, p, 10)
+        slack = math.tanh(region.curve.max_gap_hyperbolic(10) / 2.0)
+        for p, m, sampled in zip(pts, closed, region.contains(pts, 10)):
             if m != sampled:
                 # disagreements live within the sampling slack of the border
                 d = np.min(ge.pseudo_hyperbolic_distance_array(
                     p, region.curve.refine(10)))
-                assert abs(d - 0.5) <= region.curve.max_gap(10) + 1e-9
+                assert abs(d - 0.5) <= slack + 1e-9
 
 
 class TestConsistencyAcrossTheory:

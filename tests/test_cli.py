@@ -182,6 +182,17 @@ ROWS = [
     R("over-budget-hypercycle-named-by-its-spec",
       "curve-dist --curve1 radius:0 --curve2 hypercycle:0:0.99999999 --level 3", 2,
       ["error: curve hypercycle:0:0.99999999 at level 5: 1118924175 samples predicted"]),
+    # 38 curve samples, each covered by 7,207,301 points, would need about
+    # 16 GiB; the pool is refused before it is built
+    R("normality-cover-over-budget",
+      "normality --function identity --curve radius:0 --deflection 0.9999", 2,
+      ["error: normality of curve radius:0 at deflection 0.9999, level 12: 273877438 cover "
+       "points, above the budget of 4000000\n"]),
+    # level 50's deepest radius sample rounds to |z| = 1 - 1e-15 before the
+    # zoom reads level 52
+    R("normality-level-past-double-precision",
+      "normality --function identity --curve radius:0 --deflection 0.3 --max-level 50", 2,
+      ["error: |z| = 0.999999999999999 is not inside the unit disk\n"]),
     *[R(f"TestExitCodes::test_level_below_one_is_2[{sub}]", argv, 2, ["error: "]) for sub, argv in [
         ("frechet", "frechet --curve1 radius:0 --curve2 hypercycle:0:0.5 --level 0"),
         ("curve-dist", "curve-dist --curve1 radius:0 --curve2 hypercycle:0:0.5 --level 0"),

@@ -276,7 +276,7 @@ class TestCertifiedBisection:
         us, pts = ref.bisection_samples(cv.canonical_curve(*spec), level)
         assert curve._u == us
         arr = np.asarray(pts, dtype=complex)
-        keep = cv._level_end(1.0 - np.abs(arr), level)
+        keep = ref.level_end(1.0 - np.abs(arr), level)
         s_ref, t_ref = ge.disk_to_strip(arr[:keep], spec[1])
         assert np.array_equal(s, s_ref) and np.array_equal(t, t_ref)
 
@@ -618,23 +618,51 @@ def run_case(request):
     return request.param, {k: ref.level_strip(stepper, k) for k in _run_levels(request.param)}
 
 
+def _levels_in(order, case, levels):
+    levels = sorted(levels, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(case).shuffle(levels)
+    return levels
+
+
 class TestLevelsAreOneRun:
-    """Every level is a prefix of one sample run, cut by `_cut`: the bytes of
-    strip_refine and refine are those of the per-level builders it replaced
+    """Every level is a prefix of one sample run, whose length `_cut` works
+    out for every level when the run is built: the bytes of strip_refine and
+    refine are those of the per-level builders it replaced
     (`reference.level_strip`), whatever order the levels are asked in."""
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_levels_match_per_level_builders(self, run_case, order):
         case, want = run_case
-        levels = sorted(want, reverse=order == "descending")
-        if order == "shuffled":
-            random.Random(case).shuffle(levels)
         curve = _run_case(case)
-        for k in levels:
+        for k in _levels_in(order, case, want):
             s, t = curve.strip_refine(k)
             disk = ge.strip_to_disk(*want[k], curve.endpoint_angle)
             assert (s.tobytes(), t.tobytes()) == (want[k][0].tobytes(), want[k][1].tobytes())
             assert curve.refine(k).tobytes() == disk.tobytes()
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_level_ends_are_the_per_level_lengths(self, run_case, order, monkeypatch):
+        # level_ends(k) holds the length of every level through k, each as
+        # its own builder gives it; `_cut` runs once a build, for the level
+        # built, and never for a level that slices the run
+        case, want = run_case
+        curve = _run_case(case)
+        owner = next(c for c in type(curve).__mro__ if "_cut" in vars(c))
+        cut, cuts, builds = owner._cut, [], []
+
+        def counted(self, depth, level):
+            cuts.append(level)
+            return cut(self, depth, level)
+
+        monkeypatch.setattr(owner, "_cut", counted)
+        for k in _levels_in(order, case, want):
+            if k > max(builds, default=0):
+                builds.append(k)
+            ends = curve.level_ends(k)
+            assert len(ends) == k
+            assert [ends[j - 1] for j in want if j <= k] == [len(want[j][0]) for j in want if j <= k]
+            assert cuts == builds
 
     def test_lemma4_export_has_no_tail_sample(self):
         # `lemma4 --r 0.5 --n-zigzags 8` reads gamma2 at level 121, then
@@ -686,30 +714,28 @@ class TestCurvilinearAngle:
     def test_deflection_zero_is_curve(self, radius):
         region = cv.CurvilinearAngle(radius, 0.0)
         on_curve = radius.refine(6)[5]
-        assert cv.angle_contains(region, on_curve, 6)
+        assert region.contains(on_curve, 6)
 
     def test_point_on_curve_any_deflection(self, radius):
         for r in (0.0, 0.2, 0.7):
             region = cv.CurvilinearAngle(radius, r)
-            assert cv.angle_contains(region, radius.refine(5)[3], 5)
+            assert region.contains(radius.refine(5)[3], 5)
 
     def test_membership_example_near_axis(self, radius):
         region = cv.CurvilinearAngle(radius, 0.5)
-        assert cv.angle_contains(region, 0.5 + 0.005j, 8)
+        assert region.contains(0.5 + 0.005j, 8)
 
     def test_far_point_excluded(self, radius):
         region = cv.CurvilinearAngle(radius, 0.3)
-        assert not cv.angle_contains(region, -0.8 + 0.4j, 8)
+        assert not region.contains(-0.8 + 0.4j, 8)
 
     def test_monotone_in_deflection(self, radius):
         rng = np.random.default_rng(5)
         pts = 0.9 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(
             1j * rng.uniform(-math.pi, math.pi, 200))
-        small = cv.CurvilinearAngle(radius, 0.3)
-        large = cv.CurvilinearAngle(radius, 0.6)
-        for p in pts:
-            if cv.angle_contains(small, p, 7):
-                assert cv.angle_contains(large, p, 7)
+        small = cv.CurvilinearAngle(radius, 0.3).contains(pts, 7)
+        large = cv.CurvilinearAngle(radius, 0.6).contains(pts, 7)
+        assert small.any() and np.all(large[small])
 
     def test_pseudo_and_hyperbolic_radii_agree(self, radius):
         r = 0.4
@@ -721,6 +747,35 @@ class TestCurvilinearAngle:
     def test_deflection_range(self, radius):
         with pytest.raises(ValueError):
             cv.CurvilinearAngle(radius, 1.0)
+
+    @pytest.mark.parametrize("case", ["radius:0", "chord:0:0.5", "horocycle:0:1", "zigzag:0.5:2"])
+    def test_array_membership_matches_scalar_test(self, case):
+        # 3,000 points a curve, pushed from its samples out to 1.6 times the
+        # deflection; a quarter of them within a few ulps of the distance
+        # where membership flips.  contains takes them in one call and gives
+        # the booleans of the scalar test it replaced, point by point
+        curve = _run_case(case)
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for level in range(6, 11):
+            samples = curve.refine(level)
+            for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+                region = cv.CurvilinearAngle(curve, r)
+                edge = r + ref.max_gap(curve, level) + ge.ALGEBRAIC_TOL
+                rho = np.minimum(1.6 * r * np.sqrt(rng.uniform(0, 1, 100)), 0.95)
+                rho[:25] = edge + np.spacing(edge) * rng.integers(-4, 5, 25)
+                u = rho * np.exp(1j * rng.uniform(-math.pi, math.pi, 100))
+                centers = samples[rng.integers(0, len(samples), 100)]
+                pts = np.array([ge.mobius_translation(w).apply(x) for w, x in zip(centers, u)])
+                want = [ref.angle_contains(region, p, level) for p in pts]
+                assert region.contains(pts, level).tolist() == want, (level, r)
+
+    @pytest.mark.parametrize("bad", [1.0 - ge.DISK_BOUNDARY_MARGIN, 1.5j, complex(math.nan, 0.0)])
+    def test_point_outside_the_disk_is_refused(self, radius, bad):
+        region = cv.CurvilinearAngle(radius, 0.3)
+        with pytest.raises(ge.DiskDomainError, match="point 1 has"):
+            region.contains([0.5, bad, 0.2], 6)
+        with pytest.raises(ge.DiskDomainError, match="point 0 has"):
+            region.contains(bad, 6)
 
 
 class TestDirectedDistance:

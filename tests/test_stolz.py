@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import functions as fn
+from poincare_boundary_lab import geometry as ge
 from poincare_boundary_lab import stolz as st
 
 
@@ -110,30 +112,67 @@ class TestDistortionBounds:
 class TestGRegion:
     def test_radius_point_between_chord_and_curve(self):
         g = st.GRegion(0.3, math.pi / 6, 0.5)
-        assert st.g_region_contains(g, 1.0 - g.rho / 2.0, 8)
+        assert g.contains(1.0 - g.rho / 2.0, 8)
 
     def test_point_on_curve(self):
         g = st.GRegion(0.3, math.pi / 6, 0.5)
-        for p in g.curve.refine(6)[2:10]:
-            assert st.g_region_contains(g, p, 8)
+        assert np.all(g.contains(g.curve.refine(6)[2:10], 8))
 
     def test_outside_both_parts(self):
         g = st.GRegion(0.2, math.pi / 6, 0.4)
-        assert not st.g_region_contains(g, -0.5 + 0.5j, 8)
-        assert not st.g_region_contains(g, 0.2 - 0.6j, 8)
+        assert not g.contains(-0.5 + 0.5j, 8)
+        assert not g.contains(0.2 - 0.6j, 8)
 
     def test_lens_respects_arc(self):
         g = st.GRegion(0.1, math.pi / 4, 0.3)
         # on the radius but beyond the arc, and farther from the tangent
         # curve than the deflection plus the sampling slack
-        assert not st.g_region_contains(g, 0.35, 8)
+        assert not g.contains(0.35, 8)
 
     def test_lower_side_bounded_by_chord(self):
         g = st.GRegion(0.2, 0.4, 0.5)
         inside = 1.0 - 0.2 * complex(np.exp(1j * 0.3))    # below chord angle
         outside = 1.0 - 0.2 * complex(np.exp(1j * 0.6))   # beyond the chord
-        assert st.g_region_contains(g, inside, 8)
-        assert not st.g_region_contains(g, outside, 8)
+        assert g.contains(inside, 8)
+        assert not g.contains(outside, 8)
+
+    @pytest.mark.parametrize("params", [(0.3, math.pi / 6, 0.5), (0.1, math.pi / 4, 0.3),
+                                        (0.2, 0.4, 0.5)])
+    def test_array_membership_matches_scalar_test(self, params):
+        # 12,000 points of w = 1 - z: a quarter within 1e-12 of each edge of
+        # the lens (the arc |w| = rho, the chord arg w = alpha, the axis
+        # arg w = 0 and the horodisk |w|^2 = Re w, each moved out by
+        # BOUNDARY_TOL), half of those within a few ulps of it.  contains
+        # takes them in one call and gives the booleans of the scalar test it
+        # replaced, point by point; the lens reads |w| as Python's abs does,
+        # which numpy's complex abs differs from in the last bit on about a
+        # third of inputs
+        g = st.GRegion(*params)
+        rng = np.random.default_rng(int(1e3 * sum(params)))
+        tol, n = st.BOUNDARY_TOL, 3000
+
+        def near(edge):
+            edge = np.broadcast_to(edge, n)
+            return edge + np.where(np.arange(n) % 2, rng.uniform(-1e-12, 1e-12, n),
+                                   np.spacing(edge) * rng.integers(-4, 5, n))
+
+        ang = rng.uniform(-g.alpha - 0.2, g.alpha + 0.2, n)
+        low = rng.uniform(-g.alpha, 0.0, n)
+        polar = [(near(g.rho + tol), ang),
+                 (g.rho * np.sqrt(rng.uniform(0, 1, n)), near(g.alpha + tol)),
+                 (g.rho * np.sqrt(rng.uniform(0, 1, n)), near(-tol)),
+                 (near(np.cos(low)), low)]
+        pts = np.concatenate([1.0 - r * np.exp(1j * a) for r, a in polar])
+        pts = pts[np.abs(pts) < 1.0 - 1e-9]
+        assert len(pts) > 10_000
+        want = [ref.g_region_contains(g, p, 8) for p in pts]
+        assert g.contains(pts, 8).tolist() == want
+
+    @pytest.mark.parametrize("bad", [1.0 - 1e-15, 1.5j, complex(math.nan, 0.0)])
+    def test_point_outside_the_disk_is_refused(self, bad):
+        g = st.GRegion(0.3, math.pi / 6, 0.5)
+        with pytest.raises(ge.DiskDomainError, match="point 1 has"):
+            g.contains([0.5, bad], 8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
