@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurvilinearAngle, PLATEAU_RATIO
+from .curves import _PRODUCT_BLOCK_CELLS, CurvilinearAngle, PLATEAU_RATIO
 from .functions import (
     FunctionHandle,
     lehto_virtanen_array,
@@ -37,6 +37,7 @@ from .functions import (
 )
 from .geometry import (
     DISK_BOUNDARY_MARGIN,
+    DiskDomainError,
     as_complex,
     disk_to_strip,
     hyperbolic_distance_array,
@@ -51,11 +52,13 @@ from .geometry import (
 
 COVER_MESH = 0.1          # hyperbolic sub-sampling mesh inside disk covers
 # most disk-cover points normality_sup may pool, counted from the ring sizes
-# before any is built (about 90 bytes each with their values).  Every job the
-# README, the demos, the selftest and the benchmark run pools at most 20,167
-# (the radius at deflection 0.5, level 14), the CLI tests 339,556 (a
-# horocycle at level 14); the radius at deflection 0.999, level 12, would pool
-# 27,431,174.
+# before any is built.  A point takes about 90 bytes with its values, the
+# pole series' too, since it takes its offsets z - z_k a block of points at
+# a time; one (N, K) array of them took about 2 KB a point at K = 52, some
+# 8 GB at the budget.  Every job the README, the demos, the selftest and the
+# benchmark run pools at most 20,167 (the radius at deflection 0.5, level
+# 14), the CLI tests 339,556 (a horocycle at level 14); the radius at
+# deflection 0.999, level 12, would pool 27,431,174.
 POOL_BUDGET = 4_000_000
 FAMILY_MESH = 0.02        # Euclidean grid step on the compact of a family check
 GROWTH_FACTOR = 2.0       # each of the last three steps >= x2 => diverging
@@ -319,7 +322,8 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     with the cusp zoom (one lockstep batch for all levels).  Sups accumulate,
     so they are non-decreasing in k; the verdict follows the plateau/growth
     rules.  A cover predicted to pool more than POOL_BUDGET points is
-    refused before it is built.
+    refused before it is built, and so is a curve sample that rounds onto
+    the boundary; both refusals name the curve and the level.
     """
     if max_level < 4:
         raise ValueError("max_level must be >= 4")
@@ -336,7 +340,12 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     # each sample's level: the first whose prefix of the curve holds it
     ends = region.curve.level_ends(max_level)
     first = np.searchsorted(ends, np.arange(len(ws)), side="right") + 1
-    pool = np.concatenate([mobius_translation(w).apply(template) for w in ws])
+    try:
+        pool = np.concatenate([mobius_translation(w).apply(template) for w in ws])
+    except DiskDomainError as exc:   # a deep sample rounds onto the boundary
+        raise DiskDomainError(
+            f"normality of curve {region.curve.label} at deflection "
+            f"{region.deflection!r}, level {max_level}: {exc}") from None
     inside = np.abs(pool) < 1.0 - DISK_BOUNDARY_MARGIN
     pool, intro = pool[inside], np.repeat(first, len(template))[inside]
     vals = lehto_virtanen_array(f, pool)
@@ -492,9 +501,29 @@ def sphere_mean(values) -> complex:
 
 
 def spherical_diameter(values) -> float:
-    x, y, z = _sphere_embed(values).T
-    dx, dy, dz = (c[:, None] - c[None, :] for c in (x, y, z))
-    return float(np.sqrt(np.max(dx * dx + dy * dy + dz * dz)))
+    """Largest chordal distance between two of the values.  Only the upper
+    triangle is read: rows i against columns i..N-1, a block of rows at a
+    time, at most _PRODUCT_BLOCK_CELLS cells (or one row), in two buffers
+    allocated once a call.  A cell is dx*dx + dy*dy + dz*dz in that order,
+    and a - b = -(b - a) exactly, so cell (j, i) is cell (i, j) and the max
+    is the one the whole (N, N) matrix gives."""
+    x, y, z = (np.ascontiguousarray(c) for c in _sphere_embed(values).T)
+    n = len(x)
+    buf = np.empty((2, min(n * n, max(n, _PRODUCT_BLOCK_CELLS))))
+    best = 0.0
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, _PRODUCT_BLOCK_CELLS // (n - i)))
+        s, t = (b[:(j - i) * (n - i)].reshape(j - i, n - i) for b in buf)
+        np.subtract(x[i:j, None], x[i:], out=s)
+        s *= s
+        for c in (y, z):
+            np.subtract(c[i:j, None], c[i:], out=t)
+            t *= t
+            s += t
+        best = np.maximum(best, np.max(s))
+        i = j
+    return float(np.sqrt(best))
 
 
 @dataclass

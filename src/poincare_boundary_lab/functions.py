@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _spec_number
+from .curves import _PRODUCT_BLOCK_CELLS, _spec_number
 from .geometry import (
     MobiusAutomorphism,
     as_complex,
@@ -258,24 +258,41 @@ class RationalPoleFunction(FunctionHandle):
 
     def _series(self, z, deriv: bool):
         """(f, f' or None, where z is within POLE_SNAP of a pole, the index of
-        that pole), all from one (..., K) array of offsets z - z_k; infinity
-        at a pole."""
+        that pole), infinity at a pole.  The offsets z - z_k are taken a block
+        of points at a time, at most _PRODUCT_BLOCK_CELLS of them (or one
+        row), in buffers allocated once a call: each point's sum, min |u| and
+        argmin are the same reductions of the same K doubles as over one
+        (N, K) array, which a 2e4-point normality bulk pass no longer holds."""
         z = np.asarray(z, dtype=complex)
-        u = z[..., None] - self.pole_points
-        hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
-        nearest = np.argmin(np.abs(u[hit]), axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.coeffs / u
-        v = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
-        d = None
-        if deriv:
-            # -coeffs / u ** 2 bit for bit, in buffers already held: the (N, K)
-            # buffers of a 2e4-point normality bulk pass set the peak memory
+        flat = z.ravel()
+        n, count = len(flat), len(self.pole_points)
+        rows = max(1, _PRODUCT_BLOCK_CELLS // count)
+        u, terms = np.empty((2, min(rows, n), count), dtype=complex)
+        mag = np.empty(u.shape)
+        v = np.empty(n, dtype=complex)
+        d = np.empty(n, dtype=complex) if deriv else None
+        hit = np.empty(n, dtype=bool)
+        nearest = [np.zeros(0, dtype=np.intp)]   # each hit's pole, in hit order
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            ub, tb, mb = u[:j - i], terms[:j - i], mag[:j - i]
+            np.subtract(flat[i:j, None], self.pole_points, out=ub)
+            h = np.less(np.min(np.abs(ub, out=mb), axis=-1), POLE_SNAP, out=hit[i:j])
+            nearest.append(np.argmin(mb[h], axis=-1))
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(-self.coeffs, np.square(u, out=u), out=terms)
-            d = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
+                np.divide(self.coeffs, ub, out=tb)
+            np.sum(tb, axis=-1, out=v[i:j])
+            if deriv:
+                # -coeffs / u ** 2 bit for bit, in the buffers already held
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(-self.coeffs, np.square(ub, out=ub), out=tb)
+                np.sum(tb, axis=-1, out=d[i:j])
+        v[hit] = np.inf + 0j
+        if deriv:
+            d[hit] = np.inf + 0j
+        nearest = np.concatenate(nearest)
         if self.damped:
-            w = z - 1.0
+            w = flat - 1.0
             if deriv:
                 with np.errstate(invalid="ignore"):  # at a pole inf - inf; set to inf below
                     dw = d * w + v
@@ -284,7 +301,9 @@ class RationalPoleFunction(FunctionHandle):
             vw = v * w
             vw[~np.isfinite(v)] = np.inf + 0j
             v = vw
-        return v, d, hit, nearest
+        shape = z.shape
+        return (v.reshape(shape), d if d is None else d.reshape(shape),
+                hit.reshape(shape), nearest)
 
     def eval_array(self, z):
         return self._series(z, False)[0]

@@ -341,6 +341,51 @@ class DampedPoleFunction(SnappingHandle):
         return out
 
 
+class OneShotPoleFunction(fn.RationalPoleFunction):
+    """The pole series with `_series` as it stood before it took its offsets
+    a block of points at a time, copied unchanged: one (..., K) array of
+    offsets z - z_k for all points at once."""
+
+    def _series(self, z, deriv: bool):
+        """(f, f' or None, where z is within POLE_SNAP of a pole, the index of
+        that pole), all from one (..., K) array of offsets z - z_k; infinity
+        at a pole."""
+        z = np.asarray(z, dtype=complex)
+        u = z[..., None] - self.pole_points
+        hit = np.min(np.abs(u), axis=-1) < POLE_SNAP
+        nearest = np.argmin(np.abs(u[hit]), axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = self.coeffs / u
+        v = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
+        d = None
+        if deriv:
+            # -coeffs / u ** 2 bit for bit, in buffers already held: the (N, K)
+            # buffers of a 2e4-point normality bulk pass set the peak memory
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(-self.coeffs, np.square(u, out=u), out=terms)
+            d = np.where(hit, np.inf + 0j, terms.sum(axis=-1))
+        if self.damped:
+            w = z - 1.0
+            if deriv:
+                with np.errstate(invalid="ignore"):  # at a pole inf - inf; set to inf below
+                    dw = d * w + v
+                dw[~(np.isfinite(v) & np.isfinite(d))] = np.inf + 0j
+                d = dw
+            vw = v * w
+            vw[~np.isfinite(v)] = np.inf + 0j
+            v = vw
+        return v, d, hit, nearest
+
+
+def spherical_diameter(values) -> float:
+    """`analysis.spherical_diameter` as it stood before it read the upper
+    triangle a block of rows at a time, copied unchanged: three (N, N)
+    difference arrays."""
+    x, y, z = an._sphere_embed(values).T
+    dx, dy, dz = (c[:, None] - c[None, :] for c in (x, y, z))
+    return float(np.sqrt(np.max(dx * dx + dy * dy + dz * dz)))
+
+
 # ---------------------------------------------------------------------------
 # the CLI's five hand spec parsers as they stood before the spec grammar
 # (`cli.parse_spec` over its tables), copied unchanged: the record of what

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -10,6 +11,8 @@ from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
+
+import reference
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +401,40 @@ class TestSphereStatistics:
             v[rng.uniform(size=n) < 0.1] = np.inf
             v[rng.uniform(size=n) < 0.05] = 0.0
             assert an.spherical_diameter(v) == tensor_diameter(v)
+
+    @staticmethod
+    def values(n):
+        rng = np.random.default_rng(n)
+        v = 10.0 ** rng.uniform(-8.0, 8.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        v[rng.uniform(size=n) < 0.1] = np.inf
+        v[rng.uniform(size=n) < 0.1] = 1e200
+        v[rng.uniform(size=n) < 0.05] = 0.0
+        return v
+
+    @pytest.mark.parametrize("cells", [None, 1, 7, 64])
+    def test_diameter_matches_one_shot(self, monkeypatch, cells):
+        # the upper triangle a block of rows at a time against the whole
+        # (N, N) matrix (tests/reference.py), as float.hex: one block, a
+        # block that ends on the last row, one row a block (N > cells)
+        if cells:
+            monkeypatch.setattr(an, "_PRODUCT_BLOCK_CELLS", cells)
+        side = math.isqrt(an._PRODUCT_BLOCK_CELLS)
+        sizes = {1, 2, 3, side - 1, side, side + 1, 448} | {
+            k for k in (an._PRODUCT_BLOCK_CELLS - 1, an._PRODUCT_BLOCK_CELLS + 1) if k <= 448}
+        for n in sorted(sizes - {0}):
+            v = self.values(n)
+            assert an.spherical_diameter(v).hex() == reference.spherical_diameter(v).hex()
+
+    def test_diameter_memory_does_not_grow_with_n_squared(self):
+        # two buffers of at most _PRODUCT_BLOCK_CELLS cells (or one row) and
+        # the embedding, about 130 bytes a value; the (N, N) matrix would
+        # take 72 MB here
+        n = 3000
+        v = self.values(n)
+        tracemalloc.start()
+        try:
+            an.spherical_diameter(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * max(n, an._PRODUCT_BLOCK_CELLS) + 160 * n + (1 << 16)

@@ -189,10 +189,11 @@ ROWS = [
       ["error: normality of curve radius:0 at deflection 0.9999, level 12: 273877438 cover "
        "points, above the budget of 4000000\n"]),
     # level 50's deepest radius sample rounds to |z| = 1 - 1e-15 before the
-    # zoom reads level 52
+    # zoom reads level 52; the refusal names the curve and the level
     R("normality-level-past-double-precision",
       "normality --function identity --curve radius:0 --deflection 0.3 --max-level 50", 2,
-      ["error: |z| = 0.999999999999999 is not inside the unit disk\n"]),
+      ["error: normality of curve radius:0 at deflection 0.3, level 50: "
+       "|z| = 0.999999999999999 is not inside the unit disk\n"]),
     *[R(f"TestExitCodes::test_level_below_one_is_2[{sub}]", argv, 2, ["error: "]) for sub, argv in [
         ("frechet", "frechet --curve1 radius:0 --curve2 hypercycle:0:0.5 --level 0"),
         ("curve-dist", "curve-dist --curve1 radius:0 --curve2 hypercycle:0:0.5 --level 0"),
@@ -460,16 +461,31 @@ _PEAK_RSS = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:])
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-def test_curve_distance_memory_does_not_grow_with_its_cells(tmp_path):
-    # a curve distance computes its cells a block at a time: 4,088 x 4,088
-    # cells (16.7M, under the budget) peak at about 33 MiB
+def _peak_rss_mib(tmp_path, argv):
+    """(exit code, peak RSS in MiB) of `pblab argv` run through _PEAK_RSS."""
     argv = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "poincare_boundary_lab.cli",
-            "--output-dir", str(tmp_path), "frechet", "--curve1", "horocycle:0",
-            "--curve2", "horocycle:0:-1", "--level", "19"]
+            "--output-dir", str(tmp_path), *argv.split()]
     out = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True, check=True).stdout
     code, peak_kib = map(int, out.split()[-2:])
-    assert code == 0 and peak_kib / 1024 < 64
+    return code, peak_kib / 1024
+
+
+def test_curve_distance_memory_does_not_grow_with_its_cells(tmp_path):
+    # a curve distance computes its cells a block at a time: 4,088 x 4,088
+    # cells (16.7M, under the budget) peak at about 33 MiB
+    code, peak = _peak_rss_mib(
+        tmp_path, "frechet --curve1 horocycle:0 --curve2 horocycle:0:-1 --level 19")
+    assert code == 0 and peak < 64
+
+
+def test_normality_memory_does_not_grow_with_points_times_poles(tmp_path):
+    # the pole series takes its offsets a block of points at a time: a
+    # 52-pole normality pass over a horocycle's cover (339,556 points) peaks
+    # at about 67 MiB, where one (N, K) array of them a call took 600 MiB
+    code, peak = _peak_rss_mib(tmp_path, "normality --function pole_series:52 "
+                               "--curve horocycle:0 --deflection 0.5 --max-level 14")
+    assert code == 0 and peak < 128
 
 
 class TestExitCodes:

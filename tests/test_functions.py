@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,70 @@ class TestOneClassSeries:
         z = schedule.pole_points + 0.5j * fn.POLE_SNAP
         for f in (f0, f1):
             assert np.array_equal(f.sph_array(z), 1.0 / np.abs(f.pole_residues))
+
+
+class TestBlockedSeries:
+    """_series takes its offsets z - z_k a block of points at a time; every
+    value must match, as float.hex, the one-shot (N, K) form it replaced
+    (tests/reference.py), at the block edges and with pole hits in more than
+    one block."""
+
+    @staticmethod
+    def points(sch, n, rows):
+        z = sample_disk(np.random.default_rng(n), n, 0.99)
+        # pole hits, each at its own pole, in the first block, at both sides
+        # of the first edge, in the middle and in the last block
+        at = sorted({0, min(rows - 1, n - 1), min(rows, n - 1), n // 2, n - 1})
+        poles = sch.pole_points[3 * np.arange(len(at)) % len(sch.pole_points)]
+        z[at] = poles + 0.5j * fn.POLE_SNAP
+        return z
+
+    @pytest.mark.parametrize("method", ["eval_array", "deriv_array", "sph_array",
+                                        "log_sph_array"])
+    @pytest.mark.parametrize("damped", [False, True])
+    @pytest.mark.parametrize("count", [10, 20, 52])
+    def test_matches_one_shot(self, count, damped, method):
+        sch = fn.PoleSchedule.default(count)
+        new = fn.RationalPoleFunction(sch, damped=damped)
+        old = reference.OneShotPoleFunction(sch, damped=damped)
+        rows = max(1, fn._PRODUCT_BLOCK_CELLS // count)
+        for n in (rows - 1, rows, rows + 1, 3 * rows + 7):
+            z = self.points(sch, n, rows)
+            assert _hex(getattr(new, method)(z)) == _hex(getattr(old, method)(z))
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_small_blocks_match_one_shot(self, monkeypatch, cells):
+        # a block of one point (K > cells) and blocks that split the hits
+        monkeypatch.setattr(fn, "_PRODUCT_BLOCK_CELLS", cells)
+        for damped in (False, True):
+            sch = fn.PoleSchedule.default(20)
+            new = fn.RationalPoleFunction(sch, damped=damped)
+            old = reference.OneShotPoleFunction(sch, damped=damped)
+            z = self.points(sch, 41, max(1, cells // 20))
+            for method in ("eval_array", "deriv_array", "sph_array"):
+                assert _hex(getattr(new, method)(z)) == _hex(getattr(old, method)(z))
+            grid = z[:40].reshape(5, 8)
+            assert np.array_equal(new.sph_array(grid), old.sph_array(grid))
+
+    @pytest.mark.parametrize("cells", [None, 1 << 12])
+    @pytest.mark.parametrize("count", [10, 52])
+    def test_memory_does_not_grow_with_n_times_k(self, monkeypatch, count, cells):
+        # besides the arrays of one value a point (at most 128 bytes a point
+        # with the damped factor and sph_array's), a call holds three blocks
+        # of at most _PRODUCT_BLOCK_CELLS offsets: u and the terms (complex)
+        # and |u|.  One (N, K) offset array would take 50 MB here at K = 52
+        if cells:
+            monkeypatch.setattr(fn, "_PRODUCT_BLOCK_CELLS", cells)
+        f = fn.RationalPoleFunction(fn.PoleSchedule.default(count), damped=True)
+        n = 60_000
+        z = sample_disk(np.random.default_rng(5), n, 0.99)
+        tracemalloc.start()
+        try:
+            f.sph_array(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * n + 40 * fn._PRODUCT_BLOCK_CELLS + (1 << 16)
 
 
 class TestGallery:
