@@ -11,10 +11,12 @@ from poincare_boundary_lab import geometry as ge
 
 print("distances from 0 to points marching toward the boundary")
 print(f"{'x':>10} {'d_ph':>10} {'d_h':>10} {'d_S':>10}")
-for x in (0.1, 0.5, 0.9, 0.99, 0.999999):
-    print(f"{x:>10} {ge.pseudo_hyperbolic_distance(0, x):>10.5f} "
-          f"{ge.hyperbolic_distance(0, x):>10.4f} "
-          f"{ge.spherical_distance(0, x):>10.5f}")
+xs = [0.1, 0.5, 0.9, 0.99, 0.999999]
+columns = [dist(0.0, xs) for dist in (ge.pseudo_hyperbolic_distance_array,
+                                      ge.hyperbolic_distance_array,
+                                      ge.spherical_distance_array)]
+for x, d_ph, d_h, d_s in zip(xs, *columns):
+    print(f"{x:>10} {d_ph:>10.5f} {d_h:>10.4f} {d_s:>10.5f}")
 print("d_ph saturates below 1, d_h runs off to infinity, d_S is chordal.\n")
 
 print("the two radius scales interconvert exactly:")

@@ -38,13 +38,12 @@ from .functions import (
 from .geometry import (
     DISK_BOUNDARY_MARGIN,
     DiskDomainError,
-    as_complex,
+    as_disk_points,
     disk_to_strip,
     hyperbolic_distance_array,
     mobius_translation,
     pseudo_hyperbolic_distance_array,
     radius_convert,
-    spherical_distance,
     spherical_distance_array,
     strip_depth,
     strip_to_disk,
@@ -394,7 +393,7 @@ def pseq_indicator_pointwise(f: FunctionHandle, sequence) -> IndicatorReport:
     """Reports (1 - |z_n|^2) f#(z_n) and whether the values eventually exceed
     each of PSEQ_THRESHOLDS: a sufficient blow-up indicator, never a
     definitional verdict."""
-    z = np.asarray([as_complex(p) for p in sequence], dtype=complex)
+    z = as_disk_points(sequence, "sequence point")
     if not np.all(np.diff(np.abs(z)) > 0):
         raise ValueError("sequence moduli must increase toward 1")
     vals = lehto_virtanen_array(f, z)
@@ -414,7 +413,7 @@ def pseq_indicator_pointwise(f: FunctionHandle, sequence) -> IndicatorReport:
 def pseq_indicator_local_sup(f: FunctionHandle, sequence, radii) -> IndicatorReport:
     """Per-n sup of the density over the hyperbolic disk D_h(z_n, r_n),
     sampled at mesh r_n / 10; the growth trend across n is the indicator."""
-    z = np.asarray([as_complex(p) for p in sequence], dtype=complex)
+    z = as_disk_points(sequence, "sequence point")
     radii = np.asarray(radii, dtype=float)
     if len(radii) != len(z):
         raise ValueError("need one radius per sequence point")
@@ -440,8 +439,8 @@ def pseq_indicator_split_pair(f: FunctionHandle, seq_a, seq_b, alpha,
     if not 0.0 < delta <= 2.0:  # spherical distances are at most 2; NaN fails too
         raise ValueError(f"split-pair delta must be a spherical distance in "
                          f"(0, 2], got {delta!r}")
-    za = np.asarray([as_complex(p) for p in seq_a], dtype=complex)
-    zb = np.asarray([as_complex(p) for p in seq_b], dtype=complex)
+    za = as_disk_points(seq_a, "sequence point")
+    zb = as_disk_points(seq_b, "sequence point")
     if len(za) != len(zb):
         raise ValueError("sequences must have equal length")
     target = np.full(len(za), complex(alpha))
@@ -595,11 +594,11 @@ def cluster_estimate(f: FunctionHandle, region_contains, theta: float,
         shells.append(rec)
     candidate = None
     verdict = "no_limit"
-    if max_empty_run >= 3:
+    # the limit rule reads the last two diameters: fewer decide nothing
+    if max_empty_run >= 3 or len(diameters) < 2:
         verdict = "inconclusive"
-    elif len(diameters) >= 2 and diameters[-1] < CONVERGE_TOL \
-            and diameters[-2] < CONVERGE_TOL:
-        if spherical_distance(means[-1], means[-2]) < CONVERGE_TOL:
+    elif diameters[-1] < CONVERGE_TOL and diameters[-2] < CONVERGE_TOL:
+        if spherical_distance_array(means[-1], means[-2]) < CONVERGE_TOL:
             candidate = means[-1]
             verdict = "limit"
     return ClusterEstimate(theta, shells, diameters, candidate, verdict, seed)
@@ -637,7 +636,7 @@ def renormalized_family_check(f: FunctionHandle, w_sequence, r1: float,
     gx, gy = np.meshgrid(side, side)
     grid = (gx + 1j * gy).ravel()
     grid = grid[np.abs(grid) <= r1]
-    ws = [as_complex(w) for w in w_sequence]
+    ws = as_disk_points(w_sequence, "w").tolist()
     sups = []
     failures = 0
     for w in ws:

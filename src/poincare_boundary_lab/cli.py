@@ -181,14 +181,19 @@ VERDICT_EXIT = {
 }
 
 
-METRICS = {"ph": ge.pseudo_hyperbolic_distance, "h": ge.hyperbolic_distance,
-           "s": ge.spherical_distance}
+# kind -> (distance kernel, whether both points must lie in the disk)
+METRICS = {"ph": (ge.pseudo_hyperbolic_distance_array, True),
+           "h": (ge.hyperbolic_distance_array, True),
+           "s": (ge.spherical_distance_array, False)}
 
 
 def cmd_metric(args):
     z = parse_complex(args.z)
     w = parse_complex(args.w)
-    value = METRICS[args.kind](z, w)
+    kernel, in_disk = METRICS[args.kind]
+    if in_disk:  # the kernels check no domain
+        z, w = ge.as_complex(z), ge.as_complex(w)
+    value = float(kernel(z, w))
     return 0, {"kind": args.kind, "z": z, "w": w, "value": value}, f"{value:.12g}"
 
 
@@ -379,10 +384,9 @@ def cmd_decay(args):
 def cmd_gallery(args):
     f = parse_function(args.name)
     points = [parse_complex(p) for p in (args.at or ["0,0"])]
-    values = []
-    for p in points:
-        v, saturated = f.eval(p)
-        values.append({"z": p, "value": v, "saturated": saturated})
+    v, saturated = f.eval(points)
+    values = [{"z": p, "value": complex(vp), "saturated": bool(sp)}
+              for p, vp, sp in zip(points, v, saturated)]
     rep = {"name": f.label, "values": values}
     return 0, rep, " ".join(str(_json_default(v["value"])) for v in values)
 

@@ -148,11 +148,18 @@ class BoundaryCurve:
 
     def level_ends(self, level: int) -> np.ndarray:
         """The lengths of strip_refine(k), k = 1..level.  A level deeper than
-        the run rebuilds it, refused unbuilt past SAMPLE_BUDGET samples."""
+        the run rebuilds it, refused unbuilt past SAMPLE_BUDGET samples or
+        where its sample bound overflows doubles (2^-level rounds to 0, or
+        the bound's 1 / 2^-level to infinity)."""
         if level < 1:
             raise ValueError("level must be >= 1")
         if level > len(self._ends):
-            n = self._sample_bound(level)
+            try:
+                n = self._sample_bound(level)
+            except ArithmeticError:   # OverflowError, ZeroDivisionError
+                raise ValueError(
+                    f"curve {self.label} at level {level}: depth 2^-{level} is "
+                    f"past the range of doubles") from None
             if n > SAMPLE_BUDGET:
                 raise ValueError(
                     f"curve {self.label} at level {level}: {n} samples "

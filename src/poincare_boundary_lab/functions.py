@@ -17,7 +17,6 @@ deflection regions of growing radius, optionally damped by the factor
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ import numpy as np
 from .curves import _PRODUCT_BLOCK_CELLS, _spec_number
 from .geometry import (
     MobiusAutomorphism,
-    as_complex,
+    as_disk_points,
     radius_convert,
     strip_depth,
     strip_to_disk,
@@ -81,14 +80,18 @@ class FunctionHandle:
         z = np.asarray(z, dtype=complex)
         return _spherical_derivative(self.eval_array(z), self.deriv_array(z))
 
-    def eval(self, z) -> tuple[complex, bool]:
-        """(f(z), saturated): a value that is not finite is infinity; only a
-        LogScaleFunction flags a value as saturated (clamped to 0 or infinity)."""
-        zv = as_complex(z)
-        v = complex(self.eval_array(np.array([zv]))[0])
-        if cmath.isnan(v):
-            raise EvaluationError(f"{self.label} failed to evaluate at {zv!r}")
-        return v, False
+    def eval(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(f(z), saturated) at disk points z, checked once: a value that is
+        not finite is infinity, and a NaN value fails, naming the first such
+        point; only a LogScaleFunction flags values as saturated (clamped to
+        0 or infinity)."""
+        zv = as_disk_points(z)
+        v = self.eval_array(zv)
+        failed = np.isnan(v)
+        if np.any(failed):
+            bad = complex(zv.flat[np.argmax(failed)])
+            raise EvaluationError(f"{self.label} failed to evaluate at {bad!r}")
+        return v, np.zeros(v.shape, dtype=bool)
 
     def __repr__(self):
         return f"<FunctionHandle {self.label}>"
@@ -228,7 +231,7 @@ class PoleSchedule:
         ms = (ks + 1) // 2
         r_m = 1.0 - 0.5 ** np.arange(1, ms[-1] + 1)
         eps = 0.25 ** ks
-        t = np.array([radius_convert(1.0 - 0.5 ** int(m), "ph_to_h")
+        t = np.array([radius_convert(r_m[m - 1], "ph_to_h")
                       * (1.0 if k % 2 == 0 else -1.0) for k, m in zip(ks, ms)])
         target = np.array([0.5 ** int(k) for k in ks])
         # all poles bisect in lockstep, each with its own midpoints
@@ -350,10 +353,9 @@ class LogScaleFunction(FunctionHandle):
         out[sat_hi] = np.inf
         return out
 
-    def eval(self, z) -> tuple[complex, bool]:
+    def eval(self, z) -> tuple[np.ndarray, np.ndarray]:
         v, _ = super().eval(z)
-        lm = float(self.log_abs_array(np.array([as_complex(z)]))[0])
-        return v, abs(lm) > LOG_SATURATION
+        return v, np.abs(self.log_abs_array(z)) > LOG_SATURATION
 
     def log_abs_array(self, z):
         return self._log_abs(np.asarray(z, dtype=complex))

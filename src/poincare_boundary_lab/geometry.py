@@ -1,6 +1,7 @@
 """Metric and Mobius primitives on the unit disk and the Riemann sphere.
 
-Everything else in the package is built on the three distances defined here:
+Everything else in the package is built on the three distances defined here,
+each one numpy kernel that takes points and arrays of points alike:
 
 * pseudo-hyperbolic  d_ph(z, w) = |(z - w) / (1 - z * conj(w))|, values in [0, 1)
 * hyperbolic         d_h = log((1 + d_ph) / (1 - d_ph)), the Poincare metric
@@ -9,6 +10,9 @@ Everything else in the package is built on the three distances defined here:
 plus the disk automorphisms z -> e^{i tau} (z + w) / (1 + z conj(w)) and
 axial ("strip") coordinates for the diameter geodesic, which stay numerically
 exact arbitrarily close to the boundary where complex doubles saturate.
+
+The distance kernels check no domain: a caller checks its points once where
+they come in, with as_complex for one point or as_disk_points for an array.
 
 A point of the Riemann sphere is a complex number, scalar or array entry;
 every complex that is not finite stands for the point at infinity.
@@ -60,22 +64,6 @@ def as_disk_points(z, name: str = "point") -> np.ndarray:
 # distances
 
 
-def pseudo_hyperbolic_distance(z, w) -> float:
-    """d_ph(z, w) = |(z - w) / (1 - z conj(w))|, in [0, 1).
-
-    Computed as a ratio of moduli: for swapped arguments the numerator and
-    denominator are exact float negations/conjugates, so the value is
-    bit-for-bit symmetric.
-    """
-    zv, wv = as_complex(z), as_complex(w)
-    return abs(zv - wv) / abs(1.0 - zv * wv.conjugate())
-
-
-def hyperbolic_distance(z, w) -> float:
-    """The Poincare distance; `hyperbolic_distance_array` for two points."""
-    return float(hyperbolic_distance_array(as_complex(z), as_complex(w)))
-
-
 def radius_convert(r: float, direction: Literal["ph_to_h", "h_to_ph"]) -> float:
     """Convert between pseudo-hyperbolic radii in [0,1) and hyperbolic in [0,inf)."""
     if direction == "ph_to_h":
@@ -89,32 +77,23 @@ def radius_convert(r: float, direction: Literal["ph_to_h", "h_to_ph"]) -> float:
     raise ValueError(f"bad direction {direction!r}")
 
 
-def spherical_distance(a, b) -> float:
-    """Chordal distance on the Riemann sphere, bounded by 2; a complex that is
-    not finite is the point at infinity."""
-    za, zb = complex(a), complex(b)
-    a_inf, b_inf = not cmath.isfinite(za), not cmath.isfinite(zb)
-    if a_inf and b_inf:
-        return 0.0
-    if a_inf:
-        return 2.0 / math.hypot(1.0, abs(zb))
-    if b_inf:
-        return 2.0 / math.hypot(1.0, abs(za))
-    return 2.0 * abs(za - zb) / (math.hypot(1.0, abs(za)) * math.hypot(1.0, abs(zb)))
-
-
-# ---------------------------------------------------------------------------
-# vectorized variants, without domain validation.  The pseudo-hyperbolic and
-# spherical scalar forms above stay separate: routed through these numpy
-# kernels they change the last digits of some `pblab metric` values and of
-# the selftest's cluster_candidate_distance.  `hyperbolic_distance` is this
-# module's kernel read at one point pair.
-
-
 def pseudo_hyperbolic_distance_array(z, w):
+    """d_ph(z, w) = |(z - w) / (1 - z conj(w))|, in [0, 1).
+
+    The denominator is built from real products, 1 - (zr wr + zi wi) and
+    zr wi - zi wr: swapping the points leaves the first unchanged and negates
+    the second exactly, as it negates z - w, so the value is bit-for-bit
+    symmetric (numpy's z * conj(w) is not always the exact conjugate of
+    w * conj(z)).  Written into one complex array, not summed as re + 1j im,
+    which takes two more passes over it.
+    """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return np.abs(z - w) / np.abs(1.0 - z * np.conj(w))
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    den = np.empty(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
+    den.real = 1.0 - (zr * wr + zi * wi)
+    den.imag = zr * wi - zi * wr
+    return np.abs(z - w) / np.abs(den)
 
 
 def hyperbolic_distance_array(z, w):
@@ -134,8 +113,8 @@ def hyperbolic_distance_array(z, w):
 
 
 def spherical_distance_array(a, b):
-    """Chordal distance for complex arrays; non-finite entries are the point at
-    infinity."""
+    """Chordal distance on the Riemann sphere, bounded by 2; a complex that is
+    not finite is the point at infinity."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     a_inf = ~np.isfinite(a)

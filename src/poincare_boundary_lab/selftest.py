@@ -202,13 +202,12 @@ def criterion_cluster_family(seed: int):
             cl = an.cluster_estimate(f, member, 0.0, range(2, 15),
                                      seed=seed + int(10 * r), record_values=False)
             fam = an.renormalized_family_check(f, ws, r1, target)
-            agree = (cl.limit_candidate is not None
-                     and ge.spherical_distance(cl.limit_candidate, target) < 1e-3
-                     and fam.verdict == "converges")
+            d_target = None if cl.limit_candidate is None \
+                else float(ge.spherical_distance_array(cl.limit_candidate, target))
+            agree = d_target is not None and d_target < 1e-3 and fam.verdict == "converges"
             details[f"{label}:r={r}"] = {
                 "cluster_verdict": cl.verdict,
-                "cluster_candidate_distance": None if cl.limit_candidate is None
-                else ge.spherical_distance(cl.limit_candidate, target),
+                "cluster_candidate_distance": d_target,
                 "family_verdict": fam.verdict,
                 "family_final_sup": fam.sup_ds[-1],
                 "agree": agree,

@@ -209,14 +209,14 @@ class TestClusterEstimate:
         rep = an.cluster_estimate(fn.identity_function(), member, 0.0,
                                   range(2, 15), seed=3)
         assert rep.verdict == "limit"
-        assert ge.spherical_distance(rep.limit_candidate, 1.0) < 1e-3
+        assert ge.spherical_distance_array(rep.limit_candidate, 1.0) < 1e-3
         assert rep.diameters[-1] < 1e-3
 
     def test_damped_series_limit_zero(self, f1):
         member = an.radial_angle_membership(0.3, 0.0)
         rep = an.cluster_estimate(f1, member, 0.0, range(2, 15), seed=5)
         assert rep.verdict == "limit"
-        assert ge.spherical_distance(rep.limit_candidate, 0.0) < 1e-3
+        assert ge.spherical_distance_array(rep.limit_candidate, 0.0) < 1e-3
 
     def test_two_value_region(self, schedule, f1):
         member_band = an.radial_angle_membership(0.5, 0.0)
@@ -253,6 +253,17 @@ class TestClusterEstimate:
         rep = an.cluster_estimate(fn.identity_function(), member, 0.0,
                                   range(2, 8), seed=9)
         assert rep.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("shells,sampled", [(range(5, 6), 1), (range(49, 51), 1),
+                                                (range(50, 52), 0)])
+    def test_fewer_than_two_sampled_shells_are_inconclusive(self, shells, sampled):
+        # the limit rule reads the last two diameters; a constant said
+        # no_limit from one sampled shell or none.  Every point within 2^-50
+        # of 1 fails the disk margin, so shells 50 and 51 stay empty
+        rep = an.cluster_estimate(fn.constant_function(2.0), an.radial_angle_membership(0.5),
+                                  0.0, shells, seed=3)
+        assert len(rep.diameters) == sampled
+        assert rep.verdict == "inconclusive" and rep.limit_candidate is None
 
     def test_deterministic_given_seed(self, f1):
         member = an.radial_angle_membership(0.4, 0.0)
@@ -361,13 +372,13 @@ class TestConsistencyAcrossTheory:
         ws = [1 - 2.0 ** (-k) for k in range(1, 15)]
         fam = an.renormalized_family_check(f1, ws, 0.3, 0.0)
         assert cl.verdict == "limit" and fam.verdict == "converges"
-        assert ge.spherical_distance(cl.limit_candidate, 0.0) < 1e-3
+        assert ge.spherical_distance_array(cl.limit_candidate, 0.0) < 1e-3
 
 
 class TestSphereStatistics:
     def test_mean_of_identical_points(self):
         m = an.sphere_mean(np.array([2.0 + 1j, 2.0 + 1j, 2.0 + 1j]))
-        assert ge.spherical_distance(m, 2.0 + 1j) < 1e-9
+        assert ge.spherical_distance_array(m, 2.0 + 1j) < 1e-9
 
     def test_mean_near_infinity(self):
         m = an.sphere_mean(np.array([np.inf, np.inf], dtype=complex))

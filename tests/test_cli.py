@@ -158,6 +158,9 @@ ROWS = [
     R("TestOtherSubcommands::test_gallery", "gallery --name saginjan_h --at 0.5,0", 0, out="[0.13533"),
     R("TestOtherSubcommands::test_stolz_map_point", "stolz-map --alpha 0.7853981633974483 --z 0.5,0", 0),
     R("TestMetric::test_spherical_infinity", "metric --kind s --z 0,0 --w inf", 0, out="2\n"),
+    # the distance kernels check no domain: metric checks its disk points
+    *[R(f"metric-{kind}-refuses-a-point-off-the-disk", f"metric --kind {kind} --z 1,0 --w 0,0", 2,
+        ["error: |z| = 1.0 is not inside the unit disk\n"]) for kind in ("ph", "h")],
     R("TestReports::test_json_report_written", "metric --kind h --z 0,0 --w 0.5,0", 0,
       report=lambda r: r["subcommand"] == "metric" and "seed" in r
       and r["value"] == pytest.approx(math.log(3.0))),
@@ -178,6 +181,20 @@ ROWS = [
       "frechet --curve1 radius:0 --curve2 chord:0:0.5 --level 54", 2,
       ["error: curve chord:0:0.5 at level 54: depth 2^-54 is below what complex-double "
        "samples resolve"]),
+    # 2^-1100 rounds to 0.0, and 2 / 2^-1023 to infinity: a sample bound
+    # that cannot be computed raised ZeroDivisionError or OverflowError
+    # with a traceback
+    *[R(f"level-past-double-range-{spec}-{level}", f"frechet --curve1 {spec} --curve2 {spec} "
+        f"--level {level}", 2, [f"error: curve {spec} at level {level}: depth 2^-{level} is "
+                                "past the range of doubles\n"])
+      for spec, level in [("radius:0", 1100), ("radius:0", 1023), ("chord:0:0.5", 1100),
+                          ("hypercycle:0:0.5", 1100), ("horocycle:0", 1100)]],
+    *[R(f"level-past-double-range-{argv.split()[0]}", argv, 2,
+        ["error: curve radius:0 at level 1100: depth 2^-1100 is past the range of doubles\n"])
+      for argv in ["curve-dist --curve1 radius:0 --curve2 radius:0 --level 1100",
+                   "decay --function saginjan_h --curve radius:0 --profile log:1 --level 1100",
+                   "normality --function identity --curve radius:0 --deflection 0.3 "
+                   "--max-level 1100"]],
     # the label is a spec that parses back; `:g` named it hypercycle:0:1
     R("over-budget-hypercycle-named-by-its-spec",
       "curve-dist --curve1 radius:0 --curve2 hypercycle:0:0.99999999 --level 3", 2,
@@ -212,6 +229,15 @@ ROWS = [
     R("gallery-saturates-to-infinity", "gallery --name gavrilov_g --at 0.999732501,-0.000963558",
       0, report=lambda r: [(v["value"], v["saturated"]) for v in r["values"]]
       == [("infinity", True)]),
+    # one call evaluates every --at point
+    R("gallery-flags-each-point", "gallery --name gavrilov_g --at 0.5,0 "
+      "--at 0.999732501,-0.000963558", 0, report=lambda r: [
+          v["saturated"] for v in r["values"]] == [False, True]),
+    # the limit rule reads two diameters: shell 50 holds no point of the
+    # disk, and neither does 51, so these said no_limit from one shell or none
+    *[R(f"cluster-shells-{shells}-inconclusive", "cluster --function constant:2,0 "
+        f"--region radius-angle:0.5 --shells {shells}", 3, out="verdict inconclusive")
+      for shells in ("49:50", "50:51")],
     # diameters of values above 1.3e154 were NaN, with overflow warnings
     R("cluster-tower-diameters", "cluster --function gavrilov_g --region radius-angle:0.5 "
       "--shells 2:10 --no-values", 0, report=lambda r: None not in r["diameters"]),
@@ -773,6 +799,15 @@ class TestCurveExchange:
 
 
 class TestOtherSubcommands:
+    def test_gallery_evaluates_its_points_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        eval_ = fn.LogScaleFunction.eval
+        monkeypatch.setattr(fn.LogScaleFunction, "eval",
+                            lambda self, z: calls.append(len(z)) or eval_(self, z))
+        assert run(["gallery", "--name", "gavrilov_g", "--at", "0.5,0", "--at",
+                    "0.999732501,-0.000963558", "--at", "0.2,0.1"], tmp_path) == 0
+        assert calls == [3]
+
     def test_family_sup_of_failed_values_is_null(self, tmp_path, capsys, monkeypatch):
         nanf = fn.CallableFunction("nanf", lambda z: np.full_like(z, np.nan),
                                    lambda z: np.full_like(z, np.nan))

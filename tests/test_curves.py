@@ -2,6 +2,7 @@ import collections
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -708,6 +709,25 @@ class TestSampleBudget:
         wide = cv.canonical_curve("hypercycle", 0.0, 0.999999)
         with pytest.raises(ValueError, match="above the budget of 100000"):
             wide.strip_refine(1)
+
+    @pytest.mark.parametrize("curve,level", [
+        (cv.canonical_curve("radius", 0.0), 1023), (cv.canonical_curve("chord", 0.0, 0.5), 1024),
+        (cv.canonical_curve("hypercycle", 0.0, 0.5), 1023),
+        (cv.canonical_curve("hypercycle", 0.0, 0.99999999), 997),
+        (cv.canonical_curve("horocycle", 0.0), 1075), (cv.build_zigzag_pair(0.5, 3)[1], 1023)],
+        ids=lambda x: x.label if isinstance(x, cv.BoundaryCurve) else str(x))
+    def test_level_past_double_range_is_refused_unbuilt(self, curve, level, monkeypatch):
+        # the first level whose sample bound overflows (ZeroDivisionError
+        # where 2^-level is 0.0, OverflowError where 1 / 2^-level is past
+        # 2^1024), and one far past it; the bounds themselves are unchanged
+        monkeypatch.setattr(curve, "_build_strip", None)
+        for k in (level, 1100):
+            with pytest.raises(ValueError, match=f"^curve {re.escape(curve.label)} at level "
+                               f"{k}: depth 2\\^-{k} is past the range of doubles$"):
+                curve.level_ends(k)
+        with pytest.raises(ArithmeticError):
+            curve._sample_bound(level)
+        assert curve._sample_bound(level - 1) > 0 and curve._run is None
 
 
 class TestCurvilinearAngle:

@@ -483,14 +483,42 @@ class TestGallery:
 
     def test_saturation_flags(self):
         g = fn.gallery("gavrilov_g")
-        v, saturated = g.eval(0.999)   # |log|f|| ~ e^1000: underflows to 0
-        assert v == 0 and saturated is True
-        # where Re exp(1/(1-z)) < 0 the modulus blows up instead: log|f| ~ 9.1e115
-        v, saturated = g.eval(1 - 0.001 * complex(np.exp(1j * 1.3)))
-        assert not cmath.isfinite(v) and saturated is True
-        # a finite tower value is not flagged
-        v, saturated = g.eval(1 - 0.01 * complex(np.exp(1j * 1.55)))
-        assert cmath.isfinite(v) and v != 0 and saturated is False
+        v, saturated = g.eval([
+            0.999,   # |log|f|| ~ e^1000: underflows to 0
+            # where Re exp(1/(1-z)) < 0 the modulus blows up instead: log|f| ~ 9.1e115
+            1 - 0.001 * complex(np.exp(1j * 1.3)),
+            1 - 0.01 * complex(np.exp(1j * 1.55))])   # a finite tower value
+        assert v[0] == 0 and not cmath.isfinite(v[1])
+        assert cmath.isfinite(v[2]) and v[2] != 0
+        assert saturated.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("name", ["gavrilov_g", "saginjan_h", "square_exp",
+                                      "pole_series:52"])
+    def test_one_call_matches_per_point_calls(self, name):
+        # eval checks and evaluates all its points at once; each value and
+        # flag is the one a call at that point alone gives, as float.hex
+        f = (fn.RationalPoleFunction(fn.PoleSchedule.default(52)) if name.startswith("pole")
+             else fn.gallery(name))
+        rng = np.random.default_rng(31)
+        deep = 1 - 10 ** rng.uniform(-5, -0.3, 250) * np.exp(1j * rng.uniform(-1.5, 1.5, 250))
+        z = np.r_[sample_disk(rng, 250, 0.99), deep[np.abs(deep) < 1 - 1e-15]]
+        v, saturated = f.eval(z)
+        one = [f.eval(np.array([p])) for p in z]
+        assert _hex(v) == _hex(np.concatenate([w for w, _ in one]))
+        assert saturated.tolist() == [bool(s[0]) for _, s in one]
+        if name == "gavrilov_g":
+            assert 0 < np.count_nonzero(saturated) < len(z)
+
+    def test_eval_checks_every_point_and_names_the_first_failure(self):
+        f = fn.CallableFunction("nan_past_half", lambda z: np.where(z.real > 0.5, np.nan, z),
+                                lambda z: np.ones_like(z))
+        with pytest.raises(ge.DiskDomainError, match=r"^point 2 has \|z\| = 1\.0, not inside"):
+            f.eval([0.1, 0.2, 1.0, 2.0])
+        with pytest.raises(fn.EvaluationError,
+                           match=r"nan_past_half failed to evaluate at \(0\.6\+0j\)"):
+            f.eval([0.1, 0.6, 0.7])
+        v, saturated = f.eval([0.1, 0.2j])
+        assert v.tolist() == [0.1, 0.2j] and saturated.tolist() == [False, False]
 
     def test_log_sph_finite_at_any_depth(self):
         g = fn.gallery("gavrilov_g")
