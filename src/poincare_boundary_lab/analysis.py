@@ -14,11 +14,10 @@ grows with the truncation level.  The verdict depends on the zoom: without it
 square_exp reads as bounded instead of diverging.  A level's zoom depends only
 on that level's grid maximum, so the zooms of all levels run in one lockstep
 batch: every slab scan, golden-section step and floor bisection evaluates the
-points of all levels in one call.  The region test of those points (within
-the deflection of the level's curve samples) runs one broadcast per block of
-levels: levels whose sample counts share floor(log2 n) form a block, padded
-to its longest level with s = +inf (cosh d = +inf), so padding adds less than
-2x to any level however fast the counts grow.  Verdicts are taken on the
+points of all levels in one call.  A search keeps its axial position, so its
+region test (within the deflection of the level's curve samples) is built
+once, as a slab: a window of the samples near that position, the only ones
+that can decide it, with cosh(s - s_j) taken once.  Verdicts are taken on the
 accumulated sups, which are non-decreasing in the level by construction.
 """
 
@@ -159,7 +158,8 @@ class _LockstepZoom:
 
     Each method works on rows (one slab or one search each) tagged with
     `lev`, an index into the zoomed levels, and advances all rows together;
-    a row's arithmetic depends only on its own level.
+    a row's arithmetic depends only on its own level.  A row keeps its s, so
+    `slab` builds its region test once and every offset reads it.
     """
 
     def __init__(self, f, region, levels):
@@ -171,67 +171,95 @@ class _LockstepZoom:
         s, t = region.curve.strip_refine(max(levels) + 2)   # level k reads level k + 2
         ends = region.curve.level_ends(max(levels) + 2)
         self.samples = [(s[:ends[k + 1]], t[:ends[k + 1]]) for k in levels]
-        # region-test blocks: levels whose sample counts n share
-        # floor(log2 n), so a block pads each of its levels by less than 2x
-        octave = [len(cs).bit_length() for cs, _ in self.samples]
-        self.blocks = []                          # (s, cosh t, sinh t) pads
-        self.block_of = np.zeros(len(levels), dtype=int)
-        self.row_of = np.zeros(len(levels), dtype=int)
-        for b, o in enumerate(sorted(set(octave))):
-            members = [i for i, oi in enumerate(octave) if oi == o]
-            m = max(len(self.samples[i][0]) for i in members)
-            ps, pt = np.full((len(members), m), np.inf), np.zeros((len(members), m))
-            for row, i in enumerate(members):
-                cs, ct = self.samples[i]
-                ps[row, :len(cs)], pt[row, :len(ct)] = cs, ct
-                self.block_of[i], self.row_of[i] = b, row
-            self.blocks.append((ps, np.cosh(pt), np.sinh(pt)))
+        # each level's samples sorted by s, the levels end to end
+        order = [np.argsort(cs) for cs, _ in self.samples]
+        self.start = np.cumsum([0] + [len(o) for o in order])
+        self.sorted_s, ct = (np.concatenate([x[o] for x, o in zip(xs, order)])
+                             for xs in zip(*self.samples))
+        self.ch, self.sh = np.cosh(ct), np.sinh(ct)
+        self.ch_max = np.maximum.reduceat(self.ch, self.start[:-1])
+        cut = np.cosh(self.r_h + 2e-12)
+        self.cut = cut if np.arccosh(cut) > self.r_h + 1e-12 else np.inf
 
-    def in_region(self, lev, s, t):
-        """Rows at or above their level's depth floor and within r_h of the
-        level's curve samples.  One broadcast per block: the cells are
-        strip_distance's cosh d, and a padded cell (s = +inf, t = 0) gives
-        +inf.  np.maximum(., 1) and np.arccosh are nondecreasing, so
-        applying them to each row's minimum of cosh d gives the minimum
-        distance exactly."""
-        ok = strip_depth(s, t) >= self.depth_floor[lev]
-        rows = np.flatnonzero(ok)
-        blk = self.block_of[lev[rows]]
-        for b, (ps, ch, sh) in enumerate(self.blocks):
-            r = rows[blk == b]
-            if not len(r):
-                continue
-            i = self.row_of[lev[r]]
-            t1 = t[r, None]
-            c = np.cosh(s[r, None] - ps[i]) * np.cosh(t1) * ch[i] - np.sinh(t1) * sh[i]
-            ok[r] = np.arccosh(np.maximum(np.min(c, axis=1), 1.0)) <= self.r_h + 1e-12
-        return ok
+    def slab(self, lev, s, t_lo, t_hi):
+        """The region test of rows at axial positions s, to be read at
+        offsets in [t_lo, t_hi]: (lev, s, blocks).  Row i keeps its window,
+        the samples j of its level with |s_i - s_j| <= D_i, as cosh(s_i -
+        s_j), cosh t_j and sinh t_j.  A block holds the rows whose window
+        widths share an octave, (rows, 1, width) arrays padded with cosh =
+        +inf (under 2x).  Read at t, a cell is cosh d formed as
+        strip_distance forms it, so every cell kept is the same double.
 
-    def log_value(self, lev, s, t):
-        out = np.full(s.shape, -np.inf)
-        ok = self.in_region(lev, s, t)
-        if np.any(ok):
-            z = strip_to_disk(s[ok], t[ok], self.theta)
+        A sample left out never makes a row pass.  Let u = 2^-53, |t| <= T,
+        and numpy's cosh and sinh err by at most 4 ulps.  For a = fl(cosh(
+        s_i - s_j)) >= 1 the exact cell (a - 1) cosh t cosh t_j + cosh(t -
+        t_j) is at least a, and the evaluated one at least a (1 - 40 u cosh
+        T cosh t_j).  The search bounds s_i -+ D_i are widened by 1e-9 (1 +
+        |s_i| + D_i), far past their rounding, so outside the window
+        |fl(s_i - s_j)| >= D_i and a >= fl(cosh D_i)(1 - 16 u).  D_i stands
+        only where fl(cosh D_i)(1 - 64 u cosh T max_j cosh t_j) > cut =
+        fl(cosh(r_h + 2e-12)) (64 over 56 covers this test's roundings) and
+        arccosh(cut) > r_h + 1e-12; then a left-out cell c has arccosh(max(
+        c, 1)) > r_h + 1e-12, arccosh being nondecreasing.  Otherwise (r_h
+        near 0, |t| or |t_j| large) a row keeps all its level's samples."""
+        g = 1.0 - 64.0 * 2.0 ** -53 * self.ch_max[lev] \
+            * np.cosh(np.maximum(np.abs(t_lo), np.abs(t_hi)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            reach = np.arccosh(self.cut / np.where(g > 0.0, g, 0.0)) + 1e-9
+            reach[~(np.cosh(reach) * g > self.cut)] = np.inf
+            reach += 1e-9 * (1.0 + np.abs(s) + reach)
+        lo, width = np.empty((2, len(s)), dtype=int)
+        for i in np.unique(lev):
+            r, level_s = lev == i, self.sorted_s[self.start[i]:self.start[i + 1]]
+            lo[r] = np.searchsorted(level_s, s[r] - reach[r]) + self.start[i]
+            width[r] = np.searchsorted(level_s, s[r] + reach[r], "right") + self.start[i] - lo[r]
+        blocks, octave = [], np.frexp(width)[1]
+        for o in np.unique(octave):
+            rows = np.flatnonzero(octave == o)
+            keep = np.arange(width[rows].max()) < width[rows, None]
+            j = np.where(keep, lo[rows, None] + np.arange(keep.shape[1]), 0)
+            cs = np.where(keep, np.cosh(s[rows, None] - self.sorted_s[j]), np.inf)
+            blocks.append((rows, cs[:, None], np.where(keep, self.ch[j], 1.0)[:, None],
+                           np.where(keep, self.sh[j], 0.0)[:, None]))
+        return lev, s, blocks
+
+    def log_value(self, slab, t):
+        """The log-density of the slab's rows at offsets t, (rows,) or (rows,
+        k); -inf below the depth floor or past r_h from the samples.  As
+        np.maximum(., 1) and np.arccosh are nondecreasing, taking them of a
+        cell's minimum of cosh d gives the minimum distance exactly."""
+        lev, s, blocks = slab
+        tk = t if t.ndim == 2 else t[:, None]
+        ct, st = np.cosh(tk)[..., None], np.sinh(tk)[..., None]
+        near = np.empty(tk.shape)
+        for rows, cs, ch, sh in blocks:
+            near[rows] = (cs * ct[rows] * ch - st[rows] * sh).min(axis=2, initial=np.inf)
+        ok = (strip_depth(s[:, None], tk) >= self.depth_floor[lev, None]) \
+            & (np.arccosh(np.maximum(near, 1.0)) <= self.r_h + 1e-12)
+        out = np.full(tk.shape, -np.inf)
+        if ok.any():
+            z = strip_to_disk(s[np.nonzero(ok)[0]], tk[ok], self.theta)
             good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
             vals = np.full(len(z), -np.inf)
-            if np.any(good):
+            if good.any():
                 lv = log_lehto_virtanen_array(self.f, z[good])
                 vals[good] = np.where(np.isnan(lv), -np.inf, lv)
             out[ok] = vals
-        return out
+        return out.reshape(t.shape)
 
     def golden_t(self, lev, s, t_lo, t_hi):
+        slab = self.slab(lev, s, t_lo, t_hi)
         a, b = t_lo, t_hi
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
-        fc = self.log_value(lev, s, c)
-        fd = self.log_value(lev, s, d)
+        fc = self.log_value(slab, c)
+        fd = self.log_value(slab, d)
         for _ in range(GOLDEN_ITERS):
             left = fc >= fd  # keep [a, d]; otherwise keep [c, b]
             a = np.where(left, a, c)
             b = np.where(left, d, b)
             x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-            fx = self.log_value(lev, s, x)
+            fx = self.log_value(slab, x)
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
         left = fc >= fd
@@ -241,8 +269,7 @@ class _LockstepZoom:
         """Coarse offset scan of each slab + golden refinement of its top
         three offsets; returns (found, log value, t) per slab."""
         grid = _linspace_rows(t_lo, t_hi, SLAB_GRID)
-        vals = self.log_value(np.repeat(lev, SLAB_GRID), np.repeat(s, SLAB_GRID),
-                              grid.ravel()).reshape(grid.shape)
+        vals = self.log_value(self.slab(lev, s, t_lo, t_hi), grid)
         step = grid[:, 1] - grid[:, 0]
         top = np.argsort(vals, axis=1)[:, -3:]
         top_t = np.take_along_axis(grid, top, axis=1)
@@ -297,8 +324,9 @@ def _zoom_max(f, region, levels, z0, v0):
     lev_c = lev[found]
     start = np.where(s - 2.0 > 0.0, s - 2.0, 0.0)
     s_grid = _linspace_rows(start, zm.floor_position(lev_c, t), 33)
-    vals = zm.log_value(np.repeat(lev_c, 33), s_grid.ravel(),
-                        np.repeat(t, 33)).reshape(s_grid.shape)
+    t_c = np.repeat(t, 33)
+    vals = zm.log_value(zm.slab(np.repeat(lev_c, 33), s_grid.ravel(), t_c, t_c),
+                        t_c).reshape(s_grid.shape)
     j = np.argmax(vals, axis=1)
     ok = np.isfinite(vals[np.arange(len(j)), j])
     if np.any(ok):

@@ -180,15 +180,13 @@ class PoleSchedule:
         self.validate()
 
     def _disk_diameters(self):
-        # sup of d_h(z, z_k) over the euclidean disk |z - z_k| < eps_k, doubled
-        out = []
-        for zk, eps in zip(self.pole_points, self.radii):
-            phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-            ring = zk + eps * np.exp(1j * phis)
-            ring = ring[np.abs(ring) < 1.0]
-            d = np.abs((ring - zk) / (1.0 - ring * np.conj(zk)))
-            out.append(2.0 * float(np.max(np.log1p(d) - np.log1p(-d))))
-        return np.asarray(out)
+        # |z - z_k| < eps_k is the pseudo-hyperbolic disk about z_k of radius
+        # eps_k / ((1 - |z_k|^2) - eps_k |z_k|), doubled in d_h; inf where
+        # the disk reaches the circle
+        d = strip_depth(*self.pole_strip.T)   # 1 - |z_k|
+        den, eps = d * (2.0 - d) - self.radii * (1.0 - d), self.radii
+        return np.where(den > eps, 4.0 * np.arctanh(eps / np.where(den > eps, den, np.inf)),
+                        np.inf)
 
     def validate(self) -> dict:
         eps = self.radii

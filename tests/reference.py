@@ -102,6 +102,30 @@ def directed_curve_distance(c1, c2, level: int) -> float:
     return float(np.max(np.min(d, axis=1)))
 
 
+def directed_curve_distance_rows(c1, c2, max_level: int) -> list[float]:
+    """`curves.directed_curve_distance` with every block laid out (c1 rows x
+    c2 columns) and each level's minimum taken by reduceat along the rows,
+    as before c1's longer runs were read transposed."""
+    s1, t1 = c1.strip_refine(max_level)
+    s2, t2 = c2.strip_refine(max_level + 2)
+    cols = c2.level_ends(max_level + 2)[2:]
+    ends = np.unique(cols)
+    starts = np.r_[0, ends[:-1]]
+    col1 = [s1[:, None], np.cosh(t1)[:, None], np.sinh(t1)[:, None]]
+    row2 = [s2, np.cosh(t2), np.sinh(t2)]
+    rows = max(1, cv._PRODUCT_BLOCK_CELLS // len(s2))
+    out, scratch = np.empty((2, min(rows, len(s1)), len(s2)))
+    mins = []
+    for i in range(0, len(s1), rows):
+        j = min(i + rows, len(s1))
+        block = cv._strip_distance_matrix(*(x[i:j] for x in col1), *row2,
+                                          out[:j - i], scratch[:j - i])
+        mins.append(np.minimum.reduceat(block, starts, axis=1))
+    run = np.minimum.accumulate(np.concatenate(mins), axis=1)
+    return [cv._distance_of_cosh(np.max(run[:n, j]))
+            for n, j in zip(c1.level_ends(max_level), np.searchsorted(ends, cols))]
+
+
 def curve_frechet(c1, c2, level: int) -> float:
     """`curves.curve_frechet` on the whole distance matrix."""
     return frechet_wavefront(strip_distance_matrix(*c1.strip_refine(level),
@@ -212,6 +236,45 @@ def g_region_contains(region: st.GRegion, z, level: int) -> bool:
             return True
     band = cv.CurvilinearAngle(region.curve, region.r)
     return angle_contains(band, zv, level)
+
+
+def per_level_region(zm, lev, s, t):
+    """The zoom's region test of rows (level index, s, t) as it ran before
+    the levels were batched: one strip_distance call per level present."""
+    ok = ge.strip_depth(s, t) >= zm.depth_floor[lev]
+    for i in np.unique(lev[ok]):
+        rows = np.flatnonzero(ok & (lev == i))
+        cs, ct = zm.samples[i]
+        d = ge.strip_distance(s[rows, None], t[rows, None], cs[None, :], ct[None, :])
+        ok[rows] = np.min(d, axis=1) <= zm.r_h + 1e-12
+    return ok
+
+
+def block_region(zm, lev, s, t):
+    """The zoom's region test as it ran before the slabs: every call pads
+    each level's samples into blocks of levels sharing floor(log2 n) (s =
+    +inf, t = 0) and takes cosh(s - s_j) of every row against its level's
+    whole block row, one broadcast per block."""
+    octave = [len(cs).bit_length() for cs, _ in zm.samples]
+    ok = ge.strip_depth(s, t) >= zm.depth_floor[lev]
+    for o in sorted(set(octave)):
+        members = [i for i, oi in enumerate(octave) if oi == o]
+        m = max(len(zm.samples[i][0]) for i in members)
+        ps, pt = np.full((len(members), m), np.inf), np.zeros((len(members), m))
+        row_of = np.zeros(len(octave), dtype=int)
+        for row, i in enumerate(members):
+            cs, ct = zm.samples[i]
+            ps[row, :len(cs)], pt[row, :len(ct)] = cs, ct
+            row_of[i] = row
+        ch, sh = np.cosh(pt), np.sinh(pt)
+        r = np.flatnonzero(ok & np.isin(lev, members))
+        if not len(r):
+            continue
+        i = row_of[lev[r]]
+        t1 = t[r, None]
+        c = np.cosh(s[r, None] - ps[i]) * np.cosh(t1) * ch[i] - np.sinh(t1) * sh[i]
+        ok[r] = np.arccosh(np.maximum(np.min(c, axis=1), 1.0)) <= zm.r_h + 1e-12
+    return ok
 
 
 def reciprocal_function(f: FunctionHandle) -> FunctionHandle:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,37 @@ class TestPoleSchedule:
     def test_hyperbolic_diameters_vanish(self, schedule):
         d = schedule.hyperbolic_diameters
         assert d[-1] < 1e-2 and d[-1] < d[0] / 100
+
+    def test_hyperbolic_diameters_against_mpmath(self):
+        # the disk |z - z_k| < eps_k is the pseudo-hyperbolic disk about z_k
+        # of radius eps_k / ((1 - |z_k|^2) - eps_k |z_k|); |z_k| is taken in
+        # 60 digits from the pole's axial coordinates.  Past pole 24 the
+        # residual is the error of strip_depth itself, which gives 1 - |z_k|
+        import mpmath as mp
+        sch = fn.PoleSchedule.default(fn.MAX_POLES)
+        for k, ((s, t), eps, got) in enumerate(
+                zip(sch.pole_strip, sch.radii, sch.hyperbolic_diameters), start=1):
+            with mp.workdps(60):
+                a = abs(mp.tanh((mp.mpf(s) + 1j * mp.asin(mp.tanh(mp.mpf(t)))) / 2))
+                want = 4 * mp.atanh(mp.mpf(eps) / ((1 - a * a) - mp.mpf(eps) * a))
+                assert abs(got - want) / want <= (1e-11 if k <= 24 else 1e-5)
+
+    @pytest.mark.parametrize("s, diameter", [(9.0, 0.0309), (13.0, 3.63), (15.0, math.inf)])
+    def test_refuses_a_last_diameter_that_does_not_vanish(self, s, diameter, monkeypatch):
+        # the last pole moved deeper along its arc, its radius kept: by s = 15
+        # (from 4.86) its disk reaches the circle, and the diameter is inf
+        sch = fn.PoleSchedule.default(12)
+        strip = sch.pole_strip.copy()
+        strip[-1, 0] = s
+        monkeypatch.setattr(fn.PoleSchedule, "validate", lambda self: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = fn.PoleSchedule(sch.pole_points, sch.radii, sch.deflections, strip)
+        monkeypatch.undo()
+        assert moved.hyperbolic_diameters[-1] == pytest.approx(diameter, rel=1e-3)
+        with pytest.raises(ValueError,
+                           match=r"violates: \['hyperbolic_diameters_vanishing'\]$"):
+            moved.validate()
 
     def test_radii_summable(self, schedule):
         assert schedule.radii.sum() < math.inf

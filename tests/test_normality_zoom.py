@@ -19,6 +19,8 @@ from poincare_boundary_lab import curves as cv
 from poincare_boundary_lab import functions as fn
 from poincare_boundary_lab import geometry as ge
 
+import reference as ref
+
 # (function, curve kind:theta[:param], deflection, max_level, verdict, sups)
 PINNED = [
     ("identity", "radius:0", 0.5, 10, "bounded", [
@@ -144,19 +146,7 @@ def test_square_exp_verdict_needs_the_zoom(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the batched region test against one strip_distance call per level
-
-
-def _per_level_region(zm, lev, s, t):
-    """The region test as it ran before the levels were batched into
-    blocks: one strip_distance call per level present in the rows."""
-    ok = ge.strip_depth(s, t) >= zm.depth_floor[lev]
-    for i in np.unique(lev[ok]):
-        rows = np.flatnonzero(ok & (lev == i))
-        cs, ct = zm.samples[i]
-        d = ge.strip_distance(s[rows, None], t[rows, None], cs[None, :], ct[None, :])
-        ok[rows] = np.min(d, axis=1) <= zm.r_h + 1e-12
-    return ok
+# the slab region test against the per-level loop and the per-call blocks
 
 
 def _exchange_curve(tmp_path):
@@ -192,33 +182,102 @@ def _region_rows(zm, rng, n):
     return lev, s, t
 
 
+def _edge_rows(zm, rng):
+    """Rows whose s lies just past r_h (by 0 to 1e-7, where the windows
+    end) before or after a sample, read at offsets around the sample's, so
+    that the sample's own cell is just outside the region."""
+    lev, s, t = [], [], []
+    for i, (cs, ct) in enumerate(zm.samples):
+        j = rng.integers(0, len(cs), 40)
+        past = zm.r_h + np.concatenate([[0.0], np.geomspace(1e-12, 1e-7, 39)])
+        side = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+        lev.append(np.full(40, i))
+        s.append(cs[j] + side * past)
+        t.append(ct[j])
+    return np.concatenate(lev), np.concatenate(s), np.concatenate(t)
+
+
+def _window_min(slab, t):
+    """Each row's minimum of cosh d over its window, t of shape (rows,)."""
+    near = np.empty(len(t))
+    for rows, cs, ch, sh in slab[2]:
+        t1 = t[rows, None]
+        near[rows] = np.min(cs[:, 0] * np.cosh(t1) * ch[:, 0] - np.sinh(t1) * sh[:, 0],
+                            axis=1, initial=np.inf)
+    return near
+
+
+def _level_min(zm, lev, s, t):
+    """Each row's minimum of cosh d over all its level's samples."""
+    near = np.empty(len(t))
+    for i in np.unique(lev):
+        r = np.flatnonzero(lev == i)
+        cs, ct = zm.samples[i]
+        t1 = t[r, None]
+        near[r] = np.min(np.cosh(s[r, None] - cs) * np.cosh(t1) * np.cosh(ct)
+                         - np.sinh(t1) * np.sinh(ct), axis=1)
+    return near
+
+
+def _region_curve(spec, tmp_path):
+    if spec == "zigzag":
+        return cv.build_zigzag_pair(0.5, 3)[1]
+    if spec == "@file":
+        return _exchange_curve(tmp_path)
+    return cli.parse_curve(spec)
+
+
 class TestRegionTest:
+    @pytest.mark.parametrize("deflection", [0.0, 0.5, 0.99])
     @pytest.mark.parametrize("spec", REGION_CURVES)
-    def test_blocks_agree_with_per_level_loop(self, spec, tmp_path):
-        if spec == "zigzag":
-            curve = cv.build_zigzag_pair(0.5, 3)[1]
-        elif spec == "@file":
-            curve = _exchange_curve(tmp_path)
-        else:
-            curve = cli.parse_curve(spec)
+    def test_slabs_agree_with_per_level_loop_and_blocks(self, spec, deflection,
+                                                        tmp_path):
         zm = an._LockstepZoom(fn.identity_function(),
-                              cv.CurvilinearAngle(curve, 0.5), list(range(1, 15)))
+                              cv.CurvilinearAngle(_region_curve(spec, tmp_path),
+                                                  deflection), list(range(1, 15)))
         if spec == "chord:0:-1.2":
             assert len(zm.samples[0][0]) == 1   # level 1 zooms over refine(3)
         rng = np.random.default_rng(20261018)
-        lev, s, t = _region_rows(zm, rng, 4000)
-        got = zm.in_region(lev, s, t)
-        assert np.array_equal(got, _per_level_region(zm, lev, s, t))
-        assert 0 < np.count_nonzero(got) < len(got)
-        # every block pads each of its levels to under twice its samples
-        for ps, _, _ in zm.blocks:
-            assert np.all(ps.shape[1] < 2 * np.isfinite(ps).sum(axis=1))
+        rows = [_region_rows(zm, rng, 4000), _edge_rows(zm, rng)]
+        left_out, inside, read, narrow = 0, 0, 0, 0
+        for (lev, s, t), spread in zip(rows, (rng.uniform(0.0, 1.0, 4000), 1e-9)):
+            for t_lo, t_hi in ((t - spread, t + spread),
+                               (-np.abs(t) - 1.0, np.abs(t) + 1.0)):
+                slab = zm.slab(lev, s, t_lo, t_hi)
+                for x in (t_lo, t, t_hi):
+                    # the identity's log-density is finite wherever the
+                    # region test passes: every row here has |z| < 1 - 6e-5
+                    got = np.isfinite(zm.log_value(slab, x))
+                    assert np.array_equal(got, ref.per_level_region(zm, lev, s, x))
+                    assert np.array_equal(got, ref.block_region(zm, lev, s, x))
+                    # a left-out sample never decides a row: the window's
+                    # minimum is the level's, or both lie past r_h + 1e-12
+                    window, level = _window_min(slab, x), _level_min(zm, lev, s, x)
+                    past = zm.r_h + 1e-12
+                    assert np.all((window == level) | (
+                        (np.arccosh(np.maximum(window, 1.0)) > past)
+                        & (np.arccosh(np.maximum(level, 1.0)) > past)))
+                    left_out += np.count_nonzero(window != level)
+                    inside, read = inside + np.count_nonzero(got), read + len(got)
+                # a window block pads each of its rows to under twice its width
+                for r, cs, _, _ in slab[2]:
+                    width = np.isfinite(cs[:, 0]).sum(axis=1)
+                    assert cs.shape[2] == 0 or np.all(cs.shape[2] < 2 * width)
+                    narrow += np.count_nonzero(width < zm.start[lev[r] + 1] - zm.start[lev[r]])
+        # at deflection 0 a row off the radius passes only where cosh^2 t -
+        # sinh^2 t rounds to 1, which on the hypercycle it never does
+        assert 0 < inside < read or deflection == 0.0 and inside < read
+        # windows narrow the rows' samples wherever r_h is not 0
+        assert (narrow > 0) == (deflection > 0) and (left_out > 0) <= (narrow > 0)
 
-    def test_horocycle_zoom_spans_several_blocks(self):
+    def test_horocycle_slab_spans_several_blocks(self):
         zm = an._LockstepZoom(fn.identity_function(), _region("horocycle:0", 0.5),
                               list(range(1, 15)))
-        sizes = [len(cs) for cs, _ in zm.samples]
-        assert len(zm.blocks) == len({n.bit_length() for n in sizes}) > 3
+        lev = np.arange(len(zm.samples))
+        s = np.array([np.max(cs) for cs, _ in zm.samples])
+        slab = zm.slab(lev, s, np.full(len(s), -1.0), np.full(len(s), 1.0))
+        widths = np.concatenate([np.isfinite(cs[:, 0]).sum(axis=1) for _, cs, _, _ in slab[2]])
+        assert len(slab[2]) == len({int(w).bit_length() for w in widths}) > 3
 
 
 class TestMonotoneRounding:
@@ -241,25 +300,42 @@ class TestMonotoneRounding:
     def test_cells_of_one_zoom(self, monkeypatch):
         region = _region("horocycle:0", 0.5)
         seen = []
-        in_region = an._LockstepZoom.in_region
+        log_value = an._LockstepZoom.log_value
 
-        def recording(zm, lev, s, t):
-            seen.append((zm, lev.copy(), s.copy(), t.copy()))
-            return in_region(zm, lev, s, t)
+        def recording(zm, slab, t):
+            seen.append((zm, slab, t.reshape(len(slab[1]), -1).copy()))
+            return log_value(zm, slab, t)
 
-        monkeypatch.setattr(an._LockstepZoom, "in_region", recording)
+        monkeypatch.setattr(an._LockstepZoom, "log_value", recording)
         an.normality_sup(fn.gallery("square_exp"), region, 8)
         cells = []
-        for zm, lev, s, t in seen:
-            for i, (cs, ct) in enumerate(zm.samples):
-                s1, t1 = s[lev == i, None], t[lev == i, None]
-                cells.append((np.cosh(s1 - cs) * np.cosh(t1) * np.cosh(ct)
-                              - np.sinh(t1) * np.sinh(ct)).ravel())
+        for zm, (_, _, blocks), t in seen:
+            for rows, cs, ch, sh in blocks:
+                t1 = t[rows, :, None]
+                c = cs * np.cosh(t1) * ch - np.sinh(t1) * sh
+                cells.append(c[np.isfinite(c)])
         cells = np.concatenate(cells)
         # cells on both sides of the region's edge, cosh r_h
         assert len(cells) > 100_000
         assert np.min(cells) < np.cosh(seen[0][0].r_h) < np.max(cells)
         self._assert_nondecreasing(cells)
+
+
+class TestZoomWork:
+    """The zoom hands the function the same points it always did: a faster
+    region test may not come from fewer evaluations."""
+
+    @pytest.mark.parametrize("name, spec, level, calls, points", [
+        ("square_exp", "radius:0", 14, 220, 12155),
+        ("identity", "horocycle:0", 12, 148, 6802),
+    ])
+    def test_points_evaluated(self, name, spec, level, calls, points, monkeypatch):
+        seen = []
+        evaluate = an.log_lehto_virtanen_array
+        monkeypatch.setattr(an, "log_lehto_virtanen_array",
+                            lambda f, z: seen.append(len(z)) or evaluate(f, z))
+        an.normality_sup(_function(name), _region(spec, 0.5), level)
+        assert (len(seen), sum(seen)) == (calls, points)
 
 
 class TestClosedFormSups:
