@@ -171,24 +171,28 @@ class _LockstepZoom:
         s, t = region.curve.strip_refine(max(levels) + 2)   # level k reads level k + 2
         ends = region.curve.level_ends(max(levels) + 2)
         self.samples = [(s[:ends[k + 1]], t[:ends[k + 1]]) for k in levels]
-        # each level's samples sorted by s, the levels end to end
+        # each level's samples sorted by s, the levels end to end; as the
+        # complex (level, s), which numpy orders lexicographically
         order = [np.argsort(cs) for cs, _ in self.samples]
-        self.start = np.cumsum([0] + [len(o) for o in order])
+        sizes = [len(o) for o in order]
         self.sorted_s, ct = (np.concatenate([x[o] for x, o in zip(xs, order)])
                              for xs in zip(*self.samples))
+        self.key = np.empty(len(ct), dtype=complex)
+        self.key.real, self.key.imag = np.repeat(np.arange(len(sizes)), sizes), self.sorted_s
         self.ch, self.sh = np.cosh(ct), np.sinh(ct)
-        self.ch_max = np.maximum.reduceat(self.ch, self.start[:-1])
+        self.ch_max = np.maximum.reduceat(self.ch, np.cumsum([0] + sizes[:-1]))
         cut = np.cosh(self.r_h + 2e-12)
         self.cut = cut if np.arccosh(cut) > self.r_h + 1e-12 else np.inf
 
     def slab(self, lev, s, t_lo, t_hi):
         """The region test of rows at axial positions s, to be read at
-        offsets in [t_lo, t_hi]: (lev, s, blocks).  Row i keeps its window,
-        the samples j of its level with |s_i - s_j| <= D_i, as cosh(s_i -
-        s_j), cosh t_j and sinh t_j.  A block holds the rows whose window
-        widths share an octave, (rows, 1, width) arrays padded with cosh =
-        +inf (under 2x).  Read at t, a cell is cosh d formed as
-        strip_distance forms it, so every cell kept is the same double.
+        offsets in [t_lo, t_hi]: (depth floors as a column, s, blocks).  Row
+        i keeps its window, the samples j of its level with |s_i - s_j| <=
+        D_i, as cosh(s_i - s_j), cosh t_j and sinh t_j.  A block holds the
+        rows whose window widths share an octave, (rows, 1, width) arrays
+        padded with cosh = +inf (under 2x).  Read at t, a cell is cosh d
+        formed as strip_distance forms it, so every cell kept is the same
+        double.
 
         A sample left out never makes a row pass.  Let u = 2^-53, |t| <= T,
         and numpy's cosh and sinh err by at most 4 ulps.  For a = fl(cosh(
@@ -208,11 +212,10 @@ class _LockstepZoom:
             reach = np.arccosh(self.cut / np.where(g > 0.0, g, 0.0)) + 1e-9
             reach[~(np.cosh(reach) * g > self.cut)] = np.inf
             reach += 1e-9 * (1.0 + np.abs(s) + reach)
-        lo, width = np.empty((2, len(s)), dtype=int)
-        for i in np.unique(lev):
-            r, level_s = lev == i, self.sorted_s[self.start[i]:self.start[i + 1]]
-            lo[r] = np.searchsorted(level_s, s[r] - reach[r]) + self.start[i]
-            width[r] = np.searchsorted(level_s, s[r] + reach[r], "right") + self.start[i] - lo[r]
+        bound = np.empty((2, len(s)), dtype=complex)
+        bound.real, bound.imag = lev, (s - reach, s + reach)
+        lo = np.searchsorted(self.key, bound[0])
+        width = np.searchsorted(self.key, bound[1], "right") - lo
         blocks, octave = [], np.frexp(width)[1]
         for o in np.unique(octave):
             rows = np.flatnonzero(octave == o)
@@ -221,20 +224,20 @@ class _LockstepZoom:
             cs = np.where(keep, np.cosh(s[rows, None] - self.sorted_s[j]), np.inf)
             blocks.append((rows, cs[:, None], np.where(keep, self.ch[j], 1.0)[:, None],
                            np.where(keep, self.sh[j], 0.0)[:, None]))
-        return lev, s, blocks
+        return self.depth_floor[lev, None], s, blocks
 
     def log_value(self, slab, t):
         """The log-density of the slab's rows at offsets t, (rows,) or (rows,
         k); -inf below the depth floor or past r_h from the samples.  As
         np.maximum(., 1) and np.arccosh are nondecreasing, taking them of a
         cell's minimum of cosh d gives the minimum distance exactly."""
-        lev, s, blocks = slab
+        floor, s, blocks = slab
         tk = t if t.ndim == 2 else t[:, None]
         ct, st = np.cosh(tk)[..., None], np.sinh(tk)[..., None]
         near = np.empty(tk.shape)
         for rows, cs, ch, sh in blocks:
             near[rows] = (cs * ct[rows] * ch - st[rows] * sh).min(axis=2, initial=np.inf)
-        ok = (strip_depth(s[:, None], tk) >= self.depth_floor[lev, None]) \
+        ok = (strip_depth(s[:, None], tk) >= floor) \
             & (np.arccosh(np.maximum(near, 1.0)) <= self.r_h + 1e-12)
         out = np.full(tk.shape, -np.inf)
         if ok.any():
