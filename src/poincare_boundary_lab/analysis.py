@@ -206,9 +206,9 @@ class _LockstepZoom:
         arccosh(cut) > r_h + 1e-12; then a left-out cell c has arccosh(max(
         c, 1)) > r_h + 1e-12, arccosh being nondecreasing.  Otherwise (r_h
         near 0, |t| or |t_j| large) a row keeps all its level's samples."""
-        g = 1.0 - 64.0 * 2.0 ** -53 * self.ch_max[lev] \
-            * np.cosh(np.maximum(np.abs(t_lo), np.abs(t_hi)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = 1.0 - 64.0 * 2.0 ** -53 * self.ch_max[lev] \
+                * np.cosh(np.maximum(np.abs(t_lo), np.abs(t_hi)))
             reach = np.arccosh(self.cut / np.where(g > 0.0, g, 0.0)) + 1e-9
             reach[~(np.cosh(reach) * g > self.cut)] = np.inf
             reach += 1e-9 * (1.0 + np.abs(s) + reach)
