@@ -158,8 +158,8 @@ class _LockstepZoom:
 
     Each method works on rows (one slab or one search each) tagged with
     `lev`, an index into the zoomed levels, and advances all rows together;
-    a row's arithmetic depends only on its own level.  A row keeps its s, so
-    `slab` builds its region test once and every offset reads it.
+    a row's arithmetic depends only on its own level, and `slab` builds a
+    row's region test once for all the offsets it reads.
     """
 
     def __init__(self, f, region, levels):
@@ -177,35 +177,28 @@ class _LockstepZoom:
         sizes = [len(o) for o in order]
         self.sorted_s, ct = (np.concatenate([x[o] for x, o in zip(xs, order)])
                              for xs in zip(*self.samples))
-        self.key = np.empty(len(ct), dtype=complex)
-        self.key.real, self.key.imag = np.repeat(np.arange(len(sizes)), sizes), self.sorted_s
+        self.key = np.repeat(np.arange(len(sizes)), sizes) + 1j * self.sorted_s
         self.ch, self.sh = np.cosh(ct), np.sinh(ct)
         self.ch_max = np.maximum.reduceat(self.ch, np.cumsum([0] + sizes[:-1]))
         cut = np.cosh(self.r_h + 2e-12)
         self.cut = cut if np.arccosh(cut) > self.r_h + 1e-12 else np.inf
 
     def slab(self, lev, s, t_lo, t_hi):
-        """The region test of rows at axial positions s, to be read at
-        offsets in [t_lo, t_hi]: (depth floors as a column, s, blocks).  Row
-        i keeps its window, the samples j of its level with |s_i - s_j| <=
-        D_i, as cosh(s_i - s_j), cosh t_j and sinh t_j.  A block holds the
-        rows whose window widths share an octave, (rows, 1, width) arrays
-        padded with cosh = +inf (under 2x).  Read at t, a cell is cosh d
-        formed as strip_distance forms it, so every cell kept is the same
-        double.
-
-        A sample left out never makes a row pass.  Let u = 2^-53, |t| <= T,
-        and numpy's cosh and sinh err by at most 4 ulps.  For a = fl(cosh(
-        s_i - s_j)) >= 1 the exact cell (a - 1) cosh t cosh t_j + cosh(t -
-        t_j) is at least a, and the evaluated one at least a (1 - 40 u cosh
-        T cosh t_j).  The search bounds s_i -+ D_i are widened by 1e-9 (1 +
-        |s_i| + D_i), far past their rounding, so outside the window
-        |fl(s_i - s_j)| >= D_i and a >= fl(cosh D_i)(1 - 16 u).  D_i stands
-        only where fl(cosh D_i)(1 - 64 u cosh T max_j cosh t_j) > cut =
-        fl(cosh(r_h + 2e-12)) (64 over 56 covers this test's roundings) and
-        arccosh(cut) > r_h + 1e-12; then a left-out cell c has arccosh(max(
-        c, 1)) > r_h + 1e-12, arccosh being nondecreasing.  Otherwise (r_h
-        near 0, |t| or |t_j| large) a row keeps all its level's samples."""
+        """The region test of rows at axial positions s, read at offsets in
+        [t_lo, t_hi]: (depth floors, s, blocks).  Row i keeps the samples j of
+        its level with |s_i - s_j| <= D_i as cosh(s_i - s_j), cosh t_j and
+        sinh t_j; a block holds the rows whose window widths share an octave,
+        padded with cosh = +inf (under 2x).  A cell read at t is cosh d formed
+        as strip_distance forms it, the same double.  A sample left out never
+        makes a row pass: with u = 2^-53, |t| <= T and cosh, sinh within 4
+        ulps, a = fl(cosh(s_i - s_j)) >= 1 gives the exact cell (a - 1) cosh t
+        cosh t_j + cosh(t - t_j) >= a and the evaluated one >= a (1 - 40 u
+        cosh T cosh t_j).  The bounds s_i -+ D_i, widened by 1e-9 (1 + |s_i| +
+        D_i), put |fl(s_i - s_j)| >= D_i outside the window, so a >= fl(cosh
+        D_i)(1 - 16 u).  D_i stands only if fl(cosh D_i)(1 - 64 u cosh T max_j
+        cosh t_j) > cut = fl(cosh(r_h + 2e-12)) (64 > 40 + 16 covers this
+        test's roundings) and arccosh(cut) > r_h + 1e-12: then a left-out cell
+        c has arccosh(max(c, 1)) > r_h + 1e-12.  Otherwise D_i = inf."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = 1.0 - 64.0 * 2.0 ** -53 * self.ch_max[lev] \
                 * np.cosh(np.maximum(np.abs(t_lo), np.abs(t_hi)))
@@ -227,10 +220,9 @@ class _LockstepZoom:
         return self.depth_floor[lev, None], s, blocks
 
     def log_value(self, slab, t):
-        """The log-density of the slab's rows at offsets t, (rows,) or (rows,
-        k); -inf below the depth floor or past r_h from the samples.  As
-        np.maximum(., 1) and np.arccosh are nondecreasing, taking them of a
-        cell's minimum of cosh d gives the minimum distance exactly."""
+        """Log-density of the slab's rows at offsets t, (rows,) or (rows, k);
+        -inf below the depth floor or past r_h from the samples.  max(., 1)
+        and arccosh are nondecreasing: of the least cosh d, the least d."""
         floor, s, blocks = slab
         tk = t if t.ndim == 2 else t[:, None]
         ct, st = np.cosh(tk)[..., None], np.sinh(tk)[..., None]
@@ -239,28 +231,23 @@ class _LockstepZoom:
             near[rows] = (cs * ct[rows] * ch - st[rows] * sh).min(axis=2, initial=np.inf)
         ok = (strip_depth(s[:, None], tk) >= floor) \
             & (np.arccosh(np.maximum(near, 1.0)) <= self.r_h + 1e-12)
+        z = strip_to_disk(s[np.nonzero(ok)[0]], tk[ok], self.theta)
+        good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
+        ok[ok] = good
         out = np.full(tk.shape, -np.inf)
-        if ok.any():
-            z = strip_to_disk(s[np.nonzero(ok)[0]], tk[ok], self.theta)
-            good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
-            vals = np.full(len(z), -np.inf)
-            if good.any():
-                lv = log_lehto_virtanen_array(self.f, z[good])
-                vals[good] = np.where(np.isnan(lv), -np.inf, lv)
-            out[ok] = vals
+        if good.any():
+            lv = log_lehto_virtanen_array(self.f, z[good])
+            out[ok] = np.where(np.isnan(lv), -np.inf, lv)
         return out.reshape(t.shape)
 
     def golden_t(self, lev, s, t_lo, t_hi):
         slab = self.slab(lev, s, t_lo, t_hi)
         a, b = t_lo, t_hi
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = self.log_value(slab, c)
-        fd = self.log_value(slab, d)
+        c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+        fc, fd = self.log_value(slab, c), self.log_value(slab, d)
         for _ in range(GOLDEN_ITERS):
             left = fc >= fd  # keep [a, d]; otherwise keep [c, b]
-            a = np.where(left, a, c)
-            b = np.where(left, d, b)
+            a, b = np.where(left, a, c), np.where(left, d, b)
             x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
             fx = self.log_value(slab, x)
             c, d = np.where(left, x, d), np.where(left, c, x)
@@ -275,10 +262,8 @@ class _LockstepZoom:
         vals = self.log_value(self.slab(lev, s, t_lo, t_hi), grid)
         step = grid[:, 1] - grid[:, 0]
         top = np.argsort(vals, axis=1)[:, -3:]
-        top_t = np.take_along_axis(grid, top, axis=1)
-        top_v = np.take_along_axis(vals, top, axis=1)
-        cand_v = np.full(top_v.shape, -np.inf)
-        cand_t = top_t.copy()
+        top_t, top_v = (np.take_along_axis(x, top, axis=1) for x in (grid, vals))
+        cand_v, cand_t = np.full(top_v.shape, -np.inf), top_t.copy()
         row, col = np.nonzero(np.isfinite(top_v))
         if len(row):
             g_t, g_v = self.golden_t(lev[row], s[row], top_t[row, col] - step[row],
@@ -287,8 +272,7 @@ class _LockstepZoom:
             cand_v[row, col] = np.where(better, g_v, top_v[row, col])
             cand_t[row, col] = np.where(better, g_t, top_t[row, col])
         # in ascending-value order, a later candidate wins only if strictly larger
-        best_v = np.full(len(s), -np.inf)
-        best_t = np.zeros(len(s))
+        best_v, best_t = np.full(len(s), -np.inf), np.zeros(len(s))
         for j in range(top.shape[1]):
             take = cand_v[:, j] > best_v
             best_v = np.where(take, cand_v[:, j], best_v)
@@ -320,9 +304,8 @@ def _zoom_max(f, region, levels, z0, v0):
     pick_b = found_b & (~found_a | (v_b > v_a) | ((v_b == v_a) & (
         (t_b > t_a) | ((t_b == t_a) & (s_floor > s0)))))
     found = found_a | found_b
-    v = np.where(pick_b, v_b, v_a)[found]
-    t = np.where(pick_b, t_b, t_a)[found]
-    s = np.where(pick_b, s_floor, s0)[found]
+    v, t, s = (np.where(pick_b, x_b, x_a)[found]
+               for x_a, x_b in ((v_a, v_b), (t_a, t_b), (s0, s_floor)))
     # polish along the axial direction toward the floor, then re-refine
     lev_c = lev[found]
     start = np.where(s - 2.0 > 0.0, s - 2.0, 0.0)
@@ -380,8 +363,7 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     pool, intro = pool[inside], np.repeat(first, len(template))[inside]
     vals = lehto_virtanen_array(f, pool)
     bad = ~np.isfinite(vals)
-    failures = int(np.sum(bad))
-    total = len(vals)
+    failures, total = int(np.sum(bad)), len(vals)
     pool, intro, vals = pool[~bad], intro[~bad], vals[~bad]
     depth = 1.0 - np.abs(pool)
 
@@ -395,11 +377,8 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     level_sups = _zoom_max(f, region, peak_levels, pool[peaks], vals[peaks]) \
         if peaks else []
     level_sup = dict(zip(peak_levels, level_sups))
-    sups: list[float] = []
-    running = 0.0
-    for k in levels:
-        running = max(running, level_sup.get(k, 0.0))
-        sups.append(running)
+    sups = [float(x) for x in np.maximum.accumulate(
+        [0.0] + [level_sup.get(k, 0.0) for k in levels])[1:]]
 
     verdict = sup_trend_verdict(sups)
     if total and failures / total > FAILURE_FRACTION:

@@ -491,45 +491,36 @@ def directed_curve_distance(c1: BoundaryCurve, c2: BoundaryCurve,
     level k, the sup over c1's refine(k) samples of the hyperbolic distance
     to c2's refine(k+2) samples.  Levels are nested prefixes, so each
     level's cells are a corner of the ones at max_level, the only level
-    read and budget-checked.  They are read a block of c1's samples at a
-    time, at most _PRODUCT_BLOCK_CELLS cells (or one sample), and each c1
-    sample keeps only its minimum over each run of c2 samples that ends
-    where one of c2's levels ends (deduplicated: an import stops growing
-    past its last sample).  When c1 has at least as many samples as c2 the
-    block is laid out (c2 x c1), so that each run's minimum is one numpy
-    reduction over whole rows: cosh is even, s2 - s1 = -(s1 - s2) exactly
-    and products commute, so a cell is the same double either way.  The
-    running minimum of the runs gives a sample's minimum at every level,
-    and level k takes the max over its samples.  Only min and max of the
+    read and budget-checked.  They are read a block of c1's rows at a time,
+    at most _PRODUCT_BLOCK_CELLS cells (or one row), and each row keeps only
+    its minimum over each block of columns that ends where one of c2's
+    levels ends (deduplicated: an import stops growing past its last
+    sample).  The running minimum of those gives a row's minimum at every
+    level, and level k takes the max over its rows.  Only min and max of the
     same cells are taken, so every value is the one its own matrix gives,
     and no (n1, n2) array is held."""
     _check_same_endpoint(c1, c2)
     s1, t1 = c1.strip_refine(max_level)
     s2, t2 = c2.strip_refine(max_level + 2)
-    n1, n2 = len(s1), len(s2)
-    _check_cells(c1, c2, max_level, n1, n2)
-    level2 = c2.level_ends(max_level + 2)[2:]
-    ends = np.unique(level2)
+    _check_cells(c1, c2, max_level, len(s1), len(s2))
+    cols = c2.level_ends(max_level + 2)[2:]
+    ends = np.unique(cols)
     starts = np.r_[0, ends[:-1]]
-    one, two = [s1, np.cosh(t1), np.sinh(t1)], [s2, np.cosh(t2), np.sinh(t2)]
-    width = max(1, _PRODUCT_BLOCK_CELLS // n2)
+    n1 = len(s1)
+    col1 = [s1[:, None], np.cosh(t1)[:, None], np.sinh(t1)[:, None]]
+    row2 = [s2, np.cosh(t2), np.sinh(t2)]
+    rows = max(1, _PRODUCT_BLOCK_CELLS // len(s2))
     # one allocation for both buffers, as in _frechet_dp
-    buf = np.empty((2, n2 * min(width, n1)))
+    out, scratch = np.empty((2, min(rows, n1), len(s2)))
     mins = []
-    for i in range(0, n1, width):
-        j = min(i + width, n1)
-        part = [x[i:j] for x in one]
-        if n1 >= n2:
-            out, scratch = (b[:n2 * (j - i)].reshape(n2, j - i) for b in buf)
-            block = _strip_distance_matrix(*(x[:, None] for x in two), *part, out, scratch)
-            mins.append(np.array([block[a:e].min(axis=0) for a, e in zip(starts, ends)]).T)
-        else:
-            out, scratch = (b[:n2 * (j - i)].reshape(j - i, n2) for b in buf)
-            block = _strip_distance_matrix(*(x[:, None] for x in part), *two, out, scratch)
-            mins.append(np.minimum.reduceat(block, starts, axis=1))
+    for i in range(0, n1, rows):
+        j = min(i + rows, n1)
+        block = _strip_distance_matrix(*(x[i:j] for x in col1), *row2,
+                                       out[:j - i], scratch[:j - i])
+        mins.append(np.minimum.reduceat(block, starts, axis=1))
     run = np.minimum.accumulate(np.concatenate(mins), axis=1)
     return [_distance_of_cosh(np.max(run[:n, j]))
-            for n, j in zip(c1.level_ends(max_level), np.searchsorted(ends, level2))]
+            for n, j in zip(c1.level_ends(max_level), np.searchsorted(ends, cols))]
 
 
 @dataclass

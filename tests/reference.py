@@ -102,30 +102,6 @@ def directed_curve_distance(c1, c2, level: int) -> float:
     return float(np.max(np.min(d, axis=1)))
 
 
-def directed_curve_distance_rows(c1, c2, max_level: int) -> list[float]:
-    """`curves.directed_curve_distance` with every block laid out (c1 rows x
-    c2 columns) and each level's minimum taken by reduceat along the rows,
-    as before c1's longer runs were read transposed."""
-    s1, t1 = c1.strip_refine(max_level)
-    s2, t2 = c2.strip_refine(max_level + 2)
-    cols = c2.level_ends(max_level + 2)[2:]
-    ends = np.unique(cols)
-    starts = np.r_[0, ends[:-1]]
-    col1 = [s1[:, None], np.cosh(t1)[:, None], np.sinh(t1)[:, None]]
-    row2 = [s2, np.cosh(t2), np.sinh(t2)]
-    rows = max(1, cv._PRODUCT_BLOCK_CELLS // len(s2))
-    out, scratch = np.empty((2, min(rows, len(s1)), len(s2)))
-    mins = []
-    for i in range(0, len(s1), rows):
-        j = min(i + rows, len(s1))
-        block = cv._strip_distance_matrix(*(x[i:j] for x in col1), *row2,
-                                          out[:j - i], scratch[:j - i])
-        mins.append(np.minimum.reduceat(block, starts, axis=1))
-    run = np.minimum.accumulate(np.concatenate(mins), axis=1)
-    return [cv._distance_of_cosh(np.max(run[:n, j]))
-            for n, j in zip(c1.level_ends(max_level), np.searchsorted(ends, cols))]
-
-
 def curve_frechet(c1, c2, level: int) -> float:
     """`curves.curve_frechet` on the whole distance matrix."""
     return frechet_wavefront(strip_distance_matrix(*c1.strip_refine(level),

@@ -854,23 +854,22 @@ class TestEquivalence:
             assert [x.hex() for x in w.backward] == [x.hex() for x in v.forward]
 
     def test_one_matrix_per_direction(self, radius, horocycle, monkeypatch):
-        # each direction reads the cells of its deepest level once, here in
-        # one block of one curve's samples against the other's; one matrix a
-        # level and direction would read each cell up to 12 times.  The cells
-        # are keyed by the block's two sample counts, which differ between
-        # the directions
+        # each direction reads the cells of its deepest level once, in blocks
+        # of rows against the other curve's samples; one matrix a level and
+        # direction would read each cell up to 12 times.  The cells are keyed
+        # by the other curve's sample count, which differs between the two
         cells = collections.Counter()
         kernel = cv._strip_distance_matrix
 
         def counting(s1, ct1, st1, s2, *rest):
-            cells[frozenset((s1.size, s2.size))] += s1.size * s2.size
+            cells[s2.size] += s1.size * s2.size
             return kernel(s1, ct1, st1, s2, *rest)
 
         monkeypatch.setattr(cv, "_strip_distance_matrix", counting)
         cv.are_equivalent(radius, horocycle, 12)
-        sizes = [(len(c1.strip_refine(12)[0]), len(c2.strip_refine(14)[0]))
-                 for c1, c2 in ((radius, horocycle), (horocycle, radius))]
-        assert cells == {frozenset(n): n[0] * n[1] for n in sizes}
+        assert cells == {
+            len(c2.strip_refine(14)[0]): len(c1.strip_refine(12)[0]) * len(c2.strip_refine(14)[0])
+            for c1, c2 in ((radius, horocycle), (horocycle, radius))}
 
     def test_relation_properties_on_family(self):
         fam = [cv.canonical_curve("radius", 0.0),

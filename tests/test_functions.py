@@ -255,6 +255,35 @@ class TestPoleSchedule:
                 want = 4 * mp.atanh(mp.mpf(eps) / ((1 - a * a) - mp.mpf(eps) * a))
                 assert abs(got - want) / want <= (1e-11 if k <= 24 else 1e-5)
 
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_hyperbolic_diameters_are_circle_sups(self, k):
+        # the closed form against its definition, 2 sup d_h(z, z_k) over the
+        # circle |z - z_k| = eps_k, found in 60 digits by a 512-point scan of
+        # the angle and golden-section refinement around its best point
+        import mpmath as mp
+        sch = fn.PoleSchedule.default(fn.MAX_POLES)
+        (s, t), eps = sch.pole_strip[k - 1], sch.radii[k - 1]
+        with mp.workdps(60):
+            zk = mp.tanh((mp.mpf(s) + 1j * mp.asin(mp.tanh(mp.mpf(t)))) / 2)
+
+            def diameter(phi):
+                z = zk + mp.mpf(eps) * mp.expj(phi)
+                return 4 * mp.atanh(abs(z - zk) / abs(1 - z * mp.conj(zk)))
+
+            h = 2 * mp.pi / 512
+            phis = [i * h for i in range(512)]
+            scan = [diameter(p) for p in phis]
+            best = max(range(512), key=scan.__getitem__)
+            a, b = phis[best] - h, phis[best] + h
+            g = (mp.sqrt(5) - 1) / 2
+            for _ in range(150):
+                c, d = b - g * (b - a), a + g * (b - a)
+                a, b = (a, d) if diameter(c) >= diameter(d) else (c, b)
+            sup = max(scan + [diameter((a + b) / 2)])
+            got = sch.hyperbolic_diameters[k - 1]
+            assert got >= sup * (1 - 1e-12)
+            assert abs(got - sup) / sup <= 1e-10
+
     @pytest.mark.parametrize("s, diameter", [(9.0, 0.0309), (13.0, 3.63), (15.0, math.inf)])
     def test_refuses_a_last_diameter_that_does_not_vanish(self, s, diameter, monkeypatch):
         # the last pole moved deeper along its arc, its radius kept: by s = 15
