@@ -147,7 +147,7 @@ def _linspace_rows(lo, hi, n):
 
 
 class _LockstepZoom:
-    """Deterministic sup refinement in axial coordinates, every level at once.
+    """Deterministic sup refinement in axial coordinates, every search at once.
 
     The density of the gallery probes peaks inside bands whose hyperbolic
     width shrinks like the squared boundary depth; grids cannot see them.
@@ -156,14 +156,20 @@ class _LockstepZoom:
     onto cusp-narrow peaks.  Everything is clipped to the region and to the
     level's depth floor, so reported sups remain honest sampled values.
 
-    Each method works on rows (one slab or one search each) tagged with
-    `lev`, an index into the zoomed levels, and advances all rows together;
-    a row's arithmetic depends only on its own level, and `slab` builds a
-    row's region test once for all the offsets it reads.
+    A search is one (function, level) pair of `jobs`, a list of (f, levels)
+    over the region; searches of one level share its samples.  Each method
+    works on rows (one slab or one search each) tagged with `search`, an
+    index into the searches, and advances all rows together; a row's
+    arithmetic depends only on its own search, `slab` builds a row's region
+    test once for all the offsets it reads, and `log_value` hands each
+    function its own rows' points only, in row order.
     """
 
-    def __init__(self, f, region, levels):
-        self.f = f
+    def __init__(self, region, jobs):
+        self.fs = [f for f, _ in jobs]
+        levels = sorted({k for _, ks in jobs for k in ks})
+        self.job = np.repeat(np.arange(len(jobs)), [len(ks) for _, ks in jobs])
+        self.level = np.searchsorted(levels, [k for _, ks in jobs for k in ks])
         self.theta = region.curve.endpoint_angle
         self.r_h = radius_convert(region.deflection, "ph_to_h") \
             if region.deflection > 0 else 0.0
@@ -183,9 +189,9 @@ class _LockstepZoom:
         cut = np.cosh(self.r_h + 2e-12)
         self.cut = cut if np.arccosh(cut) > self.r_h + 1e-12 else np.inf
 
-    def slab(self, lev, s, t_lo, t_hi):
+    def slab(self, search, s, t_lo, t_hi):
         """The region test of rows at axial positions s, read at offsets in
-        [t_lo, t_hi]: (depth floors, s, blocks).  Row i keeps the samples j of
+        [t_lo, t_hi]: (searches, s, blocks).  Row i keeps the samples j of
         its level with |s_i - s_j| <= D_i as cosh(s_i - s_j), cosh t_j and
         sinh t_j; a block holds the rows whose window widths share an octave,
         padded with cosh = +inf (under 2x).  A cell read at t is cosh d formed
@@ -199,6 +205,7 @@ class _LockstepZoom:
         cosh t_j) > cut = fl(cosh(r_h + 2e-12)) (64 > 40 + 16 covers this
         test's roundings) and arccosh(cut) > r_h + 1e-12: then a left-out cell
         c has arccosh(max(c, 1)) > r_h + 1e-12.  Otherwise D_i = inf."""
+        lev = self.level[search]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = 1.0 - 64.0 * 2.0 ** -53 * self.ch_max[lev] \
                 * np.cosh(np.maximum(np.abs(t_lo), np.abs(t_hi)))
@@ -217,31 +224,36 @@ class _LockstepZoom:
             cs = np.where(keep, np.cosh(s[rows, None] - self.sorted_s[j]), np.inf)
             blocks.append((rows, cs[:, None], np.where(keep, self.ch[j], 1.0)[:, None],
                            np.where(keep, self.sh[j], 0.0)[:, None]))
-        return self.depth_floor[lev, None], s, blocks
+        return search, s, blocks
 
     def log_value(self, slab, t):
         """Log-density of the slab's rows at offsets t, (rows,) or (rows, k);
         -inf below the depth floor or past r_h from the samples.  max(., 1)
         and arccosh are nondecreasing: of the least cosh d, the least d."""
-        floor, s, blocks = slab
+        search, s, blocks = slab
         tk = t if t.ndim == 2 else t[:, None]
         ct, st = np.cosh(tk)[..., None], np.sinh(tk)[..., None]
         near = np.empty(tk.shape)
         for rows, cs, ch, sh in blocks:
             near[rows] = (cs * ct[rows] * ch - st[rows] * sh).min(axis=2, initial=np.inf)
-        ok = (strip_depth(s[:, None], tk) >= floor) \
+        ok = (strip_depth(s[:, None], tk) >= self.depth_floor[self.level[search], None]) \
             & (np.arccosh(np.maximum(near, 1.0)) <= self.r_h + 1e-12)
-        z = strip_to_disk(s[np.nonzero(ok)[0]], tk[ok], self.theta)
+        row = np.nonzero(ok)[0]
+        z = strip_to_disk(s[row], tk[ok], self.theta)
         good = np.abs(z) < 1.0 - DISK_BOUNDARY_MARGIN
         ok[ok] = good
+        z, job = z[good], self.job[search[row[good]]]
+        lv = np.empty(len(z))
+        for i, f in enumerate(self.fs):
+            mine = job == i
+            if mine.any():
+                lv[mine] = log_lehto_virtanen_array(f, z[mine])
         out = np.full(tk.shape, -np.inf)
-        if good.any():
-            lv = log_lehto_virtanen_array(self.f, z[good])
-            out[ok] = np.where(np.isnan(lv), -np.inf, lv)
+        out[ok] = np.where(np.isnan(lv), -np.inf, lv)
         return out.reshape(t.shape)
 
-    def golden_t(self, lev, s, t_lo, t_hi):
-        slab = self.slab(lev, s, t_lo, t_hi)
+    def golden_t(self, search, s, t_lo, t_hi):
+        slab = self.slab(search, s, t_lo, t_hi)
         a, b = t_lo, t_hi
         c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
         fc, fd = self.log_value(slab, c), self.log_value(slab, d)
@@ -255,18 +267,18 @@ class _LockstepZoom:
         left = fc >= fd
         return np.where(left, c, d), np.where(left, fc, fd)
 
-    def sweep_slab(self, lev, s, t_lo, t_hi):
+    def sweep_slab(self, search, s, t_lo, t_hi):
         """Coarse offset scan of each slab + golden refinement of its top
         three offsets; returns (found, log value, t) per slab."""
         grid = _linspace_rows(t_lo, t_hi, SLAB_GRID)
-        vals = self.log_value(self.slab(lev, s, t_lo, t_hi), grid)
+        vals = self.log_value(self.slab(search, s, t_lo, t_hi), grid)
         step = grid[:, 1] - grid[:, 0]
         top = np.argsort(vals, axis=1)[:, -3:]
         top_t, top_v = (np.take_along_axis(x, top, axis=1) for x in (grid, vals))
         cand_v, cand_t = np.full(top_v.shape, -np.inf), top_t.copy()
         row, col = np.nonzero(np.isfinite(top_v))
         if len(row):
-            g_t, g_v = self.golden_t(lev[row], s[row], top_t[row, col] - step[row],
+            g_t, g_v = self.golden_t(search[row], s[row], top_t[row, col] - step[row],
                                      top_t[row, col] + step[row])
             better = g_v > top_v[row, col]
             cand_v[row, col] = np.where(better, g_v, top_v[row, col])
@@ -279,27 +291,31 @@ class _LockstepZoom:
             best_t = np.where(take, cand_t[:, j], best_t)
         return np.isfinite(top_v).any(axis=1), best_v, best_t
 
-    def floor_position(self, lev, t):
-        """Axial position where depth hits the level's floor at offset t."""
+    def floor_position(self, search, t):
+        """Axial position where depth hits the search's floor at offset t."""
+        floor = self.depth_floor[self.level[search]]
         lo, hi = np.zeros(len(t)), np.full(len(t), 120.0)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            deeper = strip_depth(mid, t) > self.depth_floor[lev]
+            deeper = strip_depth(mid, t) > floor
             lo, hi = np.where(deeper, mid, lo), np.where(deeper, hi, mid)
         return lo
 
 
-def _zoom_max(f, region, levels, z0, v0):
-    """Refine each level's grid sup (value v0 at z0) by structured search;
-    returns values attained at admissible sampled points (never an
-    extrapolation).  The three phases run in lockstep over all levels."""
-    zm = _LockstepZoom(f, region, levels)
-    lev = np.arange(len(levels))
+def _zoom_max(region, jobs, z0, v0):
+    """Refine each search's grid sup (value v0 at z0) by structured search:
+    jobs is a list of (f, levels), and z0, v0 and the result hold one entry
+    a search, job by job.  Returns values attained at admissible sampled
+    points (never an extrapolation).  The three phases run in lockstep over
+    all searches."""
+    zm = _LockstepZoom(region, jobs)
+    search = np.arange(len(zm.level))
     s0, t0 = disk_to_strip(z0, zm.theta)
-    t_span = np.array([np.max(np.abs(ct)) for _, ct in zm.samples]) + zm.r_h + 0.1
-    found_a, v_a, t_a = zm.sweep_slab(lev, s0, -t_span, t_span)
-    s_floor = zm.floor_position(lev, np.where(found_a, t_a, t0))
-    found_b, v_b, t_b = zm.sweep_slab(lev, s_floor, -t_span, t_span)
+    t_span = (np.array([np.max(np.abs(ct)) for _, ct in zm.samples])
+              + zm.r_h + 0.1)[zm.level]
+    found_a, v_a, t_a = zm.sweep_slab(search, s0, -t_span, t_span)
+    s_floor = zm.floor_position(search, np.where(found_a, t_a, t0))
+    found_b, v_b, t_b = zm.sweep_slab(search, s_floor, -t_span, t_span)
     # the larger (value, t, s) of the two slabs, as tuples compare
     pick_b = found_b & (~found_a | (v_b > v_a) | ((v_b == v_a) & (
         (t_b > t_a) | ((t_b == t_a) & (s_floor > s0)))))
@@ -307,37 +323,27 @@ def _zoom_max(f, region, levels, z0, v0):
     v, t, s = (np.where(pick_b, x_b, x_a)[found]
                for x_a, x_b in ((v_a, v_b), (t_a, t_b), (s0, s_floor)))
     # polish along the axial direction toward the floor, then re-refine
-    lev_c = lev[found]
+    search_c = search[found]
     start = np.where(s - 2.0 > 0.0, s - 2.0, 0.0)
-    s_grid = _linspace_rows(start, zm.floor_position(lev_c, t), 33)
+    s_grid = _linspace_rows(start, zm.floor_position(search_c, t), 33)
     t_c = np.repeat(t, 33)
-    vals = zm.log_value(zm.slab(np.repeat(lev_c, 33), s_grid.ravel(), t_c, t_c),
+    vals = zm.log_value(zm.slab(np.repeat(search_c, 33), s_grid.ravel(), t_c, t_c),
                         t_c).reshape(s_grid.shape)
     j = np.argmax(vals, axis=1)
     ok = np.isfinite(vals[np.arange(len(j)), j])
     if np.any(ok):
-        found_c, v_c, _ = zm.sweep_slab(lev_c[ok], s_grid[ok, j[ok]],
+        found_c, v_c, _ = zm.sweep_slab(search_c[ok], s_grid[ok, j[ok]],
                                         t[ok] - 0.2, t[ok] + 0.2)
         v[ok] = np.where(found_c & (v_c > v[ok]), v_c, v[ok])
-    best_log = np.full(len(levels), -np.inf)
+    best_log = np.full(len(search), -np.inf)
     best_log[found] = v
     return [max(float(v), math.exp(b) if b < 700 else math.inf)
             for v, b in zip(v0, best_log)]
 
 
-def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
-                  max_level: int) -> NormalityReport:
-    """Truncation-indexed sups of (1 - |z|^2) f#(z) over the deflection region.
-
-    Level k covers the curve out to refine(k) with pseudo-hyperbolic disks of
-    the region's radius (sub-sampled at hyperbolic mesh <= COVER_MESH), keeps the
-    samples with 1 - |z| >= 2^{-k}, and refines the level's sample maximum
-    with the cusp zoom (one lockstep batch for all levels).  Sups accumulate,
-    so they are non-decreasing in k; the verdict follows the plateau/growth
-    rules.  A cover predicted to pool more than POOL_BUDGET points is
-    refused before it is built, and so is a curve sample that rounds onto
-    the boundary; both refusals name the curve and the level.
-    """
+def _grid_pass(f, region, max_level):
+    """normality_sup's cover pass: (zoomed levels, each one's grid argmax
+    point and value, failures, evaluations)."""
     if max_level < 4:
         raise ValueError("max_level must be >= 4")
     rings = _disk_rings(region.deflection, COVER_MESH) if region.deflection > 0 else []
@@ -367,24 +373,56 @@ def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
     pool, intro, vals = pool[~bad], intro[~bad], vals[~bad]
     depth = 1.0 - np.abs(pool)
 
-    levels = list(range(1, max_level + 1))
     peak_levels, peaks = [], []  # each sampled level and its grid argmax
-    for k in levels:
+    for k in range(1, max_level + 1):
         mask = (intro <= k) & (depth >= 2.0 ** (-k))
         if np.any(mask):
             peak_levels.append(k)
             peaks.append(int(np.argmax(np.where(mask, vals, -np.inf))))
-    level_sups = _zoom_max(f, region, peak_levels, pool[peaks], vals[peaks]) \
-        if peaks else []
-    level_sup = dict(zip(peak_levels, level_sups))
-    sups = [float(x) for x in np.maximum.accumulate(
-        [0.0] + [level_sup.get(k, 0.0) for k in levels])[1:]]
+    return peak_levels, pool[peaks], vals[peaks], failures, total
 
-    verdict = sup_trend_verdict(sups)
-    if total and failures / total > FAILURE_FRACTION:
-        verdict = "inconclusive"
-    return NormalityReport(region.curve.label, region.deflection, levels,
-                           sups, verdict, failures, total)
+
+def normality_sups(region: CurvilinearAngle, jobs) -> list[NormalityReport]:
+    """normality_sup of each (f, max_level) of `jobs` over one region: the
+    cover pass of every job, then one cusp zoom for all of them, so sups
+    that share a region share a zoom.  Each function is evaluated at the
+    same points, in the same calls, as by its own normality_sup, and each
+    report is the one that call returns; a refused job raises as it does.
+    """
+    peak_levels, z0, v0, failures, totals = zip(
+        *(_grid_pass(f, region, max_level) for f, max_level in jobs))
+    v0 = np.concatenate(v0)
+    zoomed = iter(_zoom_max(region, [(f, ks) for (f, _), ks in zip(jobs, peak_levels)],
+                            np.concatenate(z0), v0) if len(v0) else [])
+    reports = []
+    for (_, max_level), ks, fails, total in zip(jobs, peak_levels, failures, totals):
+        levels = list(range(1, max_level + 1))
+        level_sup = {k: next(zoomed) for k in ks}
+        sups = [float(x) for x in np.maximum.accumulate(
+            [0.0] + [level_sup.get(k, 0.0) for k in levels])[1:]]
+        verdict = sup_trend_verdict(sups)
+        if total and fails / total > FAILURE_FRACTION:
+            verdict = "inconclusive"
+        reports.append(NormalityReport(region.curve.label, region.deflection,
+                                       levels, sups, verdict, fails, total))
+    return reports
+
+
+def normality_sup(f: FunctionHandle, region: CurvilinearAngle,
+                  max_level: int) -> NormalityReport:
+    """Truncation-indexed sups of (1 - |z|^2) f#(z) over the deflection region.
+
+    Level k covers the curve out to refine(k) with pseudo-hyperbolic disks of
+    the region's radius (sub-sampled at hyperbolic mesh <= COVER_MESH), keeps the
+    samples with 1 - |z| >= 2^{-k}, and refines the level's sample maximum
+    with the cusp zoom (one lockstep batch for all levels; normality_sups
+    zooms several functions over one region in one batch).  Sups accumulate,
+    so they are non-decreasing in k; the verdict follows the plateau/growth
+    rules.  A cover predicted to pool more than POOL_BUDGET points is
+    refused before it is built, and so is a curve sample that rounds onto
+    the boundary; both refusals name the curve and the level.
+    """
+    return normality_sups(region, [(f, max_level)])[0]
 
 
 # ---------------------------------------------------------------------------

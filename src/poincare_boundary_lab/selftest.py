@@ -165,12 +165,13 @@ def criterion_normality(seed: int):
     for the pole series, diverging local-sup indicator at its poles."""
     rad = cv.canonical_curve("radius", 0.0)
     reg = cv.CurvilinearAngle(rad, 0.5)
-    rep_i = an.normality_sup(fn.identity_function(), reg, 10)
-    rep_a = an.normality_sup(
-        fn.automorphism_function(ge.mobius_translation(0.3)), reg, 10)
     sch = fn.PoleSchedule.default()
     f0 = fn.RationalPoleFunction(sch)
-    rep_f = an.normality_sup(f0, reg, 14)
+    # one region, so one cusp zoom for the three sups
+    rep_i, rep_a, rep_f = an.normality_sups(reg, [
+        (fn.identity_function(), 10),
+        (fn.automorphism_function(ge.mobius_translation(0.3)), 10),
+        (f0, 14)])
     ind = an.pseq_indicator_local_sup(
         f0, sch.pole_points[:10], sch.hyperbolic_diameters[:10])
     ok = (max(rep_i.sups) <= 1.0 + 1e-9 and abs(max(rep_i.sups) - 1.0) <= 1e-6
@@ -197,11 +198,11 @@ def criterion_cluster_family(seed: int):
     details = {}
     for label, f, target, r1 in [("identity", ident, 1.0, 0.9),
                                  ("damped_pole_series", f1, 0.0, 0.5)]:
+        fam = an.renormalized_family_check(f, ws, r1, target)   # the same for both r
         for r in (0.2, 0.5):
             member = an.radial_angle_membership(r, 0.0)
             cl = an.cluster_estimate(f, member, 0.0, range(2, 15),
                                      seed=seed + int(10 * r), record_values=False)
-            fam = an.renormalized_family_check(f, ws, r1, target)
             d_target = None if cl.limit_candidate is None \
                 else float(ge.spherical_distance_array(cl.limit_candidate, target))
             agree = d_target is not None and d_target < 1e-3 and fam.verdict == "converges"

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from poincare_boundary_lab import analysis as an
 from poincare_boundary_lab import cli
 from poincare_boundary_lab import selftest as sft
 
@@ -62,6 +63,28 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert identical
     payload = json.loads(blobs[0])
     assert payload["all_passed"]
+
+
+class TestCriterionWork:
+    """Work a criterion need not repeat: its three normality sups share a
+    region and so one cusp zoom, and the family check reads no shell radius."""
+
+    def test_normality_builds_one_zoom(self, monkeypatch):
+        built = []
+        init = an._LockstepZoom.__init__
+        monkeypatch.setattr(an._LockstepZoom, "__init__",
+                            lambda zm, *args: built.append(args) or init(zm, *args))
+        sft.criterion_normality(SEED)
+        (region, jobs), = built
+        assert [max(levels) for _, levels in jobs] == [10, 10, 14]
+
+    def test_cluster_family_checks_each_family_once(self, monkeypatch):
+        calls = []
+        check = an.renormalized_family_check
+        monkeypatch.setattr(an, "renormalized_family_check",
+                            lambda f, *args: calls.append(f) or check(f, *args))
+        sft.criterion_cluster_family(SEED)
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_full_suite_wall_clock():

@@ -141,7 +141,7 @@ def test_square_exp_verdict_needs_the_zoom(monkeypatch):
     assert an.normality_sup(f, region, 14).verdict == "diverging"
     # the grid alone: each level keeps its grid maximum
     monkeypatch.setattr(an, "_zoom_max",
-                        lambda f, region, levels, z0, v0: [float(v) for v in v0])
+                        lambda region, jobs, z0, v0: [float(v) for v in v0])
     assert an.normality_sup(f, region, 14).verdict == "bounded"
 
 
@@ -232,9 +232,9 @@ class TestRegionTest:
     @pytest.mark.parametrize("spec", REGION_CURVES)
     def test_slabs_agree_with_per_level_loop_and_blocks(self, spec, deflection,
                                                         tmp_path):
-        zm = an._LockstepZoom(fn.identity_function(),
-                              cv.CurvilinearAngle(_region_curve(spec, tmp_path),
-                                                  deflection), list(range(1, 15)))
+        zm = an._LockstepZoom(cv.CurvilinearAngle(_region_curve(spec, tmp_path),
+                                                  deflection),
+                              [(fn.identity_function(), list(range(1, 15)))])
         if spec == "chord:0:-1.2":
             assert len(zm.samples[0][0]) == 1   # level 1 zooms over refine(3)
         rng = np.random.default_rng(20261018)
@@ -272,8 +272,8 @@ class TestRegionTest:
         assert (narrow > 0) == (deflection > 0) and (left_out > 0) <= (narrow > 0)
 
     def test_horocycle_slab_spans_several_blocks(self):
-        zm = an._LockstepZoom(fn.identity_function(), _region("horocycle:0", 0.5),
-                              list(range(1, 15)))
+        zm = an._LockstepZoom(_region("horocycle:0", 0.5),
+                              [(fn.identity_function(), list(range(1, 15)))])
         lev = np.arange(len(zm.samples))
         s = np.array([np.max(cs) for cs, _ in zm.samples])
         slab = zm.slab(lev, s, np.full(len(s), -1.0), np.full(len(s), 1.0))
@@ -337,6 +337,62 @@ class TestZoomWork:
                             lambda f, z: seen.append(len(z)) or evaluate(f, z))
         an.normality_sup(_function(name), _region(spec, 0.5), level)
         assert (len(seen), sum(seen)) == (calls, points)
+
+
+class TestJointZoom:
+    """normality_sups zooms every job of a region in one batch; each job must
+    come out as its own call: the same report, sups to the last bit, and the
+    same points handed to its function in the same calls."""
+
+    # (curve, deflection, [(function, max_level, zoom calls, zoom points)])
+    CASES = [
+        ("radius:0", 0.5, [("identity", 10, 148, 6500),
+                           ("automorphism", 10, 148, 6340),
+                           ("pole_series", 14, 220, 12352),
+                           ("square_exp", 14, 220, 12155)]),
+        ("horocycle:0", 0.5, [("gavrilov_g", 12, 220, 6420),
+                              ("identity", 8, 148, 4583)]),
+        # no zoom row passes at deflection 0 off the diameter (CHANGES.md)
+        ("hypercycle:0:0.5", 0.0, [("square_exp", 10, 0, 0), ("identity", 8, 0, 0)]),
+    ]
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Each function's evaluations by the analysis module, keyed by the
+        function object: (evaluator, the points' bytes) in call order."""
+        seen = {}
+        for name in ("lehto_virtanen_array", "log_lehto_virtanen_array"):
+            def record(f, z, name=name, evaluate=getattr(an, name)):
+                seen.setdefault(id(f), []).append((name, z.tobytes()))
+                return evaluate(f, z)
+            monkeypatch.setattr(an, name, record)
+        return seen
+
+    @staticmethod
+    def _same_report(a, b):
+        assert [x.hex() for x in a.sups] == [x.hex() for x in b.sups]
+        assert (a.region, a.deflection, a.levels, a.verdict, a.failures,
+                a.evaluations) == (b.region, b.deflection, b.levels, b.verdict,
+                                   b.failures, b.evaluations)
+
+    @pytest.mark.parametrize("spec, deflection, jobs", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_joint_zoom_equals_separate_zooms(self, spec, deflection, jobs,
+                                              monkeypatch):
+        region = _region(spec, deflection)
+        fs = [(_function(name), level) for name, level, _, _ in jobs]
+        seen = self._recording(monkeypatch)
+        joint = an.normality_sups(region, fs)
+        joint_seen = dict(seen)
+        seen.clear()
+        alone = [an.normality_sup(f, region, level) for f, level in fs]
+        for a, b in zip(joint, alone):
+            self._same_report(a, b)
+        assert joint_seen == seen and len(seen) == len(fs)
+        for (f, _), (_, _, calls, points) in zip(fs, jobs):
+            zoomed = [len(z) // 16 for name, z in seen[id(f)]
+                      if name == "log_lehto_virtanen_array"]
+            assert (len(zoomed), sum(zoomed)) == (calls, points)
 
 
 class TestClosedFormSups:
